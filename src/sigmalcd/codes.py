@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BadInput,
     DimensionMismatch,
     FieldMismatch,
     ImageNotLinear,
@@ -35,7 +36,7 @@ class LinearCode:
         except DimensionMismatch as exc:
             raise LengthMismatch(str(exc)) from exc
         if M.size and (M.min() < 0 or M.max() >= field.q):
-            raise ValueError(f"entries must be encodings in 0..{field.q - 1}")
+            raise BadInput(f"entries must be encodings in 0..{field.q - 1}")
         if M.shape[1] != self.n:
             raise LengthMismatch(f"rows of length {M.shape[1]}, code length {self.n}")
         self.gen = linalg.row_space(field, M)
@@ -92,11 +93,11 @@ class SemiLinearMap:
         self.perm = np.arange(self.n, dtype=np.int32) if perm is None else perm
         self.diag = np.ones(self.n, dtype=np.int16) if diag is None else diag
         if self.perm.shape != (self.n,) or sorted(self.perm.tolist()) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
+            raise BadInput("perm must be a permutation of 0..n-1")
         if self.diag.shape != (self.n,):
             raise LengthMismatch("diag length differs from map length")
         if np.any(self.diag == 0) or np.any(self.diag >= field.q):
-            raise ValueError("diag entries must be nonzero field encodings")
+            raise BadInput("diag entries must be nonzero field encodings")
         self.frob = int(frob) % field.e
 
     @classmethod

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .errors import GcdNotOne
+from .errors import BadInput, GcdNotOne
 from .field import Field, embedding, field
 
 
@@ -36,7 +36,7 @@ def mult_order(q: int, m: int) -> int:
 class CyclotomicContext:
     def __init__(self, base: Field, m: int):
         if m < 1:
-            raise ValueError("m must be positive")
+            raise BadInput(f"m = {m} must be positive")
         if math.gcd(base.q, m) != 1:
             raise GcdNotOne(f"gcd(q={base.q}, m={m}) != 1")
         self.base = base

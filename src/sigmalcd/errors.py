@@ -95,3 +95,9 @@ class ImageNotLinear(SigmaLcdError, ValueError):
 
 class UnknownSuite(SigmaLcdError, ValueError):
     pass
+
+
+class BadInput(SigmaLcdError, ValueError):
+    """Malformed or out-of-range input: a token that is not an integer, a
+    perm that is not a permutation, an entry outside the field, a
+    nonpositive length, a field beyond the table-backed size."""

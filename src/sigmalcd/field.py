@@ -3,8 +3,18 @@
 An element of GF(p^e) is its integer encoding sum(c_i * p^i) where
 sum(c_i * x^i) is the canonical representative modulo the field's monic
 irreducible modulus.  Operations accept plain ints or numpy integer arrays
-and vectorize elementwise; a discrete-log table pair (exp/log) built once
-at construction drives multiplication, inversion and powering.
+and vectorize elementwise.
+
+Tables built once per field drive everything:
+
+- a zero-aware discrete-log pair: exp is doubled so a sum of two logs needs
+  no reduction mod q - 1, and log[0] points past it into a zero tail, so
+  a * b is the single gather exp[log[a] + log[b]] for every a and b.
+  Division, inversion and powering are single gathers too;
+- the regular representation: regular[a] is the e x e matrix over GF(p)
+  with digits(a * b) = regular[a] @ digits(b), which lets linalg.mat_mul
+  run as one integer-exact matrix product over GF(p);
+- negation, and for odd p with e > 1 a q x q addition table.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import math
 import numpy as np
 
 from .errors import (
+    BadInput,
     DegreeMismatch,
     DivisionByZero,
     EmbeddingMissing,
@@ -23,8 +34,11 @@ from .errors import (
 )
 
 MAX_EXTENSION_DEGREE = 16
-# tables are O(q) except the odd-p addition table, which is q*q
+# tables are O(q), the regular representation O(q e^2), and only the
+# addition table of an odd-p extension field is q*q
 MAX_FIELD_SIZE = 4096
+
+_INT = (int, np.integer)
 
 
 def is_prime(n: int) -> bool:
@@ -54,7 +68,7 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomials over GF(p) as little-endian int tuples, used only for
-# modulus selection and the build-time scalar multiply
+# modulus selection
 
 
 def _trim(a):
@@ -62,17 +76,6 @@ def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return tuple(a)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _pmod(a, b, p):
@@ -133,9 +136,9 @@ class Field:
         if not is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if e < 1 or e > MAX_EXTENSION_DEGREE:
-            raise ValueError(f"extension degree {e} outside supported 1..{MAX_EXTENSION_DEGREE}")
+            raise BadInput(f"extension degree {e} outside supported 1..{MAX_EXTENSION_DEGREE}")
         if p**e > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {p**e} exceeds table-backed limit {MAX_FIELD_SIZE}")
+            raise BadInput(f"field size {p**e} exceeds table-backed limit {MAX_FIELD_SIZE}")
         self.p = p
         self.e = e
         self.q = p**e
@@ -148,43 +151,58 @@ class Field:
             raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 
-        q, N = self.q, self.q - 1
+        q, N = self.q, max(self.q - 1, 1)
+        self._order = N
         arr = np.arange(q, dtype=np.int64)
-        self.digits = np.stack([(arr // p**i) % p for i in range(e)], axis=1).astype(np.int8)
-        self._p_powers = np.array([p**i for i in range(e)], dtype=np.int64)
+        self.digit_weights = np.array([p**i for i in range(e)], dtype=np.int64)
+        self.digits = np.stack([(arr // w) % p for w in self.digit_weights], axis=1).astype(np.int16)
 
-        # discrete-log tables from a deterministic least generator
-        exp = np.empty(max(N, 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        if N == 1:
-            g = 1
-            exp[0] = 1
-            log[1] = 0
+        # discrete logs to a deterministic least generator
+        if q == 2:
+            g, exp = 1, [1]
         else:
             prims = prime_factors(N)
-            g = None
-            for cand in range(2, q):
-                if all(self._spow(cand, N // ell) != 1 for ell in prims):
-                    g = cand
-                    break
-            assert g is not None, "multiplicative group has a generator"
-            x = 1
-            for i in range(N):
-                exp[i] = x
-                log[x] = i
-                x = self._smul(x, g)
-            assert x == 1 and log.min() >= -1 and (log[1:] >= 0).all()
+            g = next(c for c in range(2, q) if all(self._spow(c, N // ell) != 1 for ell in prims))
+            exp = [1]
+            for _ in range(N - 1):
+                exp.append(self._smul(exp[-1], g))
+            assert self._smul(exp[-1], g) == 1, "generator must have order q - 1"
         self.generator = g
-        self._exp = exp
-        self._log = log
 
-        if p == 2:
-            self._neg = arr.astype(np.int16)
-            self._add_table = None
-        else:
-            self._neg = (((p - self.digits) % p).astype(np.int64) @ self._p_powers).astype(np.int16)
-            s = (self.digits[:, None, :].astype(np.int16) + self.digits[None, :, :]) % p
-            self._add_table = (s.astype(np.int64) @ self._p_powers).astype(np.int16)
+        # zero-aware tables: log[0] points past the doubled exp table into a
+        # zero tail, so exp[log[a] + log[b]] is a*b for every a, b (zero
+        # included) and every index stays below 4N + 1, inside int16.
+        # Plain-int arguments index the lists, arrays the int16 copies.
+        log = [2 * N] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._exp_s = exp + exp + [0] * (2 * N + 1)
+        self._log_s = log
+        self._inv_s = [0] + [exp[-log[a] % N] for a in range(1, q)]
+        self._exp = np.array(self._exp_s, dtype=np.int16)
+        self._log = np.array(log, dtype=np.int16)
+        self._inv = np.array(self._inv_s, dtype=np.int16)
+        self._ilog = self._log[self._inv]  # log of 1/b; b = 0 is rejected before use
+
+        self._neg = (((p - self.digits) % p) @ self.digit_weights).astype(np.int16)
+        self._neg_s = self._neg.tolist()
+        # odd-p extension fields add through a q x q table, built digit by
+        # digit so the build never holds more than one q x q array
+        self._add_table = None
+        if p > 2 and e > 1:
+            self._add_table = np.zeros((q, q), dtype=np.int16)
+            for i, w in enumerate(self.digit_weights):
+                d = self.digits[:, i]
+                self._add_table += ((d[:, None] + d[None, :]) % p) * np.int16(w)
+
+    @functools.cached_property
+    def regular(self) -> np.ndarray:
+        """regular[a] is the e x e GF(p) matrix with digits(a * b) =
+        regular[a] @ digits(b); column j is digits(a * x^j).  Built on first
+        use, as q x e x e small ints."""
+        a = np.arange(self.q, dtype=np.int16)
+        cols = [self.digits[self.mul(a, int(w))] for w in self.digit_weights]
+        return np.stack(cols, axis=2).astype(np.int8 if self.p < 128 else np.int16)
 
     # build-time scalar multiply straight from the digit representation
     def _smul(self, a: int, b: int) -> int:
@@ -215,58 +233,70 @@ class Field:
         return out
 
     # -- elementwise ops ----------------------------------------------------
-
-    @staticmethod
-    def _scalar(*inputs) -> bool:
-        return all(isinstance(v, (int, np.integer)) for v in inputs)
-
-    @staticmethod
-    def _out(r, scalar: bool):
-        return int(r) if scalar else np.asarray(r).astype(np.int16)
+    # Plain ints and numpy integer scalars give a Python int; anything else
+    # is indexed into the tables as an array and gives an int16 array.
 
     def add(self, a, b):
-        scalar = self._scalar(a, b)
-        if self.p == 2:
-            r = np.bitwise_xor(np.asarray(a), np.asarray(b))
-        else:
-            r = self._add_table[np.asarray(a), np.asarray(b)]
-        return self._out(r, scalar)
+        p = self.p
+        if isinstance(a, _INT) and isinstance(b, _INT):
+            if p == 2:
+                return int(a) ^ int(b)
+            if self.e == 1:
+                return (int(a) + int(b)) % p
+            return int(self._add_table[a, b])
+        if p == 2:
+            return np.bitwise_xor(a, b, dtype=np.int16)
+        if self.e == 1:
+            return np.add(a, b, dtype=np.int16) % np.int16(p)
+        return self._add_table[a, b]
 
     def neg(self, a):
-        return self._out(self._neg[np.asarray(a)], self._scalar(a))
+        if isinstance(a, _INT):
+            return self._neg_s[a]
+        return self._neg[a]
 
     def sub(self, a, b):
-        scalar = self._scalar(a, b)
-        return self._out(np.asarray(self.add(np.asarray(a), self._neg[np.asarray(b)])), scalar)
+        return self.add(a, b if self.p == 2 else self.neg(b))
 
     def mul(self, a, b):
-        scalar = self._scalar(a, b)
-        aa, bb = np.asarray(a), np.asarray(b)
-        r = self._exp[(self._log[aa] + self._log[bb]) % max(self.q - 1, 1)]
-        r = np.where((aa == 0) | (bb == 0), 0, r)
-        return self._out(r, scalar)
+        if isinstance(a, _INT) and isinstance(b, _INT):
+            return self._exp_s[self._log_s[a] + self._log_s[b]]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
-        scalar = self._scalar(a)
-        aa = np.asarray(a)
-        if np.any(aa == 0):
+        if isinstance(a, _INT):
+            if a == 0:
+                raise DivisionByZero("inverse of zero")
+            return self._inv_s[a]
+        if not np.all(a):
             raise DivisionByZero("inverse of zero")
-        N = max(self.q - 1, 1)
-        return self._out(self._exp[(N - self._log[aa]) % N], scalar)
+        return self._inv[a]
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        if isinstance(a, _INT) and isinstance(b, _INT):
+            if b == 0:
+                raise DivisionByZero("inverse of zero")
+            return self._exp_s[self._log_s[a] + self._log_s[self._inv_s[b]]]
+        if not np.all(b):
+            raise DivisionByZero("inverse of zero")
+        return self._exp[self._log[a] + self._ilog[b]]
 
     def pow(self, a, k: int):
         """a**k with 0**0 = 1; negative k inverts (errors on zero base)."""
-        scalar = self._scalar(a)
-        aa = np.asarray(a)
-        N = max(self.q - 1, 1)
-        if k < 0 and np.any(aa == 0):
+        N = self._order
+        if isinstance(a, _INT):
+            if a == 0:
+                if k < 0:
+                    raise DivisionByZero("negative power of zero")
+                return 1 if k == 0 else 0
+            return self._exp_s[self._log_s[a] * (k % N) % N]
+        if k < 0 and not np.all(a):
             raise DivisionByZero("negative power of zero")
-        r = self._exp[(self._log[aa] * (k % N)) % N]
-        r = np.ones_like(r) if k == 0 else np.where(aa == 0, 0, r)
-        return self._out(r, scalar)
+        # the table of x -> x**k over the whole field, then one gather
+        table = np.empty(self.q, dtype=np.int16)
+        table[0] = 1 if k == 0 else 0
+        table[1:] = self._exp[self._log[1:].astype(np.int64) * (k % N) % N]
+        return table[a]
 
     def frob(self, a, s: int = 1):
         """Entrywise Frobenius a -> a**(p**s)."""
@@ -275,12 +305,13 @@ class Field:
     def sum(self, arr, axis=None):
         arr = np.asarray(arr)
         if self.p == 2:
-            r = np.bitwise_xor.reduce(arr, axis=axis if axis is not None else None)
-            return r if isinstance(r, np.ndarray) else int(r)
-        d = self.digits[arr].astype(np.int64)
-        ax = tuple(range(arr.ndim)) if axis is None else axis
-        s = d.sum(axis=ax) % self.p
-        r = s @ self._p_powers
+            r = np.bitwise_xor.reduce(arr, axis=axis)
+        elif self.e == 1:
+            r = arr.sum(axis=axis, dtype=np.int64) % self.p
+        else:
+            ax = range(arr.ndim) if axis is None else np.atleast_1d(axis) % arr.ndim
+            ax = tuple(int(i) for i in ax)  # the digit axis comes last
+            r = (self.digits[arr].sum(axis=ax, dtype=np.int64) % self.p) @ self.digit_weights
         return r.astype(np.int16) if isinstance(r, np.ndarray) else int(r)
 
     def dot(self, u, v):
@@ -298,8 +329,8 @@ class Field:
     def element_order(self, a: int) -> int:
         if int(a) == 0:
             raise DivisionByZero("order of zero")
-        N = max(self.q - 1, 1)
-        return N // math.gcd(N, int(self._log[int(a)]))
+        N = self._order
+        return N // math.gcd(N, self._log_s[int(a)])
 
     # -- identity/equality --------------------------------------------------
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import poly
 from .codes import LinearCode, SemiLinearMap
-from .errors import DimensionMismatch, LengthMismatch, NotPrime, SigmaLcdError
+from .errors import BadInput, DimensionMismatch, LengthMismatch, NotPrime, SigmaLcdError
 from .field import Field, field, is_prime
 from .gqc import GqcCode
 
@@ -24,6 +24,13 @@ def _lines(text: str) -> list[str]:
     return out
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise BadInput(f"expected an integer, got {token.strip()!r}") from None
+
+
 def parse_field(text: str) -> Field:
     """`p`, `p^e`, a composite prime power like `4`, or `p^e:c0,c1,...`
     with an explicit little-endian modulus."""
@@ -31,12 +38,12 @@ def parse_field(text: str) -> Field:
     modulus = None
     if ":" in text:
         text, mtext = text.split(":", 1)
-        modulus = tuple(int(t) for t in mtext.split(","))
+        modulus = tuple(_int(t) for t in mtext.split(","))
     if "^" in text:
         ptext, etext = text.split("^", 1)
-        p, e = int(ptext), int(etext)
+        p, e = _int(ptext), _int(etext)
     else:
-        v = int(text)
+        v = _int(text)
         if v < 2:
             raise NotPrime(f"{v} is not a prime power")
         if is_prime(v):
@@ -60,7 +67,7 @@ def field_str(F: Field) -> str:
 def parse_poly(text: str) -> np.ndarray:
     """Comma-separated little-endian coefficients, `1,0,1` = 1 + x^2."""
     parts = [t.strip() for t in text.split(",")]
-    return poly.from_seq([int(t) for t in parts if t])
+    return poly.from_seq([_int(t) for t in parts if t])
 
 
 def poly_str(c: np.ndarray) -> str:
@@ -72,7 +79,7 @@ def poly_str(c: np.ndarray) -> str:
 
 def _check_entries(F: Field, rows: np.ndarray):
     if rows.size and (rows.min() < 0 or rows.max() >= F.q):
-        raise SigmaLcdError(f"entry out of range for GF({F.q})")
+        raise BadInput(f"entry out of range for GF({F.q})")
 
 
 def parse_code(text: str, field_hint: Field | None = None) -> LinearCode:
@@ -85,12 +92,12 @@ def parse_code(text: str, field_hint: Field | None = None) -> LinearCode:
     F = field_hint if field_hint is not None else parse_field(head[0])
     if F.q != parse_field(head[0]).q:
         raise DimensionMismatch(f"header field {head[0]} != {field_str(F)}")
-    n, k = int(head[1]), int(head[2])
+    n, k = _int(head[1]), _int(head[2])
     if len(lines) != 1 + k:
         raise DimensionMismatch(f"expected {k} generator rows, got {len(lines) - 1}")
     rows = np.zeros((k, n), dtype=np.int16)
     for t, line in enumerate(lines[1:]):
-        vals = [int(v) for v in line.split()]
+        vals = [_int(v) for v in line.split()]
         if len(vals) != n:
             raise LengthMismatch(f"row {t} has {len(vals)} entries, expected {n}")
         rows[t] = vals
@@ -120,13 +127,15 @@ def parse_sigma(text: str, F: Field, n: int) -> SemiLinearMap:
         if key == "perm":
             if len(vals) != n:
                 raise LengthMismatch(f"perm needs {n} entries")
-            perm = np.asarray([int(v) for v in vals], dtype=np.int32)
+            perm = np.asarray([_int(v) for v in vals], dtype=np.int32)
         elif key == "diag":
             if len(vals) != n:
                 raise LengthMismatch(f"diag needs {n} entries")
-            diag = np.asarray([int(v) for v in vals], dtype=np.int16)
+            diag = np.asarray([_int(v) for v in vals], dtype=np.int16)
         elif key == "frob":
-            frob = int(vals[0])
+            if len(vals) != 1:
+                raise LengthMismatch("frob needs one entry")
+            frob = _int(vals[0])
         else:
             raise SigmaLcdError(f"unknown sigma field {key!r}")
     return SemiLinearMap(F, perm, diag, frob)
@@ -148,7 +157,7 @@ def sigma_from_spec(spec: str, F: Field, n: int) -> SemiLinearMap:
     if s == "reversal":
         return SemiLinearMap.reversal(F, n)
     if s.startswith("frobenius:"):
-        return SemiLinearMap.frobenius_map(F, n, int(s.split(":", 1)[1]))
+        return SemiLinearMap.frobenius_map(F, n, _int(s.split(":", 1)[1]))
     with open(s, "r", encoding="utf-8") as fh:
         return parse_sigma(fh.read(), F, n)
 
@@ -162,8 +171,8 @@ def parse_gqc_raw(text: str, field_hint: Field | None = None):
     if len(head) != 2:
         raise LengthMismatch(f"header must be 'q l', got {lines[0]!r}")
     F = field_hint if field_hint is not None else parse_field(head[0])
-    l = int(head[1])
-    blocks = tuple(int(v) for v in lines[1].split())
+    l = _int(head[1])
+    blocks = tuple(_int(v) for v in lines[1].split())
     if len(blocks) != l:
         raise DimensionMismatch(f"expected {l} block lengths, got {len(blocks)}")
     gens = []
@@ -208,10 +217,10 @@ def parse_product_spec(text: str):
         head = lines[pos].split()
         if len(head) != 3:
             raise LengthMismatch(f"component header must be 'm r k', got {lines[pos]!r}")
-        m, r, k = int(head[0]), int(head[1]), int(head[2])
+        m, r, k = _int(head[0]), _int(head[1]), _int(head[2])
         rows = []
         for line in lines[pos + 1 : pos + 1 + k]:
-            vals = [int(v) for v in line.split()]
+            vals = [_int(v) for v in line.split()]
             if len(vals) != r:
                 raise LengthMismatch(f"component row needs {r} entries, got {len(vals)}")
             rows.append(vals)

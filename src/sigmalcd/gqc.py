@@ -256,17 +256,6 @@ def is_mua_self_dual(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool
     return True
 
 
-def constituent_support(code: GqcCode, ctx: CyclotomicContext) -> set[int]:
-    """All i in Z_m with a nonzero constituent (coset-closed)."""
-    _check_ctx(code, ctx)
-    get = _cons_cache(code, ctx)
-    S: set[int] = set()
-    for i in ctx.leaders:
-        if get(i).dim:
-            S.update(ctx.cosets[i])
-    return S
-
-
 def trivial_constituent_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """For codes whose constituents are all {0} or V_i: complementary-dual
     for mu_a iff the support set satisfies S = -aS."""

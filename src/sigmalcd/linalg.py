@@ -4,6 +4,14 @@ Matrices are 2-D numpy int16 arrays of field encodings; every function takes
 the Field first.  Reduction is plain Gauss-Jordan with the deterministic
 pivot rule: first nonzero entry scanning top to bottom in the leftmost
 unfinished column.
+
+mat_mul works over GF(p) through the field's regular representation: each
+entry a of the left factor becomes its e x e matrix over GF(p), each entry
+of the right factor its e digits, and one float64 matrix product of those
+small integers, reduced mod p, gives the digits of the result.  A float64
+sum of products is exact while it stays below 2^53, so the inner dimension
+is split into pieces of at most (2^53 - p) / (p - 1)^2 terms, each reduced
+mod p before the next is added.
 """
 
 from __future__ import annotations
@@ -31,15 +39,32 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int16)
 
 
+# a float64 sum of integer products is exact below this
+EXACT_LIMIT = 2**53
+
+
+def _exact_terms(p: int) -> int:
+    """Most products of two GF(p) digits that can be summed onto a sum
+    already reduced mod p and stay below EXACT_LIMIT."""
+    return (EXACT_LIMIT - p) // (p - 1) ** 2
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.int16)
     B = np.asarray(B, dtype=np.int16)
     if A.shape[1] != B.shape[0]:
         raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
-    prods = F.mul(A[:, :, None], B[None, :, :])
-    return np.asarray(F.sum(prods, axis=1), dtype=np.int16).reshape(A.shape[0], B.shape[1])
+    (k, n), m, p, e = A.shape, B.shape[1], F.p, F.e
+    # block (i, t) of the (k e) x (n e) left factor is regular[A[i, t]]
+    left = F.regular[A].transpose(0, 2, 1, 3).reshape(k * e, n * e).astype(np.float64)
+    # row t e + s of the (n e) x m right factor is digit s of row t of B
+    right = F.digits[B].transpose(0, 2, 1).reshape(n * e, m).astype(np.float64)
+    step = _exact_terms(p)
+    acc = np.zeros((k * e, m))
+    for lo in range(0, n * e, step):
+        acc += left[:, lo : lo + step] @ right[lo : lo + step]
+        np.fmod(acc, p, out=acc)
+    return (F.digit_weights @ acc.reshape(k, e, m)).astype(np.int16)
 
 
 def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -67,7 +92,8 @@ def rref(F: Field, M: np.ndarray):
         others = np.nonzero(R[:, c])[0]
         others = others[others != r]
         if others.size:
-            R[others] = F.sub(R[others], F.mul(R[others, c][:, None], R[r][None, :]))
+            # row r is zero left of column c, so only columns c.. change
+            R[others, c:] = F.sub(R[others, c:], F.mul(R[others, c][:, None], R[r, c:][None, :]))
         pivots.append(c)
         r += 1
     return R, pivots
@@ -106,7 +132,7 @@ def residual(F: Field, R: np.ndarray, pivots, V: np.ndarray) -> np.ndarray:
     for i, c in enumerate(pivots):
         f = V[:, c]
         if np.any(f):
-            V = F.sub(V, F.mul(f[:, None], R[i][None, :]))
+            V[:, c:] = F.sub(V[:, c:], F.mul(f[:, None], R[i, c:][None, :]))
     return V
 
 
@@ -146,8 +172,3 @@ def solve_right(F: Field, A: np.ndarray, b) -> np.ndarray | None:
     for i, c in enumerate(piv):
         x[c] = R[i, n]
     return x
-
-
-def solve_left(F: Field, A: np.ndarray, b) -> np.ndarray | None:
-    """One solution x of x A = b (rows act), or None if inconsistent."""
-    return solve_right(F, np.asarray(A, dtype=np.int16).T, b)

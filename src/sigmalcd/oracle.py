@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .codes import LinearCode, SemiLinearMap, sigma_dual
-from .errors import BudgetExceeded, NoNonzeroWords
+from .errors import BudgetExceeded, FieldMismatch, LengthMismatch, NoNonzeroWords
 
 DEFAULT_MAX_WORDS = 2**22
 
@@ -63,16 +63,28 @@ def enumerate_codewords(code: LinearCode, budget: EnumerationBudget | None = Non
         yield word.copy()
 
 
+# entries of one block's k x n product cube: its int16 temporaries take at
+# most 128 KiB, so they stay in cache and the allocator hands the same heap
+# memory back block after block.  A cube per 2^16-word chunk would take tens
+# of MB per temporary, mapped and faulted in afresh for every chunk, at a cost
+# that moves with whether the kernel backs it with huge pages.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _word_blocks(F, G, lo: int, hi: int):
+    """The codewords of message indices lo..hi-1 (base-q digits, least
+    significant first), in blocks of rows."""
+    q, (k, n) = F.q, G.shape
+    powers = q ** np.arange(k, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // max(1, k * n))
+    for start in range(lo, hi, step):
+        idx = np.arange(start, min(start + step, hi), dtype=np.int64)
+        digits = (idx[:, None] // powers % q).astype(np.int16)
+        yield np.asarray(F.sum(F.mul(digits[:, :, None], G[None, :, :]), axis=1), dtype=np.int16)
+
+
 def _chunk_min_weight(F, G, lo: int, hi: int) -> int:
-    q, k = F.q, G.shape[0]
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((idx.size, k), dtype=np.int16)
-    for j in range(k):
-        digits[:, j] = (idx // q**j) % q
-    prods = F.mul(digits[:, :, None], G[None, :, :])
-    words = np.asarray(F.sum(prods, axis=1), dtype=np.int16)
-    weights = np.count_nonzero(words, axis=1)
-    return int(weights.min())
+    return min(int(np.count_nonzero(words, axis=1).min()) for words in _word_blocks(F, G, lo, hi))
 
 
 def brute_min_distance(
@@ -100,25 +112,17 @@ def weight_distribution(code: LinearCode, budget: EnumerationBudget | None = Non
     total = _check_budget(code, budget)
     F, G = code.field, code.gen
     out = np.zeros(code.n + 1, dtype=np.int64)
-    for lo in range(0, total, 1 << 16):
-        hi = min(lo + (1 << 16), total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((idx.size, code.k), dtype=np.int16)
-        for j in range(code.k):
-            digits[:, j] = (idx // F.q**j) % F.q
-        if code.k:
-            prods = F.mul(digits[:, :, None], G[None, :, :])
-            words = np.asarray(F.sum(prods, axis=1), dtype=np.int16)
-        else:
-            words = np.zeros((idx.size, code.n), dtype=np.int16)
+    for words in _word_blocks(F, G, 0, total):
         out += np.bincount(np.count_nonzero(words, axis=1), minlength=code.n + 1)
     return out
 
 
 def brute_intersection_dim(c1: LinearCode, c2: LinearCode) -> int:
     """dim(C1 cap C2) via stacked-nullspace subspace arithmetic."""
-    if c1.field != c2.field or c1.n != c2.n:
-        raise ValueError("codes must share field and length")
+    if c1.field != c2.field:
+        raise FieldMismatch("codes must share their field")
+    if c1.n != c2.n:
+        raise LengthMismatch(f"codes of lengths {c1.n} and {c2.n}")
     return linalg.intersection(c1.field, c1.gen, c2.gen).shape[0]
 
 

@@ -139,14 +139,6 @@ def eval_at(F: Field, a, x: int) -> int:
     return int(acc)
 
 
-def eval_many(F: Field, a, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.int16)
-    acc = np.zeros_like(xs)
-    for c in reversed(trim(a)):
-        acc = F.add(F.mul(acc, xs), int(c))
-    return np.asarray(acc, dtype=np.int16)
-
-
 def xm1(F: Field, m: int) -> np.ndarray:
     out = np.zeros(m + 1, dtype=np.int16)
     out[0] = F.neg(1)
@@ -177,10 +169,3 @@ def subst_power_mod(F: Field, a, k: int, m: int) -> np.ndarray:
 
 def mul_mod_xm1(F: Field, a, b, m: int) -> np.ndarray:
     return mod_xm1(F, mul(F, a, b), m)
-
-
-def product(F: Field, polys) -> np.ndarray:
-    out = from_seq([1])
-    for f in polys:
-        out = mul(F, out, f)
-    return out

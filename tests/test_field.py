@@ -168,3 +168,16 @@ def test_embedding_respects_frobenius_tower():
     for a in range(4):
         img = emb(a)
         assert F16.pow(img, 4) == img
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_primes_above_int8(p):
+    F = field(p)
+    assert F.digits.dtype == np.int16 and int(F.digits[p - 1, 0]) == p - 1
+    a = np.arange(p, dtype=np.int16)
+    assert np.array_equal(F.mul(a, a), a.astype(np.int64) ** 2 % p)
+    assert np.array_equal(F.mul(a[1:], F.inv(a[1:])), np.ones(p - 1))
+    assert np.array_equal(F.add(a, a[::-1]), np.full(p, p - 1))
+    assert F.add(p - 1, 2) == 1 and F.neg(1) == p - 1 and F.sub(0, 1) == p - 1
+    assert F.pow(F.generator, (p - 1) // 2) == p - 1
+    assert F.div(1, 2) == (p + 1) // 2

@@ -314,6 +314,55 @@ def test_cli_error_exits(files, tmp_path):
     assert rc == 2
 
 
+MALFORMED = {
+    "non-integer in .code": lambda d: ["lcd", "check", "--code", _write(d, "bad.code", "2 4 2\n1 0 x 1\n0 1 1 0\n")],
+    "--sigma frobenius:x": lambda d: ["lcd", "check", "--code", str(d / "ham.code"), "--sigma", "frobenius:x"],
+    "non-permutation perm:": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                        "--sigma", _write(d, "bad.sigma", "perm: 0 0 1 2 3 4 5\n")],
+    "zero diag: entry": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                   "--sigma", _write(d, "zero.sigma", "diag: 1 0 1 1 1 1 1\n")],
+    "gqc cosets 2 0": lambda d: ["gqc", "cosets", "2", "0"],
+    "splitting field too large": lambda d: ["gqc", "cosets", "2", "47"],
+    "oracle intersect, lengths differ": lambda d: ["oracle", "intersect", str(d / "ham.code"), str(d / "z3.code")],
+}
+
+
+def _write(d, name, text):
+    (d / name).write_text(text)
+    return str(d / name)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_input_exits_2(files, case):
+    """Bad input exits 2 with one `error:` line and no report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.cmd_dispatch(MALFORMED[case](files))
+    assert rc == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_malformed_input_errors_keep_value_error_base():
+    with pytest.raises(ValueError):
+        formats.parse_code("2 2 1\n1 y\n")
+    with pytest.raises(ValueError):
+        formats.sigma_from_spec("frobenius:x", F4, 3)
+    with pytest.raises(ValueError):
+        SemiLinearMap(F2, perm=[0, 0, 1])
+    with pytest.raises(ValueError):
+        LinearCode(F2, 2, [[0, 2]])
+
+
+def test_cli_prime_field_above_int8(tmp_path):
+    # <v, v> = 1 + 4 + 130^2 = 6 mod 131, so the code is LCD
+    (tmp_path / "p131.code").write_text("131 3 1\n1 2 130\n")
+    rc, out = run_cli("--format", "machine", "lcd", "check", "--code", str(tmp_path / "p131.code"), "--sigma", "id")
+    assert rc == 0
+    assert kv(out)["hull_dim"] == "0" and kv(out)["verification"] == "agree"
+
+
 def test_cli_repro_suites():
     rc, out = run_cli("repro", "golay23")
     assert rc == 0

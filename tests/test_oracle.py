@@ -77,6 +77,18 @@ def test_weight_distribution_sums_to_qk():
     assert min(nz) == oracle.brute_min_distance(c)
 
 
+def test_blocked_enumeration_matches_gray_walk():
+    # k * n large enough that one chunk spans several row blocks
+    rng = np.random.default_rng(24)
+    for F, n, k in ((F2, 30, 10), (F3, 20, 6), (F4, 16, 5), (field(3, 2), 12, 3)):
+        c = LinearCode(F, n, rng.integers(0, F.q, size=(k, n)).astype(np.int16))
+        weights = [int(np.count_nonzero(w)) for w in oracle.enumerate_codewords(c)]
+        assert oracle.weight_distribution(c).tolist() == np.bincount(weights, minlength=n + 1).tolist()
+        assert oracle.brute_min_distance(c) == min(w for w in weights if w)
+        assert oracle.brute_min_distance(c, jobs=2, chunk=100) == min(w for w in weights if w)
+    assert oracle.weight_distribution(C(F3, 4)).tolist() == [1, 0, 0, 0, 0]
+
+
 def test_intersection_examples():
     c = C(F3, 3, (1, 0, 0), (0, 1, 0))
     assert oracle.brute_intersection_dim(c, c) == 2
