@@ -2,6 +2,13 @@
 formula-based checks with an oracle cross-check, and reproduce the worked
 examples end to end.
 
+Every subcommand is one row of `_COMMANDS`: its group and name, its
+arguments and its handler.  The argparse tree is built from that table once
+per process, on the first dispatch, and reused.  `--budget` is taken only
+by `lcp build`, `gqc product` and `oracle mindist`, and `--jobs` only by
+the last two.  Every handler and repro suite that compares a formula with
+an oracle ends in `_settle`.
+
 Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
 input errors or a formula/oracle discrepancy.
 """
@@ -9,6 +16,7 @@ input errors or a formula/oracle discrepancy.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -17,10 +25,9 @@ import numpy as np
 
 from . import abelian, codes, gqc, linalg, oracle, poly
 from .cyclotomic import CyclotomicContext, gamma_partition
-from .errors import SigmaLcdError, UnknownSuite
+from .errors import SigmaLcdError
 from .field import field as make_field
 from .formats import (
-    dump_code,
     dump_sigma,
     field_str,
     parse_code,
@@ -79,63 +86,58 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _verdict_exit(report: RunReport, verdict: bool) -> int:
-    report.result.setdefault("verdict", verdict)
-    if report.verification not in (None, "agree", "skipped"):
+def _settle(report: RunReport, agree: bool, verdict: bool | None = None, detail: str = "") -> int:
+    """The epilogue of every formula/oracle cross-check: record the
+    agreement, and the verdict if the command gives one.  Exit 2 on a
+    disagreement, else 0, or 1 for a false verdict."""
+    report.verification = "agree" if agree else "disagree" + detail
+    if verdict is not None:
+        report.result["verdict"] = verdict
+    if not agree:
         return 2
-    return 0 if verdict else 1
+    return 0 if verdict is None or verdict else 1
 
 
-def _code_inputs(report: RunReport, path: str, code) -> None:
+def _load_code(report: RunReport, path: str):
+    code = parse_code(_read(path))
     report.inputs["code"] = path
     report.inputs["params"] = f"[{code.n},{code.k}] over GF({code.field.q})"
+    return code
+
+
+def _put_sigma(report: RunReport, sigma, parts=("perm", "diag", "frob")) -> None:
+    for part in parts:
+        report.result[f"sigma_{part}"] = getattr(sigma, part)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_lcd_check(args, report: RunReport) -> int:
-    code = parse_code(_read(args.code))
+def _cmd_lcd_hull(args, report: RunReport) -> int:
+    """`lcd hull` reports dim Hull_sigma(C); `lcd check` adds the verdict
+    that the hull is zero."""
+    code = _load_code(report, args.code)
     sigma = sigma_from_spec(args.sigma, code.field, code.n)
-    _code_inputs(report, args.code, code)
     report.inputs["sigma"] = args.sigma
     h = codes.hull_dim(code, sigma)
-    verdict = h == 0
     report.result["hull_dim"] = h
     brute = oracle.brute_hull_dim(code, sigma)
-    report.verification = "agree" if brute == h else f"disagree (oracle {brute})"
-    return _verdict_exit(report, verdict)
+    return _settle(report, brute == h, h == 0 if args.sub == "check" else None, f" (oracle {brute})")
 
 
 def _cmd_lcd_make(args, report: RunReport) -> int:
-    code = parse_code(_read(args.code))
-    _code_inputs(report, args.code, code)
+    code = _load_code(report, args.code)
     sigma, out_code = codes.make_lcd_sigma(code)
     ok = codes.is_sigma_lcd(out_code, sigma)
     report.result["out_params"] = f"[{out_code.n},{out_code.k}]"
-    report.result["sigma_perm"] = sigma.perm
-    report.result["sigma_diag"] = sigma.diag
-    report.result["sigma_frob"] = sigma.frob
+    _put_sigma(report, sigma)
     brute = oracle.brute_hull_dim(out_code, sigma)
-    report.verification = "agree" if (brute == 0) == ok else "disagree"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_sigma(sigma))
         report.result["written"] = args.out
-    return _verdict_exit(report, ok)
-
-
-def _cmd_lcd_hull(args, report: RunReport) -> int:
-    code = parse_code(_read(args.code))
-    sigma = sigma_from_spec(args.sigma, code.field, code.n)
-    _code_inputs(report, args.code, code)
-    report.inputs["sigma"] = args.sigma
-    h = codes.hull_dim(code, sigma)
-    report.result["hull_dim"] = h
-    brute = oracle.brute_hull_dim(code, sigma)
-    report.verification = "agree" if brute == h else f"disagree (oracle {brute})"
-    return 0 if report.verification == "agree" else 2
+    return _settle(report, (brute == 0) == ok, ok)
 
 
 def _cmd_lcp_build(args, report: RunReport) -> int:
@@ -143,26 +145,28 @@ def _cmd_lcp_build(args, report: RunReport) -> int:
     c2 = parse_code(_read(args.code2))
     report.inputs["code1"] = args.code1
     report.inputs["code2"] = args.code2
-    budget = oracle.EnumerationBudget(args.budget)
-    pair = codes.build_lcp(c1, c2, budget=budget)
+    pair = codes.build_lcp(c1, c2, budget=oracle.EnumerationBudget(args.budget))
     report.result["params"] = pair.params
     report.result["n"] = pair.n
     report.result["k"] = pair.k
     report.result["d1"] = "unknown" if pair.d1 is None else pair.d1
     report.result["d2"] = "unknown" if pair.d2 is None else pair.d2
-    report.result["sigma_perm"] = pair.sigma.perm
-    report.result["sigma_diag"] = pair.sigma.diag
+    _put_sigma(report, pair.sigma, ("perm", "diag"))
     inter = oracle.brute_intersection_dim(pair.c1, pair.c2)
     s = linalg.sum_dim(pair.c1.field, pair.c1.gen, pair.c2.gen)
-    report.verification = "agree" if inter == 0 and s == pair.n else "disagree"
-    return 0 if report.verification == "agree" else 2
+    return _settle(report, inter == 0 and s == pair.n)
 
 
-def _cmd_gqc_cosets(args, report: RunReport) -> int:
+def _cyclotomic(args, report: RunReport) -> CyclotomicContext:
     F = parse_field(args.q)
     ctx = CyclotomicContext(F, args.m)
     report.inputs["q"] = field_str(F)
     report.inputs["m"] = args.m
+    return ctx
+
+
+def _cmd_gqc_cosets(args, report: RunReport) -> int:
+    ctx = _cyclotomic(args, report)
     report.result["count"] = len(ctx.leaders)
     for i in ctx.leaders:
         report.result[f"coset.{i}"] = list(ctx.cosets[i])
@@ -170,11 +174,7 @@ def _cmd_gqc_cosets(args, report: RunReport) -> int:
 
 
 def _cmd_gqc_gamma(args, report: RunReport) -> int:
-    F = parse_field(args.q)
-    ctx = CyclotomicContext(F, args.m)
-    gp = gamma_partition(ctx)
-    report.inputs["q"] = field_str(F)
-    report.inputs["m"] = args.m
+    gp = gamma_partition(_cyclotomic(args, report))
     report.result["gamma0_plus"] = list(gp.g0_plus)
     report.result["gamma0_minus"] = list(gp.g0_minus)
     report.result["gamma1"] = list(gp.g1)
@@ -195,24 +195,19 @@ def _cmd_gqc_constituents(args, report: RunReport) -> int:
 
 
 def _cmd_gqc_check(args, report: RunReport) -> int:
+    """The constituent test against one oracle, h = dim Hull_{mu_a}:
+    LCD iff h = 0, self-orthogonal iff h = k, self-dual iff also 2k = n."""
     code = parse_gqc(_read(args.file))
     ctx = gqc.context_for(code)
     report.inputs["file"] = args.file
     report.inputs["a"] = args.a
     report.inputs["test"] = args.test
     sigma = code.mu_map(args.a)
-    if args.test == "lcd":
-        verdict = gqc.is_mua_lcd(code, ctx, args.a)
-        brute_ok = oracle.brute_hull_dim(code.flat, sigma) == 0
-    elif args.test == "so":
-        verdict = gqc.is_mua_self_orthogonal(code, ctx, args.a)
-        dual = codes.sigma_dual(code.flat, sigma)
-        brute_ok = dual.contains_code(code.flat)
-    else:
-        verdict = gqc.is_mua_self_dual(code, ctx, args.a)
-        brute_ok = codes.sigma_dual(code.flat, sigma) == code.flat
-    report.verification = "agree" if brute_ok == verdict else "disagree"
-    return _verdict_exit(report, verdict)
+    test = {"lcd": gqc.is_mua_lcd, "so": gqc.is_mua_self_orthogonal, "sd": gqc.is_mua_self_dual}[args.test]
+    verdict = test(code, ctx, args.a)
+    h = oracle.brute_hull_dim(code.flat, sigma)
+    holds = {"lcd": h == 0, "so": h == code.k, "sd": h == code.k and 2 * code.k == code.n}[args.test]
+    return _settle(report, holds == verdict, verdict)
 
 
 def _cmd_gqc_onegen(args, report: RunReport) -> int:
@@ -225,16 +220,13 @@ def _cmd_gqc_onegen(args, report: RunReport) -> int:
     ctx = CyclotomicContext(F, gqc.lcm_of(blocks))
     verdict = gqc.one_gen_lcd_eval(ctx, blocks, cvec, args.a)
     report.result["eval_form"] = verdict
-    checks = []
+    agree = True
     if len(set(blocks)) == 1:
-        g_verdict = gqc.one_gen_lcd_gcd(F, blocks, cvec, args.a)
-        report.result["gcd_form"] = g_verdict
-        checks.append(g_verdict == verdict)
+        report.result["gcd_form"] = gqc.one_gen_lcd_gcd(F, blocks, cvec, args.a)
+        agree = report.result["gcd_form"] == verdict
     code = gqc.one_gen_code(F, blocks, cvec)
     brute_ok = oracle.brute_hull_dim(code.flat, code.mu_map(args.a)) == 0
-    checks.append(brute_ok == verdict)
-    report.verification = "agree" if all(checks) else "disagree"
-    return _verdict_exit(report, verdict)
+    return _settle(report, agree and brute_ok == verdict, verdict)
 
 
 def _cmd_gqc_product(args, report: RunReport) -> int:
@@ -248,51 +240,44 @@ def _cmd_gqc_product(args, report: RunReport) -> int:
     report.result["distance_bound"] = res.distance_bound
     report.result["mu1_lcd"] = True
     budget = oracle.EnumerationBudget(args.budget)
-    if res.dim and base.q**res.dim <= budget.max_words:
-        d = oracle.brute_min_distance(res.code.flat, budget=budget, jobs=args.jobs)
-        report.result["min_distance"] = d
-        report.verification = "agree" if d >= res.distance_bound else "disagree"
-    else:
+    if not res.dim or base.q**res.dim > budget.max_words:
         report.verification = "skipped"
-    return 0 if report.verification in ("agree", "skipped") else 2
+        return 0
+    d = oracle.brute_min_distance(res.code.flat, budget=budget, jobs=args.jobs)
+    report.result["min_distance"] = d
+    return _settle(report, d >= res.distance_bound)
+
+
+def _group_and_code(args, report: RunReport):
+    group = abelian.parse_group(args.group)
+    code = _load_code(report, args.code)
+    report.inputs["group"] = repr(group)
+    return group, code
 
 
 def _cmd_abelian_check(args, report: RunReport) -> int:
-    group = abelian.parse_group(args.group)
-    code = parse_code(_read(args.code))
-    _code_inputs(report, args.code, code)
-    report.inputs["group"] = repr(group)
+    group, code = _group_and_code(args, report)
     verdict = abelian.is_abelian_mu1_lcd(code, group)
-    sigma = abelian.mu_sigma(code.field, group)
-    brute_ok = oracle.brute_hull_dim(code, sigma) == 0
+    brute_ok = oracle.brute_hull_dim(code, abelian.mu_sigma(code.field, group)) == 0
     e = abelian.find_idempotent_generator(code, group)
     report.result["idempotent_found"] = e is not None
-    agree = brute_ok == verdict and (e is not None) == verdict
-    report.verification = "agree" if agree else "disagree"
-    return _verdict_exit(report, verdict)
+    return _settle(report, brute_ok == verdict == (e is not None), verdict)
 
 
 def _cmd_abelian_idempotent(args, report: RunReport) -> int:
-    group = abelian.parse_group(args.group)
-    code = parse_code(_read(args.code))
-    _code_inputs(report, args.code, code)
-    report.inputs["group"] = repr(group)
+    group, code = _group_and_code(args, report)
     e = abelian.find_idempotent_generator(code, group)
+    report.result["found"] = e is not None
     if e is None:
-        report.result["found"] = False
         return 1
-    report.result["found"] = True
     report.result["coeffs"] = e.coeffs
-    report.verification = "agree" if abelian.is_idempotent(e) else "disagree"
-    return 0 if report.verification == "agree" else 2
+    return _settle(report, abelian.is_idempotent(e))
 
 
 def _cmd_oracle_mindist(args, report: RunReport) -> int:
-    code = parse_code(_read(args.file))
-    _code_inputs(report, args.file, code)
+    code = _load_code(report, args.file)
     budget = oracle.EnumerationBudget(args.budget)
-    d = oracle.brute_min_distance(code, budget=budget, jobs=args.jobs)
-    report.result["min_distance"] = d
+    report.result["min_distance"] = oracle.brute_min_distance(code, budget=budget, jobs=args.jobs)
     return 0
 
 
@@ -306,17 +291,13 @@ def _cmd_oracle_intersect(args, report: RunReport) -> int:
 
 
 def _cmd_oracle_search(args, report: RunReport) -> int:
-    code = parse_code(_read(args.file))
-    _code_inputs(report, args.file, code)
+    code = _load_code(report, args.file)
     report.inputs["family"] = args.family
     sigma = oracle.exhaustive_sigma_search(code, family=args.family)
+    report.result["found"] = sigma is not None
     if sigma is None:
-        report.result["found"] = False
         return 1
-    report.result["found"] = True
-    report.result["sigma_perm"] = sigma.perm
-    report.result["sigma_diag"] = sigma.diag
-    report.result["sigma_frob"] = sigma.frob
+    _put_sigma(report, sigma)
     return 0
 
 
@@ -341,7 +322,7 @@ def _golay_code():
     return best[1]
 
 
-def _repro_golay23(report: RunReport) -> bool:
+def _repro_golay23(report: RunReport) -> int:
     code = _golay_code()
     ctx = gqc.context_for(code)
     d = oracle.brute_min_distance(code.flat)
@@ -355,13 +336,11 @@ def _repro_golay23(report: RunReport) -> bool:
     report.result["euclidean_hull"] = eh
     brute_mu = oracle.brute_hull_dim(code.flat, code.mu_map(-1))
     brute_eh = oracle.brute_hull_dim(code.flat, None)
-    report.verification = (
-        "agree" if (brute_mu == 0) == mu_ok and brute_eh == eh else "disagree"
-    )
-    return mu_ok and e is not None and eh == 11 and d == 7 and code.k == 12
+    agree = (brute_mu == 0) == mu_ok and brute_eh == eh
+    return _settle(report, agree, mu_ok and e is not None and eh == 11 and d == 7 and code.k == 12)
 
 
-def _repro_qr7(report: RunReport) -> bool:
+def _repro_qr7(report: RunReport) -> int:
     F2 = make_field(2)
     ctx = CyclotomicContext(F2, 7)
     residues = sorted({(i * i) % 7 for i in range(1, 7)})
@@ -386,11 +365,10 @@ def _repro_qr7(report: RunReport) -> bool:
     report.result["eval_form"] = ev
     report.result["gcd_form"] = gc
     report.result["constituent_route"] = con_ok
-    report.verification = "agree" if ev == gc == con_ok == brute_ok else "disagree"
-    return disjoint and ev and gc and con_ok and brute_ok
+    return _settle(report, ev == gc == con_ok == brute_ok, disjoint and ev and gc and con_ok and brute_ok)
 
 
-def _repro_theorem1_binary(report: RunReport) -> bool:
+def _repro_theorem1_binary(report: RunReport) -> int:
     F2 = make_field(2)
     g = poly.from_seq([1, 1, 0, 1])
     ham = gqc.one_gen_code(F2, (7,), (g,)).flat
@@ -401,11 +379,10 @@ def _repro_theorem1_binary(report: RunReport) -> bool:
     report.result["out_params"] = f"[{out.n},{out.k}]"
     report.result["pure_permutation"] = sigma.is_permutation
     brute = oracle.brute_hull_dim(out, sigma)
-    report.verification = "agree" if (brute == 0) == ok else "disagree"
-    return ok and out.n == ham.n + 1 and sigma.is_permutation
+    return _settle(report, (brute == 0) == ok, ok and out.n == ham.n + 1 and sigma.is_permutation)
 
 
-def _repro_maximal_qc(report: RunReport) -> bool:
+def _repro_maximal_qc(report: RunReport) -> int:
     F2 = make_field(2)
     m = 3
     seen: dict = {}
@@ -419,17 +396,15 @@ def _repro_maximal_qc(report: RunReport) -> bool:
             code = gqc.one_gen_code(F2, (m, m), (c1, c2))
             key = code.flat.gen.tobytes()
             canon = poly_str(chk.canonical)
-            if key in seen:
-                if seen[key] != canon:
-                    report.verification = "disagree"
-                    return False
+            if key in seen and seen[key] != canon:
+                return _settle(report, False, False)
             seen[key] = canon
     count = len(seen)
     report.result["count"] = count
     report.result["expected"] = 2**m
-    report.result["distinct_canonicals"] = len(set(seen.values()))
-    report.verification = "agree" if count == 2**m == len(set(seen.values())) else "disagree"
-    return count == 2**m
+    distinct = len(set(seen.values()))
+    report.result["distinct_canonicals"] = distinct
+    return _settle(report, count == 2**m == distinct, count == 2**m)
 
 
 _SUITES = {
@@ -440,132 +415,74 @@ _SUITES = {
 }
 
 
-def repro_suite(name: str, report: RunReport | None = None) -> RunReport:
-    if name not in _SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; have {sorted(_SUITES)}")
-    if report is None:
-        report = RunReport(command=f"repro {name}")
-    t0 = time.perf_counter()
-    verdict = _SUITES[name](report)
-    report.result["verdict"] = verdict
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
 def _cmd_repro(args, report: RunReport) -> int:
     report.inputs["suite"] = args.suite
-    repro_suite(args.suite, report)
-    verdict = report.result["verdict"]
-    if report.verification not in (None, "agree", "skipped"):
-        return 2
-    return 0 if verdict else 1
+    return _SUITES[args.suite](report)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_CODE = _arg("--code", required=True)
+_SIGMA = _arg("--sigma", default="id")
+_GROUP = _arg("--group", required=True)
+_FILE = _arg("file")
+_A = _arg("--a", type=int, default=-1)
+_Q_M = (_arg("q"), _arg("m", type=int))
+_JOBS = _arg("--jobs", type=int, default=None)
+_BUDGET = _arg("--budget", type=int, default=oracle.DEFAULT_MAX_WORDS)
+
+# (group, name, arguments, handler); a name of None makes the group itself
+# the command
+_COMMANDS = (
+    ("lcd", "check", (_CODE, _SIGMA), _cmd_lcd_hull),
+    ("lcd", "make", (_CODE, _arg("--out", default=None)), _cmd_lcd_make),
+    ("lcd", "hull", (_CODE, _SIGMA), _cmd_lcd_hull),
+    ("lcp", "build", (_arg("--code1", required=True), _arg("--code2", required=True), _BUDGET), _cmd_lcp_build),
+    ("gqc", "cosets", _Q_M, _cmd_gqc_cosets),
+    ("gqc", "gamma", _Q_M, _cmd_gqc_gamma),
+    ("gqc", "constituents", (_FILE,), _cmd_gqc_constituents),
+    ("gqc", "check", (_FILE, _A, _arg("--test", choices=("lcd", "so", "sd"), default="lcd")), _cmd_gqc_check),
+    ("gqc", "onegen", (_FILE, _A), _cmd_gqc_onegen),
+    ("gqc", "product", (_arg("spec"), _JOBS, _BUDGET), _cmd_gqc_product),
+    ("abelian", "check", (_GROUP, _CODE), _cmd_abelian_check),
+    ("abelian", "idempotent", (_GROUP, _CODE), _cmd_abelian_idempotent),
+    ("oracle", "mindist", (_FILE, _JOBS, _BUDGET), _cmd_oracle_mindist),
+    ("oracle", "intersect", (_arg("file1"), _arg("file2")), _cmd_oracle_intersect),
+    ("oracle", "search-sigma", (_FILE, _arg("--family", choices=oracle.SIGMA_FAMILIES, default="permutation-sample")),
+     _cmd_oracle_search),
+    ("repro", None, (_arg("suite", choices=sorted(_SUITES)),), _cmd_repro),
+)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree of `_COMMANDS`, built on the first dispatch."""
     top = argparse.ArgumentParser(prog="sigmalcd")
     top.add_argument("--format", choices=("human", "machine"), default="human")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_MAX_WORDS)
-
-    lcd = sub.add_parser("lcd").add_subparsers(dest="sub", required=True)
-    p = lcd.add_parser("check")
-    p.add_argument("--code", required=True)
-    p.add_argument("--sigma", default="id")
-    common(p)
-    p.set_defaults(fn=_cmd_lcd_check)
-    p = lcd.add_parser("make")
-    p.add_argument("--code", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_lcd_make)
-    p = lcd.add_parser("hull")
-    p.add_argument("--code", required=True)
-    p.add_argument("--sigma", default="id")
-    common(p)
-    p.set_defaults(fn=_cmd_lcd_hull)
-
-    lcp = sub.add_parser("lcp").add_subparsers(dest="sub", required=True)
-    p = lcp.add_parser("build")
-    p.add_argument("--code1", required=True)
-    p.add_argument("--code2", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_lcp_build)
-
-    g = sub.add_parser("gqc").add_subparsers(dest="sub", required=True)
-    p = g.add_parser("cosets")
-    p.add_argument("q")
-    p.add_argument("m", type=int)
-    p.set_defaults(fn=_cmd_gqc_cosets)
-    p = g.add_parser("gamma")
-    p.add_argument("q")
-    p.add_argument("m", type=int)
-    p.set_defaults(fn=_cmd_gqc_gamma)
-    p = g.add_parser("constituents")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_gqc_constituents)
-    p = g.add_parser("check")
-    p.add_argument("file")
-    p.add_argument("--a", type=int, default=-1)
-    p.add_argument("--test", choices=("lcd", "so", "sd"), default="lcd")
-    common(p)
-    p.set_defaults(fn=_cmd_gqc_check)
-    p = g.add_parser("onegen")
-    p.add_argument("file")
-    p.add_argument("--a", type=int, default=-1)
-    common(p)
-    p.set_defaults(fn=_cmd_gqc_onegen)
-    p = g.add_parser("product")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(fn=_cmd_gqc_product)
-
-    ab = sub.add_parser("abelian").add_subparsers(dest="sub", required=True)
-    p = ab.add_parser("check")
-    p.add_argument("--group", required=True)
-    p.add_argument("--code", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_abelian_check)
-    p = ab.add_parser("idempotent")
-    p.add_argument("--group", required=True)
-    p.add_argument("--code", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_abelian_idempotent)
-
-    orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
-    p = orc.add_parser("mindist")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_oracle_mindist)
-    p = orc.add_parser("intersect")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    common(p)
-    p.set_defaults(fn=_cmd_oracle_intersect)
-    p = orc.add_parser("search-sigma")
-    p.add_argument("file")
-    p.add_argument("--family", choices=oracle.SIGMA_FAMILIES, default="permutation-sample")
-    common(p)
-    p.set_defaults(fn=_cmd_oracle_search)
-
-    p = sub.add_parser("repro")
-    p.add_argument("suite", choices=sorted(_SUITES))
-    common(p)
-    p.set_defaults(fn=_cmd_repro)
-
+    groups: dict = {}
+    for group, name, arguments, handler in _COMMANDS:
+        if name is None:
+            p = sub.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group).add_subparsers(dest="sub", required=True)
+            p = groups[group].add_parser(name)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=handler)
     return top
 
 
 def cmd_dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     name = args.command if not getattr(args, "sub", None) else f"{args.command} {args.sub}"
@@ -576,8 +493,7 @@ def cmd_dispatch(argv) -> int:
     except (SigmaLcdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not report.elapsed:
-        report.elapsed = time.perf_counter() - t0
+    report.elapsed = time.perf_counter() - t0
     lines = report.machine_lines() if args.format == "machine" else report.human_lines()
     print("\n".join(lines))
     return rc

@@ -93,10 +93,6 @@ class ImageNotLinear(SigmaLcdError, ValueError):
     pass
 
 
-class UnknownSuite(SigmaLcdError, ValueError):
-    pass
-
-
 class BadInput(SigmaLcdError, ValueError):
     """Malformed or out-of-range input: a token that is not an integer, a
     perm that is not a permutation, an entry outside the field, a

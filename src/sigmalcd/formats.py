@@ -93,6 +93,8 @@ def parse_code(text: str, field_hint: Field | None = None) -> LinearCode:
     if F.q != parse_field(head[0]).q:
         raise DimensionMismatch(f"header field {head[0]} != {field_str(F)}")
     n, k = _int(head[1]), _int(head[2])
+    if n < 0 or k < 0:
+        raise BadInput(f"code length and dimension must be nonnegative, got n = {n}, k = {k}")
     if len(lines) != 1 + k:
         raise DimensionMismatch(f"expected {k} generator rows, got {len(lines) - 1}")
     rows = np.zeros((k, n), dtype=np.int16)
@@ -175,6 +177,8 @@ def parse_gqc_raw(text: str, field_hint: Field | None = None):
     blocks = tuple(_int(v) for v in lines[1].split())
     if len(blocks) != l:
         raise DimensionMismatch(f"expected {l} block lengths, got {len(blocks)}")
+    if any(m < 1 for m in blocks):
+        raise BadInput(f"block lengths must be positive, got {' '.join(map(str, blocks))}")
     gens = []
     for line in lines[2:]:
         parts = line.split(";")
@@ -218,6 +222,8 @@ def parse_product_spec(text: str):
         if len(head) != 3:
             raise LengthMismatch(f"component header must be 'm r k', got {lines[pos]!r}")
         m, r, k = _int(head[0]), _int(head[1]), _int(head[2])
+        if m < 1 or r < 0 or k < 0:
+            raise BadInput(f"component needs m >= 1 and r, k >= 0, got {lines[pos]!r}")
         rows = []
         for line in lines[pos + 1 : pos + 1 + k]:
             vals = [_int(v) for v in line.split()]

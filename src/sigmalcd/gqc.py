@@ -213,47 +213,34 @@ def _norm_a(ctx: CyclotomicContext, a: int) -> int:
     return a
 
 
-def is_mua_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1, all_indices: bool = False) -> bool:
-    """C_i cap (C_{-ai})^perp' = 0 at every index (leaders suffice by
-    conjugation; all_indices checks the whole of Z_m)."""
+def _dual_pairs(code: GqcCode, ctx: CyclotomicContext, a: int, all_indices: bool = False):
+    """(C_i, (C_{-ai})^perp') at every leader i, or at every i in Z_m."""
     _check_ctx(code, ctx)
     a = _norm_a(ctx, a)
     get = _cons_cache(code, ctx)
-    idxs = range(ctx.m) if all_indices else ctx.leaders
-    ext = ctx.ext
-    for i in idxs:
-        A = get(i)
-        B = v_dual(code, ctx, get((-a * i) % ctx.m))
-        if A.dim and B.dim:
-            if A.dim + B.dim - linalg.sum_dim(ext, A.basis, B.basis) != 0:
-                return False
-    return True
+    for i in range(ctx.m) if all_indices else ctx.leaders:
+        yield get(i), v_dual(code, ctx, get(-a * i))
+
+
+def is_mua_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1, all_indices: bool = False) -> bool:
+    """C_i cap (C_{-ai})^perp' = 0 at every index (leaders suffice by
+    conjugation; all_indices checks the whole of Z_m)."""
+    return all(
+        not (A.dim and B.dim) or linalg.sum_dim(ctx.ext, A.basis, B.basis) == A.dim + B.dim
+        for A, B in _dual_pairs(code, ctx, a, all_indices)
+    )
 
 
 def is_mua_self_orthogonal(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """C_i contained in (C_{-ai})^perp' at every leader."""
-    _check_ctx(code, ctx)
-    a = _norm_a(ctx, a)
-    get = _cons_cache(code, ctx)
-    ext = ctx.ext
-    for i in ctx.leaders:
-        A = get(i)
-        B = v_dual(code, ctx, get((-a * i) % ctx.m))
-        if A.dim and linalg.sum_dim(ext, B.basis, A.basis) != B.dim:
-            return False
-    return True
+    return all(
+        not A.dim or linalg.sum_dim(ctx.ext, B.basis, A.basis) == B.dim
+        for A, B in _dual_pairs(code, ctx, a)
+    )
 
 
 def is_mua_self_dual(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
-    _check_ctx(code, ctx)
-    a = _norm_a(ctx, a)
-    get = _cons_cache(code, ctx)
-    for i in ctx.leaders:
-        A = get(i)
-        B = v_dual(code, ctx, get((-a * i) % ctx.m))
-        if not np.array_equal(A.basis, B.basis):
-            return False
-    return True
+    return all(np.array_equal(A.basis, B.basis) for A, B in _dual_pairs(code, ctx, a))
 
 
 def trivial_constituent_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:

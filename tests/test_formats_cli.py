@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 
@@ -324,6 +325,12 @@ MALFORMED = {
     "gqc cosets 2 0": lambda d: ["gqc", "cosets", "2", "0"],
     "splitting field too large": lambda d: ["gqc", "cosets", "2", "47"],
     "oracle intersect, lengths differ": lambda d: ["oracle", "intersect", str(d / "ham.code"), str(d / "z3.code")],
+    "negative n in .code header": lambda d: ["lcd", "check", "--code", _write(d, "neg.code", "2 -3 0\n")],
+    "gqc block length 0, check": lambda d: ["gqc", "check", _write(d, "zero.gqc", "2 1\n0\n1,1\n")],
+    "gqc block length 0, constituents": lambda d: ["gqc", "constituents", _write(d, "zero.gqc", "2 2\n7 0\n1;1\n")],
+    "gqc block length -7, onegen": lambda d: ["gqc", "onegen", _write(d, "neg.gqc", "2 1\n-7\n1,1\n")],
+    "product spec, negative r": lambda d: ["gqc", "product", _write(d, "neg_r.spec", "2\n3 -1 0\n")],
+    "product spec, negative m": lambda d: ["gqc", "product", _write(d, "neg_m.spec", "2\n-3 1 1\n1\n")],
 }
 
 
@@ -342,6 +349,36 @@ def test_cli_malformed_input_exits_2(files, case):
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "lcd check --code {d}/ham.code --jobs 2",
+    "lcd hull --code {d}/ham.code --budget 10",
+    "gqc check {d}/ham.gqc --jobs 1",
+    "oracle search-sigma {d}/ham.code --budget 10",
+    "repro qr-idempotent-7 --jobs 2",
+])
+def test_cli_jobs_budget_only_where_read(files, argv):
+    """--jobs and --budget are unknown options on commands that never read
+    them (the golden cases pass them where they are read)."""
+    rc, out = run_cli(*argv.format(d=files).split())
+    assert rc == 2 and out == ""
+
+
+def test_cli_parser_built_once(monkeypatch):
+    """A second dispatch in the same process reuses the parser."""
+    run_cli("gqc", "cosets", "2", "7")
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    rc, out = run_cli("gqc", "cosets", "2", "7")
+    assert rc == 0 and "coset.1: 1 2 4" in out
+    assert calls == []
 
 
 def test_malformed_input_errors_keep_value_error_base():
