@@ -22,6 +22,8 @@ from .field import Field, embedding, field
 
 def mult_order(q: int, m: int) -> int:
     """Multiplicative order of q modulo m (1 for m = 1)."""
+    if m < 1:
+        raise BadInput(f"m = {m} must be positive")
     if m == 1:
         return 1
     if math.gcd(q, m) != 1:
@@ -35,13 +37,9 @@ def mult_order(q: int, m: int) -> int:
 
 class CyclotomicContext:
     def __init__(self, base: Field, m: int):
-        if m < 1:
-            raise BadInput(f"m = {m} must be positive")
-        if math.gcd(base.q, m) != 1:
-            raise GcdNotOne(f"gcd(q={base.q}, m={m}) != 1")
+        self.t = mult_order(base.q, m)  # raises on m < 1 and gcd(q, m) != 1
         self.base = base
         self.m = m
-        self.t = mult_order(base.q, m)
         D = base.e * self.t
         self.ext = base if D == base.e else field(base.p, D)
         self.emb = embedding(base, self.ext)

@@ -163,9 +163,7 @@ class Field:
         else:
             prims = prime_factors(N)
             g = next(c for c in range(2, q) if all(self._spow(c, N // ell) != 1 for ell in prims))
-            exp = [1]
-            for _ in range(N - 1):
-                exp.append(self._smul(exp[-1], g))
+            exp = self._powers(g, N)
             assert self._smul(exp[-1], g) == 1, "generator must have order q - 1"
         self.generator = g
 
@@ -221,6 +219,20 @@ class Field:
                 for i in range(e):
                     prod[d - e + i] = (prod[d - e + i] - c * mod[i]) % p
         return sum(prod[i] * p**i for i in range(e))
+
+    def _powers(self, g: int, count: int) -> list[int]:
+        """[g^0, ..., g^(count-1)] by doubling: with c = g^(2^j), block
+        [2^j, 2^(j+1)) is block [0, 2^j) times c, one product of digit rows
+        with the e x e GF(p) matrix of x -> c * x, reduced mod p."""
+        p, e = self.p, self.e
+        digits = np.zeros((1, e), dtype=np.int64)
+        digits[0, 0] = 1
+        c = g
+        while len(digits) < count:
+            times_c = self.digits[[self._smul(c, p**i) for i in range(e)]].astype(np.int64)
+            digits = np.concatenate([digits, digits @ times_c % p])
+            c = self._smul(c, c)
+        return (digits[:count] @ self.digit_weights).tolist()
 
     def _spow(self, a: int, k: int) -> int:
         out = 1

@@ -2,8 +2,13 @@
 
 Everything here works by explicit enumeration or explicit subspace
 intersection so it can cross-check the rank shortcuts elsewhere in the
-package.  Results are deterministic; --jobs style parallelism only splits
-the enumeration into chunks whose min-reduction is order independent.
+package.  The minimum distance and the weight distribution visit all q^k
+codewords through two span tables built from the generator rows: every
+word is one low-table word plus one high-table word, so its weight takes
+one elementwise pass over two table words (an XOR and a popcount of
+bit-packed words on GF(2)), and the enumeration never calls linalg.  `enumerate_codewords` is the slow
+reference walk.  Results are deterministic: --jobs threads only split the
+message indices into chunks whose min-reduction is order independent.
 """
 
 from __future__ import annotations
@@ -63,28 +68,64 @@ def enumerate_codewords(code: LinearCode, budget: EnumerationBudget | None = Non
         yield word.copy()
 
 
-# entries of one block's k x n product cube: its int16 temporaries take at
-# most 128 KiB, so they stay in cache and the allocator hands the same heap
-# memory back block after block.  A cube per 2^16-word chunk would take tens
-# of MB per temporary, mapped and faulted in afresh for every chunk, at a cost
-# that moves with whether the kernel backs it with huge pages.
+# cells of the low span table: n x q^a int16 entries, or on GF(2)
+# ceil(n/64) x 2^a uint64 words, so the table and the temporaries built from
+# it stay in cache (at most 128 KiB of int16 or 512 KiB of uint64) whatever k is.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _word_blocks(F, G, lo: int, hi: int):
-    """The codewords of message indices lo..hi-1 (base-q digits, least
-    significant first), in blocks of rows."""
-    q, (k, n) = F.q, G.shape
-    powers = q ** np.arange(k, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // max(1, k * n))
-    for start in range(lo, hi, step):
-        idx = np.arange(start, min(start + step, hi), dtype=np.int64)
-        digits = (idx[:, None] // powers % q).astype(np.int16)
-        yield np.asarray(F.sum(F.mul(digits[:, :, None], G[None, :, :]), axis=1), dtype=np.int16)
+class _Spans:
+    """The weights of all q^k codewords, by message index.
 
+    The low table spans the first a generator rows and the high table the
+    rest, so message index low + q^a * high (base-q digits, least
+    significant first) is the word low_table[low] + high_table[high].  Each
+    table is built by doubling: a row appends, for each nonzero multiple of
+    it, the table so far plus that multiple.
 
-def _chunk_min_weight(F, G, lo: int, hi: int) -> int:
-    return min(int(np.count_nonzero(words, axis=1).min()) for words in _word_blocks(F, G, lo, hi))
+    GF(2) words are bit-packed into uint64, so a sum is an XOR and a weight
+    a popcount.  On other fields a weight counts the coordinates where the
+    two table words differ: the weight of low - high, the word with the
+    same low digits and negated high digits.  Over the whole index range
+    that still visits every codeword once, and index 0 is still the zero
+    word.  The low table holds one word per column, so weights sum over its
+    first axis.  Only field adds and multiples build the tables, never
+    linalg."""
+
+    def __init__(self, F, G):
+        q, (k, n) = F.q, G.shape
+        if q == 2:
+            bits = np.zeros((k, -(-n // 64) * 64), dtype=np.uint8)
+            bits[:, :n] = G
+            rows = np.packbits(bits, axis=1).view(np.uint64)
+            add, multiples = np.bitwise_xor, lambda row: [row]
+            self._differ = lambda low, high: np.bitwise_count(low ^ high)
+        else:
+            rows = G
+            add, multiples = F.add, lambda row: [F.mul(c, row) for c in range(1, q)]
+            self._differ = np.not_equal
+        width = rows.shape[1]
+        a = 0
+        while a < k and q ** (a + 1) * width <= _BLOCK_ENTRIES:
+            a += 1
+        self._size = q**a
+        self._weight_type = np.min_scalar_type(n)  # the narrowest uint holding n
+
+        def span(rs):  # one word per column
+            table = np.zeros((width, 1), dtype=rows.dtype)
+            for row in rs:
+                table = np.concatenate([table] + [add(table, m[:, None]) for m in multiples(row)], axis=1)
+            return table
+
+        self._low, self._high = span(rows[:a]), np.ascontiguousarray(span(rows[a:]).T)
+
+    def weights(self, lo: int, hi: int):
+        """The weights of the words of message indices lo..hi-1, one array
+        per high index the range meets."""
+        L = self._size
+        for h in range(lo // L, (hi - 1) // L + 1):
+            low = self._low[:, max(lo - h * L, 0) : min(hi - h * L, L)]
+            yield self._differ(low, self._high[h][:, None]).sum(axis=0, dtype=self._weight_type)
 
 
 def brute_min_distance(
@@ -97,23 +138,24 @@ def brute_min_distance(
     total = _check_budget(code, budget)
     if code.k == 0:
         raise NoNonzeroWords("zero code has no nonzero words")
-    F, G = code.field, code.gen
+    spans = _Spans(code.field, code.gen)
     jobs = jobs or 1
     ranges = [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
+
+    def chunk_min(r):
+        return min(int(w.min()) for w in spans.weights(*r))
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            mins = list(pool.map(lambda r: _chunk_min_weight(F, G, *r), ranges))
-    else:
-        mins = [_chunk_min_weight(F, G, lo, hi) for lo, hi in ranges]
-    return min(mins)
+            return min(pool.map(chunk_min, ranges))
+    return min(map(chunk_min, ranges))
 
 
 def weight_distribution(code: LinearCode, budget: EnumerationBudget | None = None) -> np.ndarray:
     total = _check_budget(code, budget)
-    F, G = code.field, code.gen
     out = np.zeros(code.n + 1, dtype=np.int64)
-    for words in _word_blocks(F, G, 0, total):
-        out += np.bincount(np.count_nonzero(words, axis=1), minlength=code.n + 1)
+    for w in _Spans(code.field, code.gen).weights(0, total):
+        out += np.bincount(w, minlength=code.n + 1)
     return out
 
 

@@ -8,7 +8,7 @@ from sigmalcd.cyclotomic import (
     gamma_partition,
     mult_order,
 )
-from sigmalcd.errors import GcdNotOne
+from sigmalcd.errors import BadInput, GcdNotOne
 from sigmalcd.field import field
 
 F2 = field(2)
@@ -25,6 +25,14 @@ def test_mult_order():
 def test_mult_order_requires_coprime():
     with pytest.raises(GcdNotOne):
         mult_order(2, 4)
+
+
+@pytest.mark.parametrize("m", [-3, -1, 0])
+def test_nonpositive_m_raises_instead_of_looping(m):
+    with pytest.raises(BadInput):
+        mult_order(2, m)
+    with pytest.raises(BadInput):
+        CyclotomicContext(field(2), m)
 
 
 def test_cosets_2_7():

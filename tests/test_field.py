@@ -126,6 +126,30 @@ def test_generator_has_full_order():
         assert len(seen) == F.q - 1
 
 
+# the base fields of the tests and every splitting field GF(p^t) <= 4096 their
+# cyclotomic contexts can reach
+TABLE_FIELDS = (
+    [(2, e) for e in range(1, 13)] + [(3, e) for e in range(1, 8)]
+    + [(5, e) for e in range(1, 6)] + [(7, e) for e in range(1, 5)] + [(131, 1), (257, 1)]
+)
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS)
+def test_doubled_tables_match_stepwise_build(p, e):
+    # exp, log and inv as the one-_smul-per-element walk from the generator builds them
+    F = field(p, e)
+    N = F.q - 1
+    exp = [1]
+    for _ in range(N - 1):
+        exp.append(F._smul(exp[-1], F.generator))
+    log = [2 * N] * F.q
+    for i, x in enumerate(exp):
+        log[x] = i
+    assert F._exp_s[:N] == exp and F._exp_s[N : 2 * N] == exp
+    assert F._log_s == log
+    assert F._inv_s == [0] + [exp[-log[a] % N] for a in range(1, F.q)]
+
+
 def test_element_order_divides_group_order():
     F = field(2, 3)
     for a in range(1, F.q):

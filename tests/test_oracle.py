@@ -1,5 +1,10 @@
+import inspect
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmalcd import oracle
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim, make_lcd_sigma
@@ -87,6 +92,59 @@ def test_blocked_enumeration_matches_gray_walk():
         assert oracle.brute_min_distance(c) == min(w for w in weights if w)
         assert oracle.brute_min_distance(c, jobs=2, chunk=100) == min(w for w in weights if w)
     assert oracle.weight_distribution(C(F3, 4)).tolist() == [1, 0, 0, 0, 0]
+
+
+# (field, n): GF(2) on both sides of a 64-bit word boundary, and lengths
+# short enough that k = n stays enumerable on every field
+SPAN_CASES = [(F2, n) for n in (1, 2, 63, 64, 65, 129)] + [
+    (F, n) for F in (F3, F4, field(5), field(3, 2)) for n in (1, 3, 17, 40)
+]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_span_kernel_matches_gray_walk(data):
+    F, n = data.draw(st.sampled_from(SPAN_CASES), label="field, n")
+    k = data.draw(st.integers(0, min(n, int(math.log(600, F.q)))), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    c = LinearCode(F, n, np.random.default_rng(seed).integers(0, F.q, size=(k, n)).astype(np.int16))
+    # small low tables put most rows in the high table, one cell none at all
+    cells = data.draw(st.sampled_from([1, 40, 300, oracle._BLOCK_ENTRIES]), label="cells")
+    jobs = data.draw(st.integers(1, 3), label="jobs")
+    chunk = data.draw(st.integers(1, 150), label="chunk")
+    weights = [int(np.count_nonzero(w)) for w in oracle.enumerate_codewords(c)]
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", cells):
+        assert oracle.weight_distribution(c).tolist() == np.bincount(weights, minlength=n + 1).tolist()
+        if c.k == 0:
+            with pytest.raises(NoNonzeroWords):
+                oracle.brute_min_distance(c, jobs=jobs, chunk=chunk)
+        else:
+            assert oracle.brute_min_distance(c, jobs=jobs, chunk=chunk) == min(w for w in weights if w)
+
+
+@pytest.mark.parametrize("F,n", [(F2, 1), (F2, 9), (F3, 5), (F4, 4), (field(5), 3), (field(3, 2), 3)])
+def test_span_kernel_zero_code_and_full_space(F, n):
+    full = LinearCode(F, n, np.eye(n, dtype=np.int16))
+    expected = [math.comb(n, w) * (F.q - 1) ** w for w in range(n + 1)]
+    assert oracle.weight_distribution(full).tolist() == expected
+    assert oracle.brute_min_distance(full, jobs=2, chunk=3) == 1
+    assert oracle.weight_distribution(C(F, n)).tolist() == [1] + [0] * n
+
+
+def test_enumeration_calls_no_linalg():
+    from sigmalcd import linalg
+
+    rng = np.random.default_rng(25)
+    codes = [LinearCode(F, 12, rng.integers(0, F.q, size=(4, 12)).astype(np.int16)) for F in (F2, F3, F4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration called linalg")
+
+    names = [n for n, f in vars(linalg).items() if inspect.isfunction(f) and f.__module__ == linalg.__name__]
+    with mock.patch.multiple(linalg, **{n: refuse for n in names}):
+        for c in codes:
+            oracle.weight_distribution(c)
+            oracle.brute_min_distance(c, jobs=2, chunk=5)
 
 
 def test_intersection_examples():
