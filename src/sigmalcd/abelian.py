@@ -4,53 +4,57 @@ complementary-dual property."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .codes import LinearCode, SemiLinearMap, hull_dim
-from .errors import FieldMismatch, GroupMismatch, LengthMismatch, NotAnIdeal
+from .errors import BadInput
 from .field import Field
 
 
 class AbelianGroup:
     """Direct product of cyclic groups; elements are mixed-radix indices
-    with the first factor most significant."""
+    with the first factor most significant.
+
+    The tables are built on first use, so |G| can be compared with a code
+    length before the |G| x |G| product table exists."""
 
     def __init__(self, factors):
         self.factors = tuple(int(f) for f in factors)
         if not self.factors or min(self.factors) < 1:
-            raise LengthMismatch("cyclic factors must be positive")
-        self.order = reduce(lambda a, b: a * b, self.factors, 1)
-        idx = np.arange(self.order)
-        digits = []
-        rest = idx
-        for f in reversed(self.factors):
-            digits.append(rest % f)
-            rest = rest // f
-        self.digits = np.stack(digits[::-1], axis=1)  # (order, r)
-        # op[i, j] = index of g_i * g_j; inv[i] = index of g_i^{-1}
-        weights = np.ones(len(self.factors), dtype=np.int64)
-        for t in range(len(self.factors) - 2, -1, -1):
-            weights[t] = weights[t + 1] * self.factors[t + 1]
-        summed = (self.digits[:, None, :] + self.digits[None, :, :]) % np.array(self.factors)
-        self.op = (summed * weights).sum(axis=2).astype(np.int64)
-        self.inv = (((-self.digits) % np.array(self.factors)) * weights).sum(axis=1).astype(np.int64)
+            raise BadInput("cyclic factors must be positive")
+        self.order = math.prod(self.factors)
+        # the mixed-radix place value of each digit
+        places = [math.prod(self.factors[t + 1 :]) for t in range(len(self.factors))]
+        self._weights = np.array(places, dtype=np.int64)
         # indices of the r cyclic generators (one nonzero digit each)
-        gens = []
-        for t in range(len(self.factors)):
-            if self.factors[t] > 1:
-                d = np.zeros(len(self.factors), dtype=np.int64)
-                d[t] = 1
-                gens.append(int((d * weights).sum()))
-        self.generators = tuple(gens)
+        self.generators = tuple(p for f, p in zip(self.factors, places) if f > 1)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """(order, r): the digits of every element."""
+        idx = np.arange(self.order)
+        return np.stack([(idx // w) % f for f, w in zip(self.factors, self._weights)], axis=1)
+
+    @cached_property
+    def op(self) -> np.ndarray:
+        """op[i, j] = index of g_i * g_j."""
+        summed = (self.digits[:, None, :] + self.digits[None, :, :]) % np.array(self.factors)
+        return (summed * self._weights).sum(axis=2).astype(np.int64)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """inv[i] = index of g_i^{-1}."""
+        return (((-self.digits) % np.array(self.factors)) * self._weights).sum(axis=1).astype(np.int64)
 
     def index(self, tup) -> int:
         tup = tuple(int(x) for x in tup)
         if len(tup) != len(self.factors):
-            raise GroupMismatch(f"tuple arity {len(tup)} != {len(self.factors)}")
+            raise BadInput(f"tuple arity {len(tup)} != {len(self.factors)}")
         i = 0
         for x, f in zip(tup, self.factors):
             i = i * f + (x % f)
@@ -80,7 +84,7 @@ class GroupAlgebraElement:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.int16)
         if c.shape != (self.group.order,):
-            raise LengthMismatch(f"coefficient vector must have length {self.group.order}")
+            raise BadInput(f"coefficient vector must have length {self.group.order}")
         object.__setattr__(self, "coeffs", c)
 
     def __eq__(self, other):
@@ -108,9 +112,9 @@ def ga_one(field: Field, group: AbelianGroup) -> GroupAlgebraElement:
 
 def _check_same(a: GroupAlgebraElement, b: GroupAlgebraElement):
     if a.group != b.group:
-        raise GroupMismatch("elements live over different groups")
+        raise BadInput("elements live over different groups")
     if a.field != b.field:
-        raise FieldMismatch("elements live over different fields")
+        raise BadInput("elements live over different fields")
 
 
 def ga_add(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -161,7 +165,7 @@ def is_idempotent(e: GroupAlgebraElement) -> bool:
 def is_ideal(code: LinearCode, group: AbelianGroup) -> bool:
     """Closure under the cyclic generators suffices: they generate G."""
     if code.n != group.order:
-        raise LengthMismatch(f"code length {code.n} != |G| = {group.order}")
+        raise BadInput(f"code length {code.n} != |G| = {group.order}")
     if code.k == 0:
         return True
     for g in group.generators:
@@ -173,7 +177,7 @@ def is_ideal(code: LinearCode, group: AbelianGroup) -> bool:
 
 def _require_ideal(code: LinearCode, group: AbelianGroup):
     if not is_ideal(code, group):
-        raise NotAnIdeal("code is not closed under the group action")
+        raise BadInput("code is not closed under the group action")
 
 
 def find_idempotent_generator(code: LinearCode, group: AbelianGroup):
@@ -244,7 +248,7 @@ def idempotents_in(code: LinearCode, group: AbelianGroup) -> list[GroupAlgebraEl
 
     F, G = code.field, group
     if code.n != G.order:
-        raise LengthMismatch(f"code length {code.n} != |G| = {G.order}")
+        raise BadInput(f"code length {code.n} != |G| = {G.order}")
     W = np.stack([w.copy() for w in enumerate_codewords(code)])
     sq = np.zeros_like(W)
     for i in range(G.order):
@@ -266,7 +270,7 @@ def parse_group(text: str) -> AbelianGroup:
     try:
         factors = [int(p) for p in parts]
     except ValueError as exc:
-        raise GroupMismatch(f"bad group spec {text!r}") from exc
+        raise BadInput(f"bad group spec {text!r}") from exc
     if not factors:
-        raise GroupMismatch("empty group spec")
+        raise BadInput("empty group spec")
     return AbelianGroup(factors)

@@ -4,13 +4,14 @@ examples end to end.
 
 Every subcommand is one row of `_COMMANDS`: its group and name, its
 arguments and its handler.  The argparse tree is built from that table once
-per process, on the first dispatch, and reused.  `--budget` is taken only
-by `lcp build`, `gqc product` and `oracle mindist`, and `--jobs` only by
-the last two.  Every handler and repro suite that compares a formula with
-an oracle ends in `_settle`.
+per process, on the first dispatch, and reused.  `--budget`, the most
+codewords an exact enumeration may visit, is taken only by `lcp build`,
+`gqc product` and `oracle mindist`.  Every handler and repro suite that
+compares a formula with an oracle ends in `_settle`.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
-input errors or a formula/oracle discrepancy.
+input errors (any SigmaLcdError, printed as one `error:` line) or a
+formula/oracle discrepancy.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ import numpy as np
 
 from . import abelian, codes, gqc, linalg, oracle, poly
 from .cyclotomic import CyclotomicContext, gamma_partition
-from .errors import SigmaLcdError
+from .errors import BadInput, SigmaLcdError
 from .field import field as make_field
 from .formats import (
     dump_sigma,
     field_str,
     parse_code,
     parse_field,
-    parse_gqc,
     parse_gqc_raw,
     parse_product_spec,
     poly_str,
@@ -145,7 +145,7 @@ def _cmd_lcp_build(args, report: RunReport) -> int:
     c2 = parse_code(_read(args.code2))
     report.inputs["code1"] = args.code1
     report.inputs["code2"] = args.code2
-    pair = codes.build_lcp(c1, c2, budget=oracle.EnumerationBudget(args.budget))
+    pair = codes.build_lcp(c1, c2, args.budget)
     report.result["params"] = pair.params
     report.result["n"] = pair.n
     report.result["k"] = pair.k
@@ -181,10 +181,19 @@ def _cmd_gqc_gamma(args, report: RunReport) -> int:
     return 0
 
 
+def _load_gqc(report: RunReport, path: str):
+    """A .gqc file's field, blocks and generators, and the cyclotomic
+    context of its blocks.  The context comes first: it rejects a block
+    length that no field reaches before the generators are expanded into
+    lcm(blocks) rows each."""
+    F, blocks, gens = parse_gqc_raw(_read(path))
+    report.inputs["file"] = path
+    return F, blocks, gens, CyclotomicContext(F, gqc.lcm_of(blocks))
+
+
 def _cmd_gqc_constituents(args, report: RunReport) -> int:
-    code = parse_gqc(_read(args.file))
-    ctx = gqc.context_for(code)
-    report.inputs["file"] = args.file
+    F, blocks, gens, ctx = _load_gqc(report, args.file)
+    code = gqc.GqcCode.from_generators(F, blocks, gens)
     report.inputs["blocks"] = code.block_lengths
     report.result["k"] = code.k
     for i in ctx.leaders:
@@ -197,9 +206,8 @@ def _cmd_gqc_constituents(args, report: RunReport) -> int:
 def _cmd_gqc_check(args, report: RunReport) -> int:
     """The constituent test against one oracle, h = dim Hull_{mu_a}:
     LCD iff h = 0, self-orthogonal iff h = k, self-dual iff also 2k = n."""
-    code = parse_gqc(_read(args.file))
-    ctx = gqc.context_for(code)
-    report.inputs["file"] = args.file
+    F, blocks, gens, ctx = _load_gqc(report, args.file)
+    code = gqc.GqcCode.from_generators(F, blocks, gens)
     report.inputs["a"] = args.a
     report.inputs["test"] = args.test
     sigma = code.mu_map(args.a)
@@ -211,13 +219,11 @@ def _cmd_gqc_check(args, report: RunReport) -> int:
 
 
 def _cmd_gqc_onegen(args, report: RunReport) -> int:
-    F, blocks, gens = parse_gqc_raw(_read(args.file))
+    F, blocks, gens, ctx = _load_gqc(report, args.file)
     if len(gens) != 1:
-        raise SigmaLcdError("onegen needs exactly one generator line")
+        raise BadInput("onegen needs exactly one generator line")
     cvec = gens[0]
-    report.inputs["file"] = args.file
     report.inputs["a"] = args.a
-    ctx = CyclotomicContext(F, gqc.lcm_of(blocks))
     verdict = gqc.one_gen_lcd_eval(ctx, blocks, cvec, args.a)
     report.result["eval_form"] = verdict
     agree = True
@@ -239,11 +245,10 @@ def _cmd_gqc_product(args, report: RunReport) -> int:
     report.result["component_dims"] = list(res.component_dims)
     report.result["distance_bound"] = res.distance_bound
     report.result["mu1_lcd"] = True
-    budget = oracle.EnumerationBudget(args.budget)
-    if not res.dim or base.q**res.dim > budget.max_words:
+    if not res.dim or base.q**res.dim > args.budget:
         report.verification = "skipped"
         return 0
-    d = oracle.brute_min_distance(res.code.flat, budget=budget, jobs=args.jobs)
+    d = oracle.brute_min_distance(res.code.flat, args.budget)
     report.result["min_distance"] = d
     return _settle(report, d >= res.distance_bound)
 
@@ -276,8 +281,7 @@ def _cmd_abelian_idempotent(args, report: RunReport) -> int:
 
 def _cmd_oracle_mindist(args, report: RunReport) -> int:
     code = _load_code(report, args.file)
-    budget = oracle.EnumerationBudget(args.budget)
-    report.result["min_distance"] = oracle.brute_min_distance(code, budget=budget, jobs=args.jobs)
+    report.result["min_distance"] = oracle.brute_min_distance(code, args.budget)
     return 0
 
 
@@ -434,8 +438,7 @@ _GROUP = _arg("--group", required=True)
 _FILE = _arg("file")
 _A = _arg("--a", type=int, default=-1)
 _Q_M = (_arg("q"), _arg("m", type=int))
-_JOBS = _arg("--jobs", type=int, default=None)
-_BUDGET = _arg("--budget", type=int, default=oracle.DEFAULT_MAX_WORDS)
+_BUDGET = _arg("--budget", type=int, default=codes.DEFAULT_MAX_WORDS)
 
 # (group, name, arguments, handler); a name of None makes the group itself
 # the command
@@ -449,10 +452,10 @@ _COMMANDS = (
     ("gqc", "constituents", (_FILE,), _cmd_gqc_constituents),
     ("gqc", "check", (_FILE, _A, _arg("--test", choices=("lcd", "so", "sd"), default="lcd")), _cmd_gqc_check),
     ("gqc", "onegen", (_FILE, _A), _cmd_gqc_onegen),
-    ("gqc", "product", (_arg("spec"), _JOBS, _BUDGET), _cmd_gqc_product),
+    ("gqc", "product", (_arg("spec"), _BUDGET), _cmd_gqc_product),
     ("abelian", "check", (_GROUP, _CODE), _cmd_abelian_check),
     ("abelian", "idempotent", (_GROUP, _CODE), _cmd_abelian_idempotent),
-    ("oracle", "mindist", (_FILE, _JOBS, _BUDGET), _cmd_oracle_mindist),
+    ("oracle", "mindist", (_FILE, _BUDGET), _cmd_oracle_mindist),
     ("oracle", "intersect", (_arg("file1"), _arg("file2")), _cmd_oracle_intersect),
     ("oracle", "search-sigma", (_FILE, _arg("--family", choices=oracle.SIGMA_FAMILIES, default="permutation-sample")),
      _cmd_oracle_search),

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadInput,
-    DimensionMismatch,
-    FieldMismatch,
-    ImageNotLinear,
-    LengthMismatch,
-    NoNonzeroWords,
-)
+from .errors import BadInput, SigmaLcdError
 from .field import Field
+
+# the most codewords an exact enumeration may visit: the oracle's default
+# budget, and build_lcp's for the distances of the pair
+DEFAULT_MAX_WORDS = 2**22
 
 
 class LinearCode:
@@ -31,14 +28,11 @@ class LinearCode:
     def __init__(self, field: Field, n: int, rows=None):
         self.field = field
         self.n = int(n)
-        try:
-            M = linalg.as_matrix([] if rows is None else rows, self.n)
-        except DimensionMismatch as exc:
-            raise LengthMismatch(str(exc)) from exc
+        M = linalg.as_matrix([] if rows is None else rows, self.n)
         if M.size and (M.min() < 0 or M.max() >= field.q):
             raise BadInput(f"entries must be encodings in 0..{field.q - 1}")
         if M.shape[1] != self.n:
-            raise LengthMismatch(f"rows of length {M.shape[1]}, code length {self.n}")
+            raise BadInput(f"rows of length {M.shape[1]}, code length {self.n}")
         self.gen = linalg.row_space(field, M)
 
     @property
@@ -82,7 +76,7 @@ class SemiLinearMap:
     def __init__(self, field: Field, perm=None, diag=None, frob: int = 0, n: int | None = None):
         self.field = field
         if perm is None and diag is None and n is None:
-            raise ValueError("need perm, diag or n to fix the length")
+            raise BadInput("need perm, diag or n to fix the length")
         if perm is not None:
             perm = np.asarray(perm, dtype=np.int32)
             n = perm.shape[0]
@@ -95,7 +89,7 @@ class SemiLinearMap:
         if self.perm.shape != (self.n,) or sorted(self.perm.tolist()) != list(range(self.n)):
             raise BadInput("perm must be a permutation of 0..n-1")
         if self.diag.shape != (self.n,):
-            raise LengthMismatch("diag length differs from map length")
+            raise BadInput("diag length differs from map length")
         if np.any(self.diag == 0) or np.any(self.diag >= field.q):
             raise BadInput("diag entries must be nonzero field encodings")
         self.frob = int(frob) % field.e
@@ -131,7 +125,7 @@ class SemiLinearMap:
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.int16)
         if v.shape[-1] != self.n:
-            raise LengthMismatch(f"vector length {v.shape[-1]}, map length {self.n}")
+            raise BadInput(f"vector length {v.shape[-1]}, map length {self.n}")
         w = self.field.frob(v, self.frob) if self.frob else v
         w = np.asarray(self.field.mul(self.diag, w), dtype=np.int16)
         out = np.empty_like(w)
@@ -144,7 +138,7 @@ class SemiLinearMap:
     def compose(self, other: "SemiLinearMap") -> "SemiLinearMap":
         """self after other."""
         if self.field != other.field or self.n != other.n:
-            raise FieldMismatch("cannot compose maps on different spaces")
+            raise BadInput("cannot compose maps on different spaces")
         F = self.field
         perm = self.perm[other.perm]
         diag = F.mul(F.frob(other.diag, self.frob), self.diag[other.perm])
@@ -179,9 +173,9 @@ class SemiLinearMap:
 
 def _check_pair(code: LinearCode, sigma: SemiLinearMap):
     if code.field != sigma.field:
-        raise FieldMismatch("code and map over different fields")
+        raise BadInput("code and map over different fields")
     if code.n != sigma.n:
-        raise LengthMismatch(f"code length {code.n}, map length {sigma.n}")
+        raise BadInput(f"code length {code.n}, map length {sigma.n}")
 
 
 def apply_sigma(sigma: SemiLinearMap, code: LinearCode) -> LinearCode:
@@ -194,9 +188,9 @@ def apply_sigma(sigma: SemiLinearMap, code: LinearCode) -> LinearCode:
     if sigma.frob % F.e and code.k:
         scaled = np.asarray(F.mul(F.generator, M), dtype=np.int16)
         if linalg.sum_dim(F, image.gen, scaled) != image.k:
-            raise ImageNotLinear("image not closed under scalar multiplication")
+            raise SigmaLcdError("image not closed under scalar multiplication")
     if image.k != code.k:
-        raise ImageNotLinear("semi-linear image dropped rank")
+        raise SigmaLcdError("semi-linear image dropped rank")
     return image
 
 
@@ -403,19 +397,21 @@ def _lcp_candidates_binary(F: Field, c1: LinearCode, c2: LinearCode, sample: int
         yield SemiLinearMap.permutation(F, rng.permutation(N).astype(np.int32))
 
 
-def build_lcp(c1: LinearCode, c2: LinearCode, budget=None) -> LcpPair:
+def build_lcp(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_MAX_WORDS) -> LcpPair:
     """Linear complementary pair from two same-dimension codes.
 
     For q > 2 the pair is (c1, (sigma(c2))^perp) with sigma monomial; for
     q = 2 both codes are first extended by a zero coordinate and sigma is a
     pure permutation of length n+1.
     """
+    from .oracle import brute_min_distance
+
     if c1.field != c2.field:
-        raise FieldMismatch("codes over different fields")
+        raise BadInput("codes over different fields")
     if c1.n != c2.n:
-        raise LengthMismatch(f"lengths differ: {c1.n} vs {c2.n}")
+        raise BadInput(f"lengths differ: {c1.n} vs {c2.n}")
     if c1.k != c2.k:
-        raise DimensionMismatch(f"dimensions differ: {c1.k} vs {c2.k}")
+        raise BadInput(f"dimensions differ: {c1.k} vs {c2.k}")
     F = c1.field
     if F.q > 2:
         a, b = c1, c2
@@ -433,15 +429,6 @@ def build_lcp(c1: LinearCode, c2: LinearCode, budget=None) -> LcpPair:
         raise RuntimeError("no complementary map found in the documented family")
     second = sigma_dual(b, sigma)
     assert linalg.sum_dim(F, a.gen, second.gen) == a.n, "pair must span the space"
-    d1 = min_distance(a, budget=budget) if 0 < k else None
-    d2 = min_distance(b, budget=budget) if 0 < k else None
+    d1 = brute_min_distance(a, budget) if 0 < k else None
+    d2 = brute_min_distance(b, budget) if 0 < k else None
     return LcpPair(c1=a, c2=second, sigma=sigma, n=a.n, k=k, d1=d1, d2=d2)
-
-
-def min_distance(code: LinearCode, budget=None) -> int:
-    """Exact minimum weight by full enumeration (delegates to the oracle)."""
-    from .oracle import brute_min_distance
-
-    if code.k == 0:
-        raise NoNonzeroWords("minimum distance of the zero code is undefined")
-    return brute_min_distance(code, budget=budget)

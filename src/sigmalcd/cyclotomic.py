@@ -16,18 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .errors import BadInput, GcdNotOne
-from .field import Field, embedding, field
+from .errors import BadInput
+from .field import MAX_FIELD_SIZE, Field, embedding, field
 
 
 def mult_order(q: int, m: int) -> int:
-    """Multiplicative order of q modulo m (1 for m = 1)."""
+    """Multiplicative order of q modulo m (1 for m = 1).
+
+    Only m below MAX_FIELD_SIZE is accepted: q^t = 1 mod m needs q^t > m,
+    so a larger m has no splitting field GF(q^t) in range, and its order
+    could take up to m steps to find."""
     if m < 1:
         raise BadInput(f"m = {m} must be positive")
+    if m >= MAX_FIELD_SIZE:
+        raise BadInput(f"m = {m}: a primitive m-th root of unity needs more than m field elements, "
+                       f"and fields stop at {MAX_FIELD_SIZE}")
     if m == 1:
         return 1
     if math.gcd(q, m) != 1:
-        raise GcdNotOne(f"gcd({q}, {m}) != 1")
+        raise BadInput(f"gcd({q}, {m}) != 1")
     t, acc = 1, q % m
     while acc != 1:
         acc = (acc * q) % m
@@ -37,7 +44,7 @@ def mult_order(q: int, m: int) -> int:
 
 class CyclotomicContext:
     def __init__(self, base: Field, m: int):
-        self.t = mult_order(base.q, m)  # raises on m < 1 and gcd(q, m) != 1
+        self.t = mult_order(base.q, m)  # raises on m out of range and gcd(q, m) != 1
         self.base = base
         self.m = m
         D = base.e * self.t

@@ -24,14 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BadInput,
-    DegreeMismatch,
-    DivisionByZero,
-    EmbeddingMissing,
-    NotPrime,
-    ReducibleModulus,
-)
+from .errors import BadInput, DivisionByZero
 
 MAX_EXTENSION_DEGREE = 16
 # tables are O(q), the regular representation O(q e^2), and only the
@@ -134,7 +127,7 @@ class Field:
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         if not is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
+            raise BadInput(f"p = {p} is not prime")
         if e < 1 or e > MAX_EXTENSION_DEGREE:
             raise BadInput(f"extension degree {e} outside supported 1..{MAX_EXTENSION_DEGREE}")
         if p**e > MAX_FIELD_SIZE:
@@ -146,9 +139,9 @@ class Field:
             modulus = default_modulus(p, e)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise DegreeMismatch(f"modulus must be monic of degree {e}, got {modulus}")
+            raise BadInput(f"modulus must be monic of degree {e}, got {modulus}")
         if not _is_irreducible(modulus, p):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
+            raise BadInput(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 
         q, N = self.q, max(self.q - 1, 1)
@@ -332,7 +325,7 @@ class Field:
     def encode(self, coeffs) -> int:
         coeffs = list(coeffs)
         if len(coeffs) > self.e:
-            raise DegreeMismatch(f"{len(coeffs)} coefficients for degree-{self.e} field")
+            raise BadInput(f"{len(coeffs)} coefficients for degree-{self.e} field")
         return int(sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs)))
 
     def coeffs(self, x: int) -> tuple:
@@ -386,9 +379,9 @@ class Embedding:
 
     def __init__(self, small: Field, big: Field):
         if small.p != big.p:
-            raise EmbeddingMissing(f"no embedding {small} -> {big}: different characteristic")
+            raise BadInput(f"no embedding {small} -> {big}: different characteristic")
         if big.e % small.e != 0:
-            raise EmbeddingMissing(f"no embedding {small} -> {big}: {small.e} does not divide {big.e}")
+            raise BadInput(f"no embedding {small} -> {big}: {small.e} does not divide {big.e}")
         self.small = small
         self.big = big
         if small == big:
@@ -404,7 +397,7 @@ class Embedding:
                 acc = big.add(big.mul(acc, z), int(c))
             roots = np.where(np.asarray(acc) == 0)[0]
             if roots.size == 0:
-                raise EmbeddingMissing(f"{small} modulus has no root in {big}")
+                raise BadInput(f"{small} modulus has no root in {big}")
             self.root = int(roots.min())
             acc = np.zeros(small.q, dtype=np.int16)
             pw = 1
@@ -425,7 +418,7 @@ class Embedding:
     def lift(self, y):
         r = self._inverse[np.asarray(y)]
         if np.any(np.asarray(r) < 0):
-            raise EmbeddingMissing("value outside the embedded subfield")
+            raise BadInput("value outside the embedded subfield")
         return int(r) if isinstance(y, (int, np.integer)) else r.astype(np.int16)
 
     def eval_poly(self, coeffs, alpha: int) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import poly
 from .codes import LinearCode, SemiLinearMap
-from .errors import BadInput, DimensionMismatch, LengthMismatch, NotPrime, SigmaLcdError
+from .errors import BadInput
 from .field import Field, field, is_prime
 from .gqc import GqcCode
 
@@ -45,7 +45,7 @@ def parse_field(text: str) -> Field:
     else:
         v = _int(text)
         if v < 2:
-            raise NotPrime(f"{v} is not a prime power")
+            raise BadInput(f"{v} is not a prime power")
         if is_prime(v):
             p, e = v, 1
         else:
@@ -56,7 +56,7 @@ def parse_field(text: str) -> Field:
                 w //= p
                 e += 1
             if w != 1:
-                raise NotPrime(f"{v} is not a prime power")
+                raise BadInput(f"{v} is not a prime power")
     return field(p, e, modulus)
 
 
@@ -85,25 +85,24 @@ def _check_entries(F: Field, rows: np.ndarray):
 def parse_code(text: str, field_hint: Field | None = None) -> LinearCode:
     lines = _lines(text)
     if not lines:
-        raise LengthMismatch("empty code file")
+        raise BadInput("empty code file")
     head = lines[0].split()
     if len(head) != 3:
-        raise LengthMismatch(f"header must be 'q n k', got {lines[0]!r}")
+        raise BadInput(f"header must be 'q n k', got {lines[0]!r}")
     F = field_hint if field_hint is not None else parse_field(head[0])
     if F.q != parse_field(head[0]).q:
-        raise DimensionMismatch(f"header field {head[0]} != {field_str(F)}")
+        raise BadInput(f"header field {head[0]} != {field_str(F)}")
     n, k = _int(head[1]), _int(head[2])
     if n < 0 or k < 0:
         raise BadInput(f"code length and dimension must be nonnegative, got n = {n}, k = {k}")
     if len(lines) != 1 + k:
-        raise DimensionMismatch(f"expected {k} generator rows, got {len(lines) - 1}")
+        raise BadInput(f"expected {k} generator rows, got {len(lines) - 1}")
     rows = np.zeros((k, n), dtype=np.int16)
     for t, line in enumerate(lines[1:]):
         vals = [_int(v) for v in line.split()]
         if len(vals) != n:
-            raise LengthMismatch(f"row {t} has {len(vals)} entries, expected {n}")
+            raise BadInput(f"row {t} has {len(vals)} entries, expected {n}")
         rows[t] = vals
-    _check_entries(F, rows)
     return LinearCode(F, n, rows)
 
 
@@ -122,24 +121,24 @@ def parse_sigma(text: str, F: Field, n: int) -> SemiLinearMap:
     frob = 0
     for line in _lines(text):
         if ":" not in line:
-            raise SigmaLcdError(f"bad sigma line {line!r}")
+            raise BadInput(f"bad sigma line {line!r}")
         key, val = line.split(":", 1)
         key = key.strip().lower()
         vals = val.split()
         if key == "perm":
             if len(vals) != n:
-                raise LengthMismatch(f"perm needs {n} entries")
+                raise BadInput(f"perm needs {n} entries")
             perm = np.asarray([_int(v) for v in vals], dtype=np.int32)
         elif key == "diag":
             if len(vals) != n:
-                raise LengthMismatch(f"diag needs {n} entries")
+                raise BadInput(f"diag needs {n} entries")
             diag = np.asarray([_int(v) for v in vals], dtype=np.int16)
         elif key == "frob":
             if len(vals) != 1:
-                raise LengthMismatch("frob needs one entry")
+                raise BadInput("frob needs one entry")
             frob = _int(vals[0])
         else:
-            raise SigmaLcdError(f"unknown sigma field {key!r}")
+            raise BadInput(f"unknown sigma field {key!r}")
     return SemiLinearMap(F, perm, diag, frob)
 
 
@@ -168,22 +167,22 @@ def parse_gqc_raw(text: str, field_hint: Field | None = None):
     """(field, block lengths, generator tuples) without building the code."""
     lines = _lines(text)
     if len(lines) < 3:
-        raise LengthMismatch("GQC file needs header, block lengths, and generators")
+        raise BadInput("GQC file needs header, block lengths, and generators")
     head = lines[0].split()
     if len(head) != 2:
-        raise LengthMismatch(f"header must be 'q l', got {lines[0]!r}")
+        raise BadInput(f"header must be 'q l', got {lines[0]!r}")
     F = field_hint if field_hint is not None else parse_field(head[0])
     l = _int(head[1])
     blocks = tuple(_int(v) for v in lines[1].split())
     if len(blocks) != l:
-        raise DimensionMismatch(f"expected {l} block lengths, got {len(blocks)}")
+        raise BadInput(f"expected {l} block lengths, got {len(blocks)}")
     if any(m < 1 for m in blocks):
         raise BadInput(f"block lengths must be positive, got {' '.join(map(str, blocks))}")
     gens = []
     for line in lines[2:]:
         parts = line.split(";")
         if len(parts) != l:
-            raise DimensionMismatch(f"generator {line!r} has {len(parts)} blocks, expected {l}")
+            raise BadInput(f"generator {line!r} has {len(parts)} blocks, expected {l}")
         gens.append(tuple(parse_poly(p) for p in parts))
     for g in gens:
         for c in g:
@@ -213,14 +212,14 @@ def parse_product_spec(text: str):
 
     lines = _lines(text)
     if not lines:
-        raise LengthMismatch("empty product spec")
+        raise BadInput("empty product spec")
     base = parse_field(lines[0])
     raw = []
     pos = 1
     while pos < len(lines):
         head = lines[pos].split()
         if len(head) != 3:
-            raise LengthMismatch(f"component header must be 'm r k', got {lines[pos]!r}")
+            raise BadInput(f"component header must be 'm r k', got {lines[pos]!r}")
         m, r, k = _int(head[0]), _int(head[1]), _int(head[2])
         if m < 1 or r < 0 or k < 0:
             raise BadInput(f"component needs m >= 1 and r, k >= 0, got {lines[pos]!r}")
@@ -228,10 +227,10 @@ def parse_product_spec(text: str):
         for line in lines[pos + 1 : pos + 1 + k]:
             vals = [_int(v) for v in line.split()]
             if len(vals) != r:
-                raise LengthMismatch(f"component row needs {r} entries, got {len(vals)}")
+                raise BadInput(f"component row needs {r} entries, got {len(vals)}")
             rows.append(vals)
         if len(rows) != k:
-            raise DimensionMismatch(f"component m={m} expected {k} rows")
+            raise BadInput(f"component m={m} expected {k} rows")
         raw.append((m, r, rows))
         pos += 1 + k
     comps = []
@@ -239,6 +238,5 @@ def parse_product_spec(text: str):
         t = mult_order(base.q, m)  # coset size of m-hat equals ord_m(q)
         comp_field = field(base.p, base.e * t)
         gen = np.asarray(rows, dtype=np.int16).reshape(len(rows), r)
-        _check_entries(comp_field, gen)
         comps.append((m, r, LinearCode(comp_field, r, gen)))
     return base, comps

@@ -18,18 +18,7 @@ import numpy as np
 from . import linalg, poly
 from .codes import LinearCode, SemiLinearMap, hull_dim, is_sigma_lcd
 from .cyclotomic import CyclotomicContext
-from .errors import (
-    BlocksNotCoprime,
-    BlocksNotDistinct,
-    ComponentNotLcd,
-    ConstituentNotTrivial,
-    DegreeOdd,
-    FieldMismatch,
-    GcdNotOne,
-    InverseMissing,
-    LengthMismatch,
-    NotCyclic,
-)
+from .errors import BadInput, SigmaLcdError
 from .field import Field, embedding, field as make_field
 
 
@@ -44,10 +33,10 @@ class GqcCode:
         self.field = field
         self.block_lengths = tuple(int(m) for m in block_lengths)
         if any(m < 1 for m in self.block_lengths):
-            raise LengthMismatch("block lengths must be positive")
+            raise BadInput("block lengths must be positive")
         for m in self.block_lengths:
             if math.gcd(m, field.q) != 1:
-                raise GcdNotOne(f"block length {m} not coprime to q = {field.q}")
+                raise BadInput(f"block length {m} not coprime to q = {field.q}")
         self.n = sum(self.block_lengths)
         self.offsets = tuple(
             sum(self.block_lengths[:j]) for j in range(len(self.block_lengths))
@@ -56,7 +45,7 @@ class GqcCode:
         if not _trusted:
             shifted = self.shift_map().apply(self.flat.gen) if self.flat.k else self.flat.gen
             if linalg.sum_dim(field, self.flat.gen, shifted) != self.flat.k:
-                raise ValueError("rows are not closed under the simultaneous shift")
+                raise BadInput("rows are not closed under the simultaneous shift")
 
     @property
     def l(self) -> int:
@@ -73,7 +62,7 @@ class GqcCode:
         rows = []
         for g in gens:
             if len(g) != len(block_lengths):
-                raise LengthMismatch(f"generator arity {len(g)} != {len(block_lengths)} blocks")
+                raise BadInput(f"generator arity {len(g)} != {len(block_lengths)} blocks")
             base = [poly.mod_xm1(field, poly.from_seq(c), mj) for c, mj in zip(g, block_lengths)]
             for sh in range(m):
                 row = np.zeros(sum(block_lengths), dtype=np.int16)
@@ -104,7 +93,7 @@ class GqcCode:
         m = lcm_of(self.block_lengths)
         a = a % m
         if math.gcd(a, m) != 1:
-            raise GcdNotOne(f"a = {a} not invertible modulo {m}")
+            raise BadInput(f"a = {a} not invertible modulo {m}")
         perm = np.empty(self.n, dtype=np.int32)
         for off, mj in zip(self.offsets, self.block_lengths):
             t = np.arange(mj)
@@ -133,9 +122,9 @@ def context_for(code: GqcCode) -> CyclotomicContext:
 
 def _check_ctx(code: GqcCode, ctx: CyclotomicContext):
     if ctx.base != code.field:
-        raise FieldMismatch("context base field differs from code field")
+        raise BadInput("context base field differs from code field")
     if ctx.m != lcm_of(code.block_lengths):
-        raise LengthMismatch(f"context modulus {ctx.m} != lcm of blocks")
+        raise BadInput(f"context modulus {ctx.m} != lcm of blocks")
 
 
 @dataclass(frozen=True)
@@ -187,7 +176,7 @@ def hermitian_v_dual(code: GqcCode, ctx: CyclotomicContext, con: Constituent) ->
     """Dual under sum_j c_j w_j^Q with Q = q^(deg/2); needs even coset size."""
     deg = len(ctx.coset(con.i))
     if deg % 2:
-        raise DegreeOdd(f"coset of {con.i} has odd size {deg}")
+        raise BadInput(f"coset of {con.i} has odd size {deg}")
     Q = ctx.base.q ** (deg // 2)
     eu = v_dual(code, ctx, con)
     B = np.asarray(ctx.ext.pow(eu.basis, Q), dtype=np.int16) if eu.dim else eu.basis
@@ -209,7 +198,7 @@ def _cons_cache(code: GqcCode, ctx: CyclotomicContext):
 def _norm_a(ctx: CyclotomicContext, a: int) -> int:
     a = a % ctx.m
     if math.gcd(a, ctx.m) != 1:
-        raise GcdNotOne(f"a = {a} not invertible modulo {ctx.m}")
+        raise BadInput(f"a = {a} not invertible modulo {ctx.m}")
     return a
 
 
@@ -253,7 +242,7 @@ def trivial_constituent_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) 
     for i in ctx.leaders:
         con = get(i)
         if con.dim not in (0, len(con.active)):
-            raise ConstituentNotTrivial(
+            raise BadInput(
                 f"constituent at {i} has dim {con.dim} inside V of dim {len(con.active)}"
             )
         if con.dim:
@@ -271,7 +260,7 @@ def reversal_sigma_lcd(code: GqcCode) -> bool:
     """Cyclic codes only: complementary-dual for the full coordinate
     reversal (a pure permutation, no ring structure needed)."""
     if code.l != 1:
-        raise NotCyclic(f"reversal criterion needs one block, got {code.l}")
+        raise BadInput(f"reversal criterion needs one block, got {code.l}")
     return is_sigma_lcd(code.flat, SemiLinearMap.reversal(code.field, code.n))
 
 
@@ -290,7 +279,7 @@ def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     for x in range(len(bl)):
         for y in range(x + 1, len(bl)):
             if math.gcd(bl[x], bl[y]) != 1:
-                raise BlocksNotCoprime(f"blocks {bl[x]} and {bl[y]} share a factor")
+                raise BadInput(f"blocks {bl[x]} and {bl[y]} share a factor")
     for j in range(code.l):
         proj = block_projection(code, j)
         ctx_j = CyclotomicContext(code.field, bl[j])
@@ -357,7 +346,7 @@ def one_gen_self_orthogonal_eval(ctx: CyclotomicContext, block_lengths, cvec, a:
 def _qc_m(block_lengths) -> int:
     ms = set(block_lengths)
     if len(ms) != 1:
-        raise LengthMismatch(f"quasi-cyclic form needs equal blocks, got {block_lengths}")
+        raise BadInput(f"quasi-cyclic form needs equal blocks, got {block_lengths}")
     return next(iter(ms))
 
 
@@ -394,7 +383,7 @@ def support_sets(ctx: CyclotomicContext, block_lengths, cvec) -> list[set[int]]:
     """S_j = {i in Z_m : c_j(xi^i) != 0}; coset-closed by conjugation."""
     m = _qc_m(block_lengths)
     if m != ctx.m:
-        raise LengthMismatch(f"context modulus {ctx.m} != block length {m}")
+        raise BadInput(f"context modulus {ctx.m} != block length {m}")
     out = []
     for c in cvec:
         cc = poly.mod_xm1(ctx.base, poly.from_seq(c), m)
@@ -442,7 +431,7 @@ def maximal_one_gen_check(F: Field, block_lengths, cvec, a: int = -1) -> Maximal
         u = poly.add(F, cs[0], cs[1])
         inv = None if poly.is_zero(u) else poly.inverse_mod(F, u, xm)
         if inv is None:
-            raise InverseMissing("c1 + c2 is not invertible modulo x^m - 1")
+            raise SigmaLcdError("c1 + c2 is not invertible modulo x^m - 1")
         canonical = poly.mul_mod_xm1(F, cs[0], inv, m)
     return MaximalCheck(lcd=lcd, maximal=maximal, canonical=canonical)
 
@@ -478,7 +467,7 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
         )
     mjs = [mj for mj, _, _ in comps]
     if len(set(mjs)) != len(mjs):
-        raise BlocksNotDistinct(f"component block lengths must be distinct, got {mjs}")
+        raise BadInput(f"component block lengths must be distinct, got {mjs}")
     m = lcm_of(mjs)
     ctx = CyclotomicContext(base, m)
     ext = ctx.ext
@@ -495,11 +484,11 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
         tj = len(ctx.coset(mhat))
         want = make_field(base.p, base.e * tj)
         if comp.field != want:
-            raise FieldMismatch(f"component for m={mj} must live over {want}, got {comp.field}")
+            raise BadInput(f"component for m={mj} must live over {want}, got {comp.field}")
         if comp.n != rj:
-            raise LengthMismatch(f"component length {comp.n} != r = {rj}")
+            raise BadInput(f"component length {comp.n} != r = {rj}")
         if comp.k and hull_dim(comp, None) != 0:
-            raise ComponentNotLcd(f"component for m={mj} is not Euclidean complementary-dual")
+            raise BadInput(f"component for m={mj} is not Euclidean complementary-dual")
         plans.append((mj, rj, comp, mhat, tj))
         block_lengths.extend([mj] * rj)
 

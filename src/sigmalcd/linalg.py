@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BadInput
 from .field import Field
 
 
@@ -27,9 +27,9 @@ def as_matrix(rows, n: int | None = None) -> np.ndarray:
     if M.ndim == 1:
         M = M.reshape(1, -1) if M.size else M.reshape(0, 0 if n is None else n)
     if M.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim {M.ndim}")
+        raise BadInput(f"expected a matrix, got ndim {M.ndim}")
     if n is not None and M.shape[1] != n and M.size:
-        raise DimensionMismatch(f"expected {n} columns, got {M.shape[1]}")
+        raise BadInput(f"expected {n} columns, got {M.shape[1]}")
     if M.size == 0 and n is not None:
         M = M.reshape(-1, n) if n else M.reshape(0, 0)
     return M
@@ -53,7 +53,7 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.int16)
     B = np.asarray(B, dtype=np.int16)
     if A.shape[1] != B.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
+        raise BadInput(f"cannot multiply {A.shape} by {B.shape}")
     (k, n), m, p, e = A.shape, B.shape[1], F.p, F.e
     # block (i, t) of the (k e) x (n e) left factor is regular[A[i, t]]
     left = F.regular[A].transpose(0, 2, 1, 3).reshape(k * e, n * e).astype(np.float64)
@@ -163,7 +163,7 @@ def solve_right(F: Field, A: np.ndarray, b) -> np.ndarray | None:
     A = np.asarray(A, dtype=np.int16)
     b = np.asarray(b, dtype=np.int16).reshape(-1)
     if A.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"shape mismatch {A.shape} vs {b.shape}")
+        raise BadInput(f"shape mismatch {A.shape} vs {b.shape}")
     n = A.shape[1]
     R, piv = rref(F, np.hstack([A, b.reshape(-1, 1)]))
     if n in piv:

@@ -6,40 +6,33 @@ package.  The minimum distance and the weight distribution visit all q^k
 codewords through two span tables built from the generator rows: every
 word is one low-table word plus one high-table word, so its weight takes
 one elementwise pass over two table words (an XOR and a popcount of
-bit-packed words on GF(2)), and the enumeration never calls linalg.  `enumerate_codewords` is the slow
-reference walk.  Results are deterministic: --jobs threads only split the
-message indices into chunks whose min-reduction is order independent.
+bit-packed words on GF(2)), and the enumeration never calls linalg.  The
+minimum distance is one min over the weights of message indices 1..q^k-1,
+on one thread: the table walk is many short numpy calls, so threads only
+contend for the interpreter lock.  `enumerate_codewords` is the slow
+reference walk.  Every enumeration first checks q^k against a budget of
+codewords and raises BudgetExceeded beyond it.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode, SemiLinearMap, sigma_dual
-from .errors import BudgetExceeded, FieldMismatch, LengthMismatch, NoNonzeroWords
-
-DEFAULT_MAX_WORDS = 2**22
+from .codes import DEFAULT_MAX_WORDS, LinearCode, SemiLinearMap, sigma_dual
+from .errors import BadInput, BudgetExceeded
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_words: int = DEFAULT_MAX_WORDS
-
-
-def _check_budget(code: LinearCode, budget: EnumerationBudget | None) -> int:
-    budget = budget or EnumerationBudget()
+def _check_budget(code: LinearCode, budget: int) -> int:
     total = code.field.q**code.k
-    if total > budget.max_words:
-        raise BudgetExceeded(f"{total} codewords exceed budget {budget.max_words}")
+    if total > budget:
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
     return total
 
 
-def enumerate_codewords(code: LinearCode, budget: EnumerationBudget | None = None):
+def enumerate_codewords(code: LinearCode, budget: int = DEFAULT_MAX_WORDS):
     """Yield all q^k codewords exactly once, message digits in reflected
     Gray order so successive words differ by one scaled generator row."""
     _check_budget(code, budget)
@@ -128,30 +121,15 @@ class _Spans:
             yield self._differ(low, self._high[h][:, None]).sum(axis=0, dtype=self._weight_type)
 
 
-def brute_min_distance(
-    code: LinearCode,
-    budget: EnumerationBudget | None = None,
-    jobs: int | None = 1,
-    chunk: int = 1 << 16,
-) -> int:
+def brute_min_distance(code: LinearCode, budget: int = DEFAULT_MAX_WORDS) -> int:
     """Exact minimum Hamming weight over all nonzero codewords."""
     total = _check_budget(code, budget)
     if code.k == 0:
-        raise NoNonzeroWords("zero code has no nonzero words")
-    spans = _Spans(code.field, code.gen)
-    jobs = jobs or 1
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
-
-    def chunk_min(r):
-        return min(int(w.min()) for w in spans.weights(*r))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return min(pool.map(chunk_min, ranges))
-    return min(map(chunk_min, ranges))
+        raise BadInput("zero code has no nonzero words")
+    return min(int(w.min()) for w in _Spans(code.field, code.gen).weights(1, total))
 
 
-def weight_distribution(code: LinearCode, budget: EnumerationBudget | None = None) -> np.ndarray:
+def weight_distribution(code: LinearCode, budget: int = DEFAULT_MAX_WORDS) -> np.ndarray:
     total = _check_budget(code, budget)
     out = np.zeros(code.n + 1, dtype=np.int64)
     for w in _Spans(code.field, code.gen).weights(0, total):
@@ -162,9 +140,9 @@ def weight_distribution(code: LinearCode, budget: EnumerationBudget | None = Non
 def brute_intersection_dim(c1: LinearCode, c2: LinearCode) -> int:
     """dim(C1 cap C2) via stacked-nullspace subspace arithmetic."""
     if c1.field != c2.field:
-        raise FieldMismatch("codes must share their field")
+        raise BadInput("codes must share their field")
     if c1.n != c2.n:
-        raise LengthMismatch(f"codes of lengths {c1.n} and {c2.n}")
+        raise BadInput(f"codes of lengths {c1.n} and {c2.n}")
     return linalg.intersection(c1.field, c1.gen, c2.gen).shape[0]
 
 
@@ -220,7 +198,7 @@ def exhaustive_sigma_search(
                     yield SemiLinearMap.permutation(F, perm)
 
     if family not in SIGMA_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise BadInput(f"unknown family {family!r}")
     for cand in candidates():
         if brute_hull_dim(code, cand) == 0:
             return cand

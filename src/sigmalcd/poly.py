@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BothZero, DivisionByZero
+from .errors import BadInput, DivisionByZero
 from .field import Field
 
 ZERO = np.zeros(0, dtype=np.int16)
@@ -102,7 +102,7 @@ def monic(F: Field, a) -> np.ndarray:
 def gcd(F: Field, a, b) -> np.ndarray:
     a, b = trim(a), trim(b)
     if a.size == 0 and b.size == 0:
-        raise BothZero("gcd of two zero polynomials")
+        raise BadInput("gcd of two zero polynomials")
     while b.size:
         a, b = b, mod(F, a, b)
     return monic(F, a)
@@ -119,7 +119,7 @@ def egcd(F: Field, a, b):
         u0, u1 = u1, sub(F, u0, mul(F, q, u1))
         v0, v1 = v1, sub(F, v0, mul(F, q, v1))
     if r0.size == 0:
-        raise BothZero("gcd of two zero polynomials")
+        raise BadInput("gcd of two zero polynomials")
     lead_inv = F.inv(int(r0[-1]))
     return scale(F, lead_inv, r0), scale(F, lead_inv, u0), scale(F, lead_inv, v0)
 
@@ -130,13 +130,6 @@ def inverse_mod(F: Field, a, m) -> np.ndarray | None:
     if degree(g) != 0:
         return None
     return mod(F, u, m)
-
-
-def eval_at(F: Field, a, x: int) -> int:
-    acc = 0
-    for c in reversed(trim(a)):
-        acc = F.add(F.mul(acc, int(x)), int(c))
-    return int(acc)
 
 
 def xm1(F: Field, m: int) -> np.ndarray:

@@ -15,15 +15,10 @@ from sigmalcd.codes import (
     is_sigma_self_dual,
     is_sigma_self_orthogonal,
     make_lcd_sigma,
-    min_distance,
     normalize_hull,
     sigma_dual,
 )
-from sigmalcd.errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    NoNonzeroWords,
-)
+from sigmalcd.errors import BadInput
 from sigmalcd.field import field
 
 F2 = field(2)
@@ -66,7 +61,7 @@ def test_zero_rows_dropped():
 
 
 def test_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="expected 3 columns, got 2"):
         LinearCode(F2, 3, [[1, 0]])
 
 
@@ -388,7 +383,7 @@ def test_build_lcp_binary_length_extension():
 
 
 def test_build_lcp_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadInput, match="dimensions differ: 1 vs 2"):
         build_lcp(C(F3, 3, (1, 0, 0)), C(F3, 3, (1, 0, 0), (0, 1, 0)))
 
 
@@ -422,12 +417,17 @@ def test_lcp_d2_is_distance_of_dual_of_second():
 
 
 def test_min_distance_examples():
-    assert min_distance(C(F2, 3, (1, 1, 1))) == 3
+    assert oracle.brute_min_distance(C(F2, 3, (1, 1, 1))) == 3
     ham = LinearCode(
         F2,
         7,
         [[1, 1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0, 1]],
     )
-    assert min_distance(ham) == 3
-    with pytest.raises(NoNonzeroWords):
-        min_distance(C(F2, 3))
+    assert oracle.brute_min_distance(ham) == 3
+    with pytest.raises(BadInput, match="zero code has no nonzero words"):
+        oracle.brute_min_distance(C(F2, 3))
+
+
+def test_sigma_without_length_is_bad_input():
+    with pytest.raises(BadInput, match="need perm, diag or n to fix the length"):
+        SemiLinearMap(F2)

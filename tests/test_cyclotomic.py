@@ -8,7 +8,8 @@ from sigmalcd.cyclotomic import (
     gamma_partition,
     mult_order,
 )
-from sigmalcd.errors import BadInput, GcdNotOne
+from sigmalcd.errors import BadInput
+from sigmalcd.field import MAX_FIELD_SIZE
 from sigmalcd.field import field
 
 F2 = field(2)
@@ -23,7 +24,7 @@ def test_mult_order():
 
 
 def test_mult_order_requires_coprime():
-    with pytest.raises(GcdNotOne):
+    with pytest.raises(BadInput, match=r"gcd\(2, 4\) != 1"):
         mult_order(2, 4)
 
 
@@ -33,6 +34,21 @@ def test_nonpositive_m_raises_instead_of_looping(m):
         mult_order(2, m)
     with pytest.raises(BadInput):
         CyclotomicContext(field(2), m)
+
+
+@pytest.mark.parametrize("q,m", [(2, MAX_FIELD_SIZE + 1), (3, MAX_FIELD_SIZE), (2, 1_000_000_007)])
+def test_m_beyond_every_field_raises_instead_of_looping(q, m):
+    # q^t = 1 mod m needs q^t > m, so no table-backed field holds an
+    # m-th root of unity; ord_m(q) for m = 1e9+7 would loop ~1e9 times
+    with pytest.raises(BadInput, match=f"m = {m}: a primitive m-th root"):
+        mult_order(q, m)
+    with pytest.raises(BadInput, match=f"m = {m}: a primitive m-th root"):
+        CyclotomicContext(field(q), m)
+
+
+def test_largest_m_still_reaches_its_field():
+    ctx = CyclotomicContext(F2, MAX_FIELD_SIZE - 1)
+    assert ctx.ext.q == MAX_FIELD_SIZE and ctx.t == 12
 
 
 def test_cosets_2_7():

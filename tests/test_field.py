@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmalcd.errors import (
-    DegreeMismatch,
-    DivisionByZero,
-    NotPrime,
-    ReducibleModulus,
-)
+from sigmalcd.errors import BadInput, DivisionByZero
 from sigmalcd.field import default_modulus, embedding, field
 
 
@@ -28,16 +23,16 @@ def test_default_modulus_gf8_gf9():
 
 
 def test_not_prime_rejected():
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="p = 4 is not prime"):
         field(4, 1)
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="p = 1 is not prime"):
         field(1)
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ReducibleModulus):
+    with pytest.raises(BadInput, match="is reducible over GF"):
         field(2, 2, modulus=[1, 0, 1])  # x^2 + 1 = (x+1)^2
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(BadInput, match="must be monic of degree 2"):
         field(2, 2, modulus=[1, 1])
 
 
@@ -192,6 +187,20 @@ def test_embedding_respects_frobenius_tower():
     for a in range(4):
         img = emb(a)
         assert F16.pow(img, 4) == img
+
+
+def test_missing_embeddings_are_bad_input():
+    with pytest.raises(BadInput, match="different characteristic"):
+        embedding(field(2), field(3))
+    with pytest.raises(BadInput, match="2 does not divide 3"):
+        embedding(field(2, 2), field(2, 3))
+    emb = embedding(field(2, 2), field(2, 4))
+    outside = next(y for y in range(16) if y not in emb.table)
+    assert emb.lift(emb.table).tolist() == [0, 1, 2, 3]
+    with pytest.raises(BadInput, match="value outside the embedded subfield"):
+        emb.lift(outside)
+    with pytest.raises(BadInput, match="value outside the embedded subfield"):
+        emb.lift(np.array([0, outside], dtype=np.int16))
 
 
 @pytest.mark.parametrize("p", [131, 257])

@@ -1,20 +1,22 @@
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigmalcd import cli, formats, poly
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim
-from sigmalcd.errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    NotPrime,
-    SigmaLcdError,
-)
+from sigmalcd.errors import BadInput
 from sigmalcd.field import field
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
@@ -55,9 +57,9 @@ def test_parse_field_forms():
 
 
 def test_parse_field_rejects_non_prime_power():
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="6 is not a prime power"):
         formats.parse_field("6")
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="1 is not a prime power"):
         formats.parse_field("1")
 
 
@@ -95,20 +97,23 @@ def test_parse_code_ignores_comments_and_blanks():
 
 
 def test_parse_code_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="empty code file"):
         formats.parse_code("")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="header must be 'q n k'"):
         formats.parse_code("2 3\n1 1 0\n")  # header too short
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadInput, match="expected 2 generator rows, got 1"):
         formats.parse_code("2 3 2\n1 1 0\n")  # missing a row
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="row 0 has 2 entries, expected 3"):
         formats.parse_code("2 3 1\n1 1\n")  # short row
-    with pytest.raises(SigmaLcdError):
+    # LinearCode makes the range check
+    with pytest.raises(BadInput, match=r"entries must be encodings in 0\.\.1"):
         formats.parse_code("2 3 1\n1 2 0\n")  # entry not in GF(2)
+    with pytest.raises(BadInput, match=r"entries must be encodings in 0\.\.1"):
+        formats.parse_code("2 3 1\n1 -1 0\n")
 
 
 def test_parse_code_field_hint_conflict():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadInput, match="header field 2 != 3"):
         formats.parse_code(HAMMING, field_hint=F3)
 
 
@@ -131,11 +136,11 @@ def test_parse_sigma_defaults():
 
 
 def test_parse_sigma_errors():
-    with pytest.raises(SigmaLcdError):
+    with pytest.raises(BadInput, match="bad sigma line 'nonsense'"):
         formats.parse_sigma("nonsense\n", F2, 2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="perm needs 2 entries"):
         formats.parse_sigma("perm: 0\n", F2, 2)
-    with pytest.raises(SigmaLcdError):
+    with pytest.raises(BadInput, match="unknown sigma field 'weird'"):
         formats.parse_sigma("weird: 1\n", F2, 2)
 
 
@@ -170,11 +175,11 @@ def test_gqc_dump_roundtrip():
 
 
 def test_parse_gqc_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="needs header, block lengths, and generators"):
         formats.parse_gqc("2 1\n7\n")  # no generators
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadInput, match="expected 2 block lengths, got 1"):
         formats.parse_gqc("2 2\n7\n1,1\n")  # block count mismatch
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadInput, match="has 1 blocks, expected 2"):
         formats.parse_gqc("2 2\n3 3\n1,1\n")  # generator missing a block
 
 
@@ -331,6 +336,10 @@ MALFORMED = {
     "gqc block length -7, onegen": lambda d: ["gqc", "onegen", _write(d, "neg.gqc", "2 1\n-7\n1,1\n")],
     "product spec, negative r": lambda d: ["gqc", "product", _write(d, "neg_r.spec", "2\n3 -1 0\n")],
     "product spec, negative m": lambda d: ["gqc", "product", _write(d, "neg_m.spec", "2\n-3 1 1\n1\n")],
+    "product spec, entry outside GF(4)": lambda d: ["gqc", "product", _write(d, "big.spec", "2\n3 1 1\n4\n")],
+    "onegen with two generators": lambda d: ["gqc", "onegen", _write(d, "two.gqc", "2 1\n7\n1,1,0,1\n1,1\n")],
+    "sigma file, bad line": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                       "--sigma", _write(d, "line.sigma", "nonsense\n")],
 }
 
 
@@ -352,15 +361,58 @@ def test_cli_malformed_input_exits_2(files, case):
 
 
 @pytest.mark.parametrize("argv", [
+    "gqc cosets 2 1000000007",
+    "gqc constituents {d}/big.gqc",
+    "gqc check {d}/big.gqc",
+    "gqc onegen {d}/big.gqc",
+    "gqc product {d}/big.spec",
+])
+def test_cli_m_beyond_every_field_exits_2_at_once(files, argv):
+    """An m >= MAX_FIELD_SIZE is rejected before ord_m(q) is searched and
+    before any generator is expanded into m shifted rows."""
+    (files / "big.gqc").write_text("2 1\n4097\n1,1\n")
+    (files / "big.spec").write_text("2\n4097 1 1\n1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sigmalcd.cli", *argv.format(d=files).split()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("error: m = ") and "fields stop at 4096" in lines[0]
+    assert elapsed < 2, f"{argv} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("group,order", [("3000", 3000), ("30000", 30000), ("100,300", 30000)])
+def test_cli_group_order_checked_before_its_tables(files, group, order):
+    """|G| is compared with the code length before the |G| x |G| product
+    table is built: at |G| = 30000 that table alone would take 7.2 GB."""
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.cmd_dispatch(["abelian", "check", "--group", group, "--code", str(files / "ham.code")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert err.getvalue().splitlines() == [f"error: code length 7 != |G| = {order}"]
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("argv", [
     "lcd check --code {d}/ham.code --jobs 2",
     "lcd hull --code {d}/ham.code --budget 10",
     "gqc check {d}/ham.gqc --jobs 1",
     "oracle search-sigma {d}/ham.code --budget 10",
     "repro qr-idempotent-7 --jobs 2",
+    "gqc product {d}/prod.spec --jobs 1",
+    "oracle mindist {d}/ham.code --jobs 1",
 ])
 def test_cli_jobs_budget_only_where_read(files, argv):
-    """--jobs and --budget are unknown options on commands that never read
-    them (the golden cases pass them where they are read)."""
+    """--budget is an unknown option on commands that never read it (the
+    golden cases pass it where it is read), and --jobs on every command."""
     rc, out = run_cli(*argv.format(d=files).split())
     assert rc == 2 and out == ""
 

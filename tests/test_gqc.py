@@ -6,15 +6,7 @@ import pytest
 from sigmalcd import gqc, oracle, poly
 from sigmalcd.codes import LinearCode
 from sigmalcd.cyclotomic import CyclotomicContext
-from sigmalcd.errors import (
-    BlocksNotCoprime,
-    BlocksNotDistinct,
-    ComponentNotLcd,
-    ConstituentNotTrivial,
-    GcdNotOne,
-    LengthMismatch,
-    NotCyclic,
-)
+from sigmalcd.errors import BadInput
 from sigmalcd.field import field
 
 F2 = field(2)
@@ -42,9 +34,9 @@ def coprime_units(m):
 
 
 def test_block_length_coprime_to_q():
-    with pytest.raises(GcdNotOne):
+    with pytest.raises(BadInput, match="block length 4 not coprime to q = 2"):
         gqc.GqcCode(F2, (4,), None)
-    with pytest.raises(GcdNotOne):
+    with pytest.raises(BadInput, match="block length 3 not coprime to q = 3"):
         gqc.GqcCode(F3, (3, 5), None)
 
 
@@ -57,7 +49,7 @@ def test_from_generators_shift_closure():
 
 
 def test_non_closed_rows_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="rows are not closed under the simultaneous shift"):
         gqc.GqcCode(F2, (3,), [[1, 1, 0]])
 
 
@@ -76,7 +68,7 @@ def test_mu_map_permutation():
 
 def test_mu_requires_coprime():
     code = rand_gqc(F2, (3, 5), np.random.default_rng(1))
-    with pytest.raises(GcdNotOne):
+    with pytest.raises(BadInput, match="a = 3 not invertible modulo 15"):
         code.mu_map(3)  # gcd(3, 15) != 1
 
 
@@ -158,9 +150,7 @@ def test_hermitian_v_dual_identity():
 def test_hermitian_v_dual_odd_degree_rejected():
     code = rand_gqc(F2, (7,), np.random.default_rng(8))
     ctx = gqc.context_for(code)
-    from sigmalcd.errors import DegreeOdd
-
-    with pytest.raises(DegreeOdd):
+    with pytest.raises(BadInput, match="coset of 1 has odd size 3"):
         gqc.hermitian_v_dual(code, ctx, gqc.constituent(code, ctx, 1))
 
 
@@ -232,7 +222,7 @@ def test_trivial_constituent_requires_trivial():
         ctx = gqc.context_for(code)
         dims = {i: gqc.constituent(code, ctx, i) for i in ctx.leaders}
         if any(c.dim not in (0, len(c.active)) for c in dims.values()):
-            with pytest.raises(ConstituentNotTrivial):
+            with pytest.raises(BadInput, match="has dim .* inside V of dim"):
                 gqc.trivial_constituent_lcd(code, ctx, -1)
             return
     pytest.skip("no nontrivial sample drawn")
@@ -249,7 +239,7 @@ def test_reversal_lcd_all_cyclic():
 
 def test_reversal_requires_cyclic():
     code = rand_gqc(F2, (3, 3), np.random.default_rng(12))
-    with pytest.raises(NotCyclic):
+    with pytest.raises(BadInput, match="reversal criterion needs one block, got 2"):
         gqc.reversal_sigma_lcd(code)
 
 
@@ -267,7 +257,7 @@ def test_cross_block_lcd():
 def test_cross_block_requires_coprime():
     code = rand_gqc(F2, (3, 3), np.random.default_rng(14))
     ctx = gqc.context_for(code)
-    with pytest.raises(BlocksNotCoprime):
+    with pytest.raises(BadInput, match="blocks 3 and 3 share a factor"):
         gqc.cross_block_lcd(code, ctx, -1)
 
 
@@ -317,7 +307,7 @@ def test_one_gen_forms_agree_randomized():
 
 
 def test_one_gen_gcd_requires_qc():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadInput, match="quasi-cyclic form needs equal blocks"):
         gqc.one_gen_lcd_gcd(F2, (3, 5), (ONE, ONE), -1)
 
 
@@ -409,7 +399,7 @@ def test_product_empty():
 
 def test_product_rejects_duplicate_blocks():
     comp = LinearCode(F4, 1, np.array([[1]], dtype=np.int16))
-    with pytest.raises(BlocksNotDistinct):
+    with pytest.raises(BadInput, match="component block lengths must be distinct"):
         gqc.product_lcd_gqc(F2, [(3, 1, comp), (3, 1, comp)])
 
 
@@ -418,15 +408,13 @@ def test_product_rejects_non_lcd_component():
     # span{(1,1)} has gram 1*1+1*1 = 0
     comp = LinearCode(F4, 2, np.array([[1, 1]], dtype=np.int16))
     assert comp.k == 1
-    with pytest.raises(ComponentNotLcd):
+    with pytest.raises(BadInput, match="component for m=3 is not Euclidean complementary-dual"):
         gqc.product_lcd_gqc(F2, [(3, 2, comp)])
 
 
 def test_product_wrong_component_field():
     comp = LinearCode(F2, 1, np.array([[1]], dtype=np.int16))
-    from sigmalcd.errors import FieldMismatch
-
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadInput, match="component for m=3 must live over GF"):
         gqc.product_lcd_gqc(F2, [(3, 1, comp)])
 
 

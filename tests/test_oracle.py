@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sigmalcd import oracle
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim, make_lcd_sigma
-from sigmalcd.errors import BudgetExceeded, NoNonzeroWords
+from sigmalcd.errors import BadInput, BudgetExceeded
 from sigmalcd.field import field
 
 F2 = field(2)
@@ -52,7 +52,9 @@ def test_enumerate_distinct_members():
 def test_budget_exceeded():
     c = LinearCode(F2, 30, np.eye(30))
     with pytest.raises(BudgetExceeded):
-        list(oracle.enumerate_codewords(c, oracle.EnumerationBudget(max_words=2**10)))
+        list(oracle.enumerate_codewords(c, 2**10))
+    with pytest.raises(BudgetExceeded, match="1073741824 codewords exceed budget 1024"):
+        oracle.brute_min_distance(c, 2**10)
 
 
 def test_min_distance_examples():
@@ -60,16 +62,8 @@ def test_min_distance_examples():
     ham = LinearCode(F2, 7, [[1, 1, 0, 1, 0, 0, 0]])
     # single cyclic shift generator row only: weight-3 word itself
     assert oracle.brute_min_distance(ham) == 3
-    with pytest.raises(NoNonzeroWords):
+    with pytest.raises(BadInput, match="zero code has no nonzero words"):
         oracle.brute_min_distance(C(F2, 2))
-
-
-def test_min_distance_jobs_agree():
-    rng = np.random.default_rng(21)
-    c = LinearCode(F3, 8, rng.integers(0, 3, size=(4, 8)).astype(np.int16))
-    d1 = oracle.brute_min_distance(c, jobs=1)
-    d2 = oracle.brute_min_distance(c, jobs=3, chunk=8)
-    assert d1 == d2
 
 
 def test_weight_distribution_sums_to_qk():
@@ -83,14 +77,13 @@ def test_weight_distribution_sums_to_qk():
 
 
 def test_blocked_enumeration_matches_gray_walk():
-    # k * n large enough that one chunk spans several row blocks
+    # longer codes over four fields, each against the Gray walk
     rng = np.random.default_rng(24)
     for F, n, k in ((F2, 30, 10), (F3, 20, 6), (F4, 16, 5), (field(3, 2), 12, 3)):
         c = LinearCode(F, n, rng.integers(0, F.q, size=(k, n)).astype(np.int16))
         weights = [int(np.count_nonzero(w)) for w in oracle.enumerate_codewords(c)]
         assert oracle.weight_distribution(c).tolist() == np.bincount(weights, minlength=n + 1).tolist()
         assert oracle.brute_min_distance(c) == min(w for w in weights if w)
-        assert oracle.brute_min_distance(c, jobs=2, chunk=100) == min(w for w in weights if w)
     assert oracle.weight_distribution(C(F3, 4)).tolist() == [1, 0, 0, 0, 0]
 
 
@@ -110,16 +103,14 @@ def test_span_kernel_matches_gray_walk(data):
     c = LinearCode(F, n, np.random.default_rng(seed).integers(0, F.q, size=(k, n)).astype(np.int16))
     # small low tables put most rows in the high table, one cell none at all
     cells = data.draw(st.sampled_from([1, 40, 300, oracle._BLOCK_ENTRIES]), label="cells")
-    jobs = data.draw(st.integers(1, 3), label="jobs")
-    chunk = data.draw(st.integers(1, 150), label="chunk")
     weights = [int(np.count_nonzero(w)) for w in oracle.enumerate_codewords(c)]
     with mock.patch.object(oracle, "_BLOCK_ENTRIES", cells):
         assert oracle.weight_distribution(c).tolist() == np.bincount(weights, minlength=n + 1).tolist()
         if c.k == 0:
-            with pytest.raises(NoNonzeroWords):
-                oracle.brute_min_distance(c, jobs=jobs, chunk=chunk)
+            with pytest.raises(BadInput, match="zero code has no nonzero words"):
+                oracle.brute_min_distance(c)
         else:
-            assert oracle.brute_min_distance(c, jobs=jobs, chunk=chunk) == min(w for w in weights if w)
+            assert oracle.brute_min_distance(c) == min(w for w in weights if w)
 
 
 @pytest.mark.parametrize("F,n", [(F2, 1), (F2, 9), (F3, 5), (F4, 4), (field(5), 3), (field(3, 2), 3)])
@@ -127,7 +118,7 @@ def test_span_kernel_zero_code_and_full_space(F, n):
     full = LinearCode(F, n, np.eye(n, dtype=np.int16))
     expected = [math.comb(n, w) * (F.q - 1) ** w for w in range(n + 1)]
     assert oracle.weight_distribution(full).tolist() == expected
-    assert oracle.brute_min_distance(full, jobs=2, chunk=3) == 1
+    assert oracle.brute_min_distance(full) == 1
     assert oracle.weight_distribution(C(F, n)).tolist() == [1] + [0] * n
 
 
@@ -144,7 +135,7 @@ def test_enumeration_calls_no_linalg():
     with mock.patch.multiple(linalg, **{n: refuse for n in names}):
         for c in codes:
             oracle.weight_distribution(c)
-            oracle.brute_min_distance(c, jobs=2, chunk=5)
+            oracle.brute_min_distance(c)
 
 
 def test_intersection_examples():
@@ -196,7 +187,7 @@ def test_search_permutation_family_obstruction():
 
 
 def test_search_unknown_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="unknown family 'nope'"):
         oracle.exhaustive_sigma_search(C(F2, 2, (1, 0)), "nope")
 
 
