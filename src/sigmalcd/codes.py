@@ -78,10 +78,10 @@ class SemiLinearMap:
         if perm is None and diag is None and n is None:
             raise BadInput("need perm, diag or n to fix the length")
         if perm is not None:
-            perm = np.asarray(perm, dtype=np.int32)
+            perm = linalg.narrow(perm, np.int32)
             n = perm.shape[0]
         if diag is not None:
-            diag = np.asarray(diag, dtype=np.int16)
+            diag = linalg.narrow(diag)
             n = diag.shape[0] if n is None else n
         self.n = int(n)
         self.perm = np.arange(self.n, dtype=np.int32) if perm is None else perm

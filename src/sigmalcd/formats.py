@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import poly
+from . import linalg, poly
 from .codes import LinearCode, SemiLinearMap
 from .errors import BadInput
 from .field import Field, field, is_prime
@@ -67,7 +67,7 @@ def field_str(F: Field) -> str:
 def parse_poly(text: str) -> np.ndarray:
     """Comma-separated little-endian coefficients, `1,0,1` = 1 + x^2."""
     parts = [t.strip() for t in text.split(",")]
-    return poly.from_seq([_int(t) for t in parts if t])
+    return poly.trim(linalg.narrow([_int(t) for t in parts if t]))
 
 
 def poly_str(c: np.ndarray) -> str:
@@ -97,12 +97,11 @@ def parse_code(text: str, field_hint: Field | None = None) -> LinearCode:
         raise BadInput(f"code length and dimension must be nonnegative, got n = {n}, k = {k}")
     if len(lines) != 1 + k:
         raise BadInput(f"expected {k} generator rows, got {len(lines) - 1}")
-    rows = np.zeros((k, n), dtype=np.int16)
+    rows = []
     for t, line in enumerate(lines[1:]):
-        vals = [_int(v) for v in line.split()]
-        if len(vals) != n:
-            raise BadInput(f"row {t} has {len(vals)} entries, expected {n}")
-        rows[t] = vals
+        rows.append([_int(v) for v in line.split()])
+        if len(rows[-1]) != n:
+            raise BadInput(f"row {t} has {len(rows[-1])} entries, expected {n}")
     return LinearCode(F, n, rows)
 
 
@@ -128,11 +127,11 @@ def parse_sigma(text: str, F: Field, n: int) -> SemiLinearMap:
         if key == "perm":
             if len(vals) != n:
                 raise BadInput(f"perm needs {n} entries")
-            perm = np.asarray([_int(v) for v in vals], dtype=np.int32)
+            perm = [_int(v) for v in vals]
         elif key == "diag":
             if len(vals) != n:
                 raise BadInput(f"diag needs {n} entries")
-            diag = np.asarray([_int(v) for v in vals], dtype=np.int16)
+            diag = [_int(v) for v in vals]
         elif key == "frob":
             if len(vals) != 1:
                 raise BadInput("frob needs one entry")
@@ -237,6 +236,5 @@ def parse_product_spec(text: str):
     for m, r, rows in raw:
         t = mult_order(base.q, m)  # coset size of m-hat equals ord_m(q)
         comp_field = field(base.p, base.e * t)
-        gen = np.asarray(rows, dtype=np.int16).reshape(len(rows), r)
-        comps.append((m, r, LinearCode(comp_field, r, gen)))
+        comps.append((m, r, LinearCode(comp_field, r, rows)))
     return base, comps

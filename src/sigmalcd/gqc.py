@@ -2,16 +2,19 @@
 
 A code here is an F_q[x]-submodule of prod_j F_q[x]/(x^{m_j} - 1), stored
 flat as a LinearCode of length sum(m_j) that is closed under the
-simultaneous cyclic shift of every block.  mu_a sends each block c_j(x) to
-c_j(x^a); its complementary-dual / self-orthogonality criteria live on the
-constituents C_i = {(c_j(xi^i) delta_{j,i})_j} inside V_i.
+simultaneous cyclic shift of every block, with its module generators as
+flat rows.  mu_a sends each block c_j(x) to c_j(x^a); its complementary-dual /
+self-orthogonality criteria live on the constituents
+C_i = {(c_j(xi^i) delta_{j,i})_j} inside V_i.  One evaluator, _evaluate,
+gives every c_j(xi^i) that the constituent, evaluation, support-set and
+product routes read, and one index map, _block_map, every permutation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -23,7 +26,29 @@ from .field import Field, embedding, field as make_field
 
 
 def lcm_of(values) -> int:
-    return reduce(math.lcm, values, 1)
+    return functools.reduce(math.lcm, values, 1)
+
+
+def _block_map(block_lengths, a: int, b=0) -> np.ndarray:
+    """t -> off_j + (a (t - off_j) + b) mod m_j inside every block j; a
+    column of b values gives one map per row."""
+    bl = np.asarray(block_lengths, dtype=np.int64)
+    mj, off = np.repeat(bl, bl), np.repeat(np.cumsum(bl) - bl, bl)
+    return off + (a * (np.arange(mj.size) - off) + b) % mj
+
+
+def _flat_gens(field: Field, block_lengths, gens) -> np.ndarray:
+    """One flat row per generator, each block reduced mod x^{m_j} - 1."""
+    G = np.zeros((len(gens), sum(block_lengths)), dtype=np.int16)
+    for r, g in enumerate(gens):
+        if len(g) != len(block_lengths):
+            raise BadInput(f"generator arity {len(g)} != {len(block_lengths)} blocks")
+        off = 0
+        for c, mj in zip(g, block_lengths):
+            c = poly.mod_xm1(field, poly.from_seq(c), mj)
+            G[r, off : off + c.size] = c
+            off += mj
+    return G
 
 
 class GqcCode:
@@ -42,6 +67,8 @@ class GqcCode:
             sum(self.block_lengths[:j]) for j in range(len(self.block_lengths))
         )
         self.flat = LinearCode(field, self.n, rows)
+        # module generators as flat rows; from_generators replaces them
+        self.generators = self.flat.gen
         if not _trusted:
             shifted = self.shift_map().apply(self.flat.gen) if self.flat.k else self.flat.gen
             if linalg.sum_dim(field, self.flat.gen, shifted) != self.flat.k:
@@ -58,22 +85,12 @@ class GqcCode:
     @classmethod
     def from_generators(cls, field: Field, block_lengths, gens) -> "GqcCode":
         block_lengths = tuple(int(m) for m in block_lengths)
-        m = lcm_of(block_lengths)
-        rows = []
-        for g in gens:
-            if len(g) != len(block_lengths):
-                raise BadInput(f"generator arity {len(g)} != {len(block_lengths)} blocks")
-            base = [poly.mod_xm1(field, poly.from_seq(c), mj) for c, mj in zip(g, block_lengths)]
-            for sh in range(m):
-                row = np.zeros(sum(block_lengths), dtype=np.int16)
-                off = 0
-                for c, mj in zip(base, block_lengths):
-                    for t, cv in enumerate(c):
-                        if cv:
-                            row[off + (t + sh) % mj] = cv
-                    off += mj
-                rows.append(row)
-        return cls(field, block_lengths, rows, _trusted=True)
+        G = _flat_gens(field, block_lengths, gens)
+        shifts = np.arange(lcm_of(block_lengths))[:, None]
+        rows = G[:, _block_map(block_lengths, 1, -shifts)].reshape(-1, G.shape[1])
+        code = cls(field, block_lengths, rows, _trusted=True)
+        code.generators = G
+        return code
 
     def block(self, row: np.ndarray, j: int) -> np.ndarray:
         off = self.offsets[j]
@@ -83,22 +100,11 @@ class GqcCode:
         return [poly.trim(self.block(row, j)) for j in range(self.l)]
 
     def shift_map(self) -> SemiLinearMap:
-        perm = np.empty(self.n, dtype=np.int32)
-        for off, mj in zip(self.offsets, self.block_lengths):
-            t = np.arange(mj)
-            perm[off + t] = off + (t + 1) % mj
-        return SemiLinearMap.permutation(self.field, perm)
+        return SemiLinearMap.permutation(self.field, _block_map(self.block_lengths, 1, 1))
 
     def mu_map(self, a: int) -> SemiLinearMap:
-        m = lcm_of(self.block_lengths)
-        a = a % m
-        if math.gcd(a, m) != 1:
-            raise BadInput(f"a = {a} not invertible modulo {m}")
-        perm = np.empty(self.n, dtype=np.int32)
-        for off, mj in zip(self.offsets, self.block_lengths):
-            t = np.arange(mj)
-            perm[off + t] = off + (a * t) % mj
-        return SemiLinearMap.permutation(self.field, perm)
+        a = _norm_a(lcm_of(self.block_lengths), a)
+        return SemiLinearMap.permutation(self.field, _block_map(self.block_lengths, a))
 
     def mu(self, a: int) -> "GqcCode":
         rows = self.mu_map(a).apply(self.flat.gen) if self.k else self.flat.gen
@@ -127,6 +133,32 @@ def _check_ctx(code: GqcCode, ctx: CyclotomicContext):
         raise BadInput(f"context modulus {ctx.m} != lcm of blocks")
 
 
+# cells in one temporary of the evaluator: generators x indices x block length
+_EVAL_CELLS = 2**16
+
+
+def _evaluate(ctx: CyclotomicContext, block_lengths, G: np.ndarray, indices) -> np.ndarray:
+    """E[r, j, s] = delta_{j,i} g_{r,j}(xi^i) in the splitting field at
+    i = indices[s], for the generators G as flat rows (blocks reduced mod
+    x^{m_j} - 1).  Indices go in chunks so that a temporary holds at most
+    _EVAL_CELLS cells, or one index's r x m_j when that alone is more."""
+    ext, m = ctx.ext, ctx.m
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1) % m
+    r = G.shape[0]
+    E = np.zeros((r, len(block_lengths), idx.size), dtype=np.int16)
+    step = max(1, _EVAL_CELLS // max(1, r * max(block_lengths, default=1)))
+    off = 0
+    for j, mj in enumerate(block_lengths):
+        C = ctx.emb(G[:, None, off : off + mj])
+        t = np.arange(mj)
+        act = np.flatnonzero((idx * mj) % m == 0)
+        for s0 in range(0, act.size, step):
+            s = act[s0 : s0 + step]
+            E[:, j, s] = ext.sum(ext.mul(C, ctx.xi_pows[(idx[s, None] * t) % m]), axis=2)
+        off += mj
+    return E
+
+
 @dataclass(frozen=True)
 class Constituent:
     """C_i as a matrix of evaluation rows inside V_i (columns = blocks,
@@ -145,27 +177,26 @@ class Constituent:
 def constituent(code: GqcCode, ctx: CyclotomicContext, i: int) -> Constituent:
     _check_ctx(code, ctx)
     i = i % ctx.m
-    ext = ctx.ext
     active = tuple(
         j for j, mj in enumerate(code.block_lengths) if ctx.delta(i, mj)
     )
-    k = code.k
-    rows = np.zeros((k, code.l), dtype=np.int16)
-    for j in active:
-        off, mj = code.offsets[j], code.block_lengths[j]
-        E = ctx.emb(code.flat.gen[:, off : off + mj]) if k else code.flat.gen[:, off : off + mj]
-        pws = ctx.xi_pows[(i * np.arange(mj)) % ctx.m]
-        if k:
-            rows[:, j] = np.asarray(ext.sum(ext.mul(E, pws[None, :]), axis=1), dtype=np.int16)
-    return Constituent(i=i, active=active, basis=linalg.row_space(ext, rows))
+    rows = _evaluate(ctx, code.block_lengths, code.generators, [i])[:, :, 0]
+    return Constituent(i=i, active=active, basis=linalg.row_space(ctx.ext, rows))
+
+
+def _form_weights(ctx: CyclotomicContext, block_lengths) -> np.ndarray:
+    """(m / m_j) mod p per block.  Block j's Euclidean product is 1/m_j times
+    the sum over its active i of x_j(xi^i) y_j(xi^-i), so the flat product
+    pairs V_i with V_-i by sum_j (m / m_j) x_j y_j, up to the unit 1/m.
+    Equal blocks give all ones."""
+    return np.array([(ctx.m // mj) % ctx.base.p for mj in block_lengths], dtype=np.int16)
 
 
 def v_dual(code: GqcCode, ctx: CyclotomicContext, con: Constituent) -> Constituent:
-    """Dual of the constituent inside V_i under the untwisted product."""
+    """Dual of the constituent inside V_i under sum_j (m / m_j) x_j y_j."""
     ext = ctx.ext
     act = list(con.active)
-    sub = con.basis[:, act] if act else np.zeros((con.dim, 0), dtype=np.int16)
-    nb = linalg.nullspace(ext, sub)
+    nb = linalg.nullspace(ext, ext.mul(con.basis[:, act], _form_weights(ctx, code.block_lengths)[act]))
     B = np.zeros((nb.shape[0], code.l), dtype=np.int16)
     if act:
         B[:, act] = nb
@@ -183,32 +214,20 @@ def hermitian_v_dual(code: GqcCode, ctx: CyclotomicContext, con: Constituent) ->
     return Constituent(i=con.i, active=con.active, basis=linalg.row_space(ctx.ext, B))
 
 
-def _cons_cache(code: GqcCode, ctx: CyclotomicContext):
-    cache: dict[int, Constituent] = {}
-
-    def get(i: int) -> Constituent:
-        i = i % ctx.m
-        if i not in cache:
-            cache[i] = constituent(code, ctx, i)
-        return cache[i]
-
-    return get
-
-
-def _norm_a(ctx: CyclotomicContext, a: int) -> int:
-    a = a % ctx.m
-    if math.gcd(a, ctx.m) != 1:
-        raise BadInput(f"a = {a} not invertible modulo {ctx.m}")
+def _norm_a(m: int, a: int) -> int:
+    a = a % m
+    if math.gcd(a, m) != 1:
+        raise BadInput(f"a = {a} not invertible modulo {m}")
     return a
 
 
 def _dual_pairs(code: GqcCode, ctx: CyclotomicContext, a: int, all_indices: bool = False):
     """(C_i, (C_{-ai})^perp') at every leader i, or at every i in Z_m."""
     _check_ctx(code, ctx)
-    a = _norm_a(ctx, a)
-    get = _cons_cache(code, ctx)
+    a = _norm_a(ctx.m, a)
+    get = functools.cache(lambda i: constituent(code, ctx, i))
     for i in range(ctx.m) if all_indices else ctx.leaders:
-        yield get(i), v_dual(code, ctx, get(-a * i))
+        yield get(i), v_dual(code, ctx, get((-a * i) % ctx.m))
 
 
 def is_mua_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1, all_indices: bool = False) -> bool:
@@ -236,11 +255,10 @@ def trivial_constituent_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) 
     """For codes whose constituents are all {0} or V_i: complementary-dual
     for mu_a iff the support set satisfies S = -aS."""
     _check_ctx(code, ctx)
-    a = _norm_a(ctx, a)
-    get = _cons_cache(code, ctx)
+    a = _norm_a(ctx.m, a)
     S: set[int] = set()
     for i in ctx.leaders:
-        con = get(i)
+        con = constituent(code, ctx, i)
         if con.dim not in (0, len(con.active)):
             raise BadInput(
                 f"constituent at {i} has dim {con.dim} inside V of dim {len(con.active)}"
@@ -271,10 +289,10 @@ def block_projection(code: GqcCode, j: int) -> GqcCode:
 
 def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """For pairwise coprime block lengths: mu_a complementary-dual iff every
-    block projection is and the joint constituent at i = 0 is Euclidean
-    complementary-dual in F_q^l."""
+    block projection is and the joint constituent at i = 0 is
+    complementary-dual in F_q^l under sum_j (m / m_j) x_j y_j."""
     _check_ctx(code, ctx)
-    a = _norm_a(ctx, a)
+    a = _norm_a(ctx.m, a)
     bl = code.block_lengths
     for x in range(len(bl)):
         for y in range(x + 1, len(bl)):
@@ -287,7 +305,7 @@ def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
             return False
     con0 = constituent(code, ctx, 0)
     G0 = con0.basis
-    gram0 = linalg.mat_mul(ctx.ext, G0, G0.T)
+    gram0 = linalg.mat_mul(ctx.ext, ctx.ext.mul(G0, _form_weights(ctx, bl)), G0.T)
     return con0.dim - linalg.rank(ctx.ext, gram0) == 0
 
 
@@ -299,48 +317,28 @@ def one_gen_code(field: Field, block_lengths, cvec) -> GqcCode:
     return GqcCode.from_generators(field, block_lengths, [tuple(cvec)])
 
 
-def _eval_blocks(ctx: CyclotomicContext, block_lengths, cvec, i: int) -> list[int]:
-    """delta_{j,i} c_j(xi^i) per block, in the splitting field."""
-    out = []
-    for c, mj in zip(cvec, block_lengths):
-        if ctx.delta(i, mj):
-            out.append(ctx.emb.eval_poly(poly.from_seq(c), ctx.eval_point(i)))
-        else:
-            out.append(0)
-    return out
+def _eval_pairs(ctx: CyclotomicContext, block_lengths, cvec, a: int):
+    """v[j, s] = delta c_j(xi^i) at the s-th leader i, and per leader the sum
+    over j of (m / m_j) v_j delta c_j(xi^{-ai})."""
+    a = _norm_a(ctx.m, a)
+    L = np.asarray(ctx.leaders)
+    G = _flat_gens(ctx.base, block_lengths, [cvec])
+    E = _evaluate(ctx, block_lengths, G, np.concatenate([L, -a * L]))[0]
+    v, w = E[:, : L.size], E[:, L.size :]
+    vw = ctx.ext.mul(ctx.ext.mul(v, w), _form_weights(ctx, block_lengths)[:, None])
+    return v, ctx.ext.sum(vw, axis=0)
 
 
 def one_gen_lcd_eval(ctx: CyclotomicContext, block_lengths, cvec, a: int = -1) -> bool:
     """Complementary-dual test straight from the evaluation criterion: at
-    every leader with a nonzero evaluation vector, sum_j delta c_j(xi^i)
-    c_j(xi^{-ai}) must be nonzero."""
-    a = _norm_a(ctx, a)
-    ext = ctx.ext
-    for i in ctx.leaders:
-        v = _eval_blocks(ctx, block_lengths, cvec, i)
-        if not any(v):
-            continue
-        w = _eval_blocks(ctx, block_lengths, cvec, (-a * i) % ctx.m)
-        s = 0
-        for vj, wj in zip(v, w):
-            s = ext.add(s, ext.mul(vj, wj))
-        if s == 0:
-            return False
-    return True
+    every leader with a nonzero evaluation vector,
+    sum_j (m / m_j) delta c_j(xi^i) c_j(xi^{-ai}) must be nonzero."""
+    v, s = _eval_pairs(ctx, block_lengths, cvec, a)
+    return not np.any(np.any(v, axis=0) & (s == 0))
 
 
 def one_gen_self_orthogonal_eval(ctx: CyclotomicContext, block_lengths, cvec, a: int = -1) -> bool:
-    a = _norm_a(ctx, a)
-    ext = ctx.ext
-    for i in ctx.leaders:
-        v = _eval_blocks(ctx, block_lengths, cvec, i)
-        w = _eval_blocks(ctx, block_lengths, cvec, (-a * i) % ctx.m)
-        s = 0
-        for vj, wj in zip(v, w):
-            s = ext.add(s, ext.mul(vj, wj))
-        if s != 0:
-            return False
-    return True
+    return not np.any(_eval_pairs(ctx, block_lengths, cvec, a)[1])
 
 
 def _qc_m(block_lengths) -> int:
@@ -350,33 +348,40 @@ def _qc_m(block_lengths) -> int:
     return next(iter(ms))
 
 
-def _qc_sum_poly(F: Field, block_lengths, cvec, a: int) -> np.ndarray:
+def _qc_reduced(F: Field, block_lengths, cvec):
     m = _qc_m(block_lengths)
+    return m, [poly.mod_xm1(F, poly.from_seq(c), m) for c in cvec]
+
+
+def _qc_sum_poly(F: Field, m: int, cs, a: int) -> np.ndarray:
     s = poly.ZERO
-    for c in cvec:
-        c = poly.mod_xm1(F, poly.from_seq(c), m)
+    for c in cs:
         twisted = poly.subst_power_mod(F, c, (-a) % m, m)
         s = poly.add(F, s, poly.mul_mod_xm1(F, c, twisted, m))
     return s
 
 
+def _module_gcd(F: Field, m: int, cs) -> np.ndarray:
+    """gcd(c_1, ..., c_l, x^m - 1)."""
+    return functools.reduce(lambda g, c: g if poly.is_zero(c) else poly.gcd(F, g, c), cs, poly.xm1(F, m))
+
+
+def _lcd_gcd(F: Field, m: int, cs, a: int, module_gcd: np.ndarray) -> bool:
+    xm = poly.xm1(F, m)
+    s = _qc_sum_poly(F, m, cs, a)
+    return poly.equal(xm if poly.is_zero(s) else poly.gcd(F, s, xm), module_gcd)
+
+
 def one_gen_lcd_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
     """Quasi-cyclic form of the criterion:
     gcd(sum_j c_j(x) c_j(x^{-a}), x^m - 1) = gcd(c_1, ..., c_l, x^m - 1)."""
-    m = _qc_m(block_lengths)
-    xm = poly.xm1(F, m)
-    s = _qc_sum_poly(F, block_lengths, cvec, a)
-    g1 = xm if poly.is_zero(s) else poly.gcd(F, s, xm)
-    g2 = xm
-    for c in cvec:
-        c = poly.mod_xm1(F, poly.from_seq(c), m)
-        if not poly.is_zero(c):
-            g2 = poly.gcd(F, g2, c)
-    return poly.equal(g1, g2)
+    m, cs = _qc_reduced(F, block_lengths, cvec)
+    return _lcd_gcd(F, m, cs, a, _module_gcd(F, m, cs))
 
 
 def one_gen_self_orthogonal_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
-    return poly.is_zero(_qc_sum_poly(F, block_lengths, cvec, a))
+    m, cs = _qc_reduced(F, block_lengths, cvec)
+    return poly.is_zero(_qc_sum_poly(F, m, cs, a))
 
 
 def support_sets(ctx: CyclotomicContext, block_lengths, cvec) -> list[set[int]]:
@@ -384,15 +389,8 @@ def support_sets(ctx: CyclotomicContext, block_lengths, cvec) -> list[set[int]]:
     m = _qc_m(block_lengths)
     if m != ctx.m:
         raise BadInput(f"context modulus {ctx.m} != block length {m}")
-    out = []
-    for c in cvec:
-        cc = poly.mod_xm1(ctx.base, poly.from_seq(c), m)
-        S: set[int] = set()
-        for i in ctx.leaders:
-            if ctx.emb.eval_poly(cc, ctx.eval_point(i)) != 0:
-                S.update(ctx.cosets[i])
-        out.append(S)
-    return out
+    E = _evaluate(ctx, block_lengths, _flat_gens(ctx.base, block_lengths, [cvec]), ctx.leaders)[0]
+    return [{s for i, v in zip(ctx.leaders, row) if v for s in ctx.cosets[i]} for row in E]
 
 
 def disjoint_support_lcd(ctx: CyclotomicContext, block_lengths, cvec) -> bool:
@@ -417,19 +415,14 @@ def maximal_one_gen_check(F: Field, block_lengths, cvec, a: int = -1) -> Maximal
     """Maximality gcd(c_1,...,c_l, x^m - 1) = 1, the complementary-dual
     verdict, and for q even, l = 2, m odd the unique canonical generator
     c1 (c1+c2)^{-1} of a maximal complementary-dual code."""
-    m = _qc_m(block_lengths)
-    xm = poly.xm1(F, m)
-    cs = [poly.mod_xm1(F, poly.from_seq(c), m) for c in cvec]
-    g = xm
-    for c in cs:
-        if not poly.is_zero(c):
-            g = poly.gcd(F, g, c)
+    m, cs = _qc_reduced(F, block_lengths, cvec)
+    g = _module_gcd(F, m, cs)
     maximal = poly.degree(g) == 0
-    lcd = one_gen_lcd_gcd(F, block_lengths, cvec, a)
+    lcd = _lcd_gcd(F, m, cs, a, g)
     canonical = None
     if F.p == 2 and len(cs) == 2 and m % 2 == 1 and maximal and lcd:
         u = poly.add(F, cs[0], cs[1])
-        inv = None if poly.is_zero(u) else poly.inverse_mod(F, u, xm)
+        inv = None if poly.is_zero(u) else poly.inverse_mod(F, u, poly.xm1(F, m))
         if inv is None:
             raise SigmaLcdError("c1 + c2 is not invertible modulo x^m - 1")
         canonical = poly.mul_mod_xm1(F, cs[0], inv, m)
@@ -456,15 +449,6 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
 
     components: iterable of (m_j, r_j, LinearCode over GF(q^{t_j}))."""
     comps = [(int(mj), int(rj), comp) for mj, rj, comp in components]
-    if not comps:
-        empty = GqcCode(base, (), None)
-        return ProductResult(
-            code=empty,
-            ctx=CyclotomicContext(base, 1),
-            dim=0,
-            distance_bound=0,
-            component_dims=(),
-        )
     mjs = [mj for mj, _, _ in comps]
     if len(set(mjs)) != len(mjs):
         raise BadInput(f"component block lengths must be distinct, got {mjs}")
@@ -498,7 +482,7 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
         minp = ctx.minimal_poly(mhat)
         Hj, rem = poly.divmod_(base, poly.xm1(base, mj), minp)
         assert poly.is_zero(rem), "minimal polynomial must divide x^m_j - 1"
-        eta = ctx.emb.eval_poly(Hj, zeta)
+        eta = int(_evaluate(ctx, (mj,), _flat_gens(base, (mj,), [(Hj,)]), [mhat])[0, 0, 0])
         assert eta != 0
         comp_emb = embedding(comp.field, ext)
         # GF(p)-basis of F_q[zeta] inside the splitting field: omega^u zeta^s
@@ -509,7 +493,6 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
                 wu = ctx.emb(base.p**u) if base.e > 1 else 1
                 cols.append(ext.digits[ext.mul(zs, wu)])
         Bmat = np.asarray(cols, dtype=np.int16).T  # (ext.e, e*tj) over GF(p)
-        Rb, pivb = linalg.rref(pf, Bmat)
 
         def to_block_poly(gamma_ext: int) -> np.ndarray:
             """gamma in F_q[zeta] -> H_j * r(x) with r(zeta) = gamma/eta."""

@@ -22,8 +22,18 @@ from .errors import BadInput
 from .field import Field
 
 
+def narrow(values, dtype=np.int16) -> np.ndarray:
+    """values as a dtype array; an entry the cast would wrap is BadInput."""
+    A = np.asarray(values)
+    if A.size and A.dtype != dtype:
+        info, lo, hi = np.iinfo(dtype), A.min(), A.max()
+        if lo < info.min or hi > info.max:
+            raise BadInput(f"entry {hi if hi > info.max else lo} out of range")
+    return A.astype(dtype, copy=False)
+
+
 def as_matrix(rows, n: int | None = None) -> np.ndarray:
-    M = np.asarray(rows, dtype=np.int16)
+    M = narrow(rows)
     if M.ndim == 1:
         M = M.reshape(1, -1) if M.size else M.reshape(0, 0 if n is None else n)
     if M.ndim != 2:

@@ -340,6 +340,15 @@ MALFORMED = {
     "onegen with two generators": lambda d: ["gqc", "onegen", _write(d, "two.gqc", "2 1\n7\n1,1,0,1\n1,1\n")],
     "sigma file, bad line": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
                                        "--sigma", _write(d, "line.sigma", "nonsense\n")],
+    ".code entry beyond int16": lambda d: ["lcd", "check", "--code", _write(d, "wide.code", "2 2 1\n1 40000\n")],
+    ".gqc coefficient beyond int16": lambda d: ["gqc", "check", _write(d, "wide.gqc", "2 1\n7\n1,40000\n")],
+    "product spec, entry beyond int16": lambda d: ["gqc", "product", _write(d, "wide.spec", "2\n3 1 1\n40000\n")],
+    "perm: entry beyond int32": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                           "--sigma", _write(d, "wide.sigma", "perm: 0 99999999999 2 3 4 5 6\n")],
+    "diag: entry beyond int16": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                           "--sigma", _write(d, "wide.sigma", "diag: 1 40000 1 1 1 1 1\n")],
+    ".code header length 10^11, short row": lambda d: ["lcd", "check", "--code",
+                                                      _write(d, "long.code", "2 100000000000 1\n1 1\n")],
 }
 
 
@@ -431,6 +440,15 @@ def test_cli_parser_built_once(monkeypatch):
     rc, out = run_cli("gqc", "cosets", "2", "7")
     assert rc == 0 and "coset.1: 1 2 4" in out
     assert calls == []
+
+
+def test_entries_beyond_int16_are_refused_not_wrapped():
+    """65537 would wrap to 1 in an int16 matrix and build the code [[1, 1]]."""
+    with pytest.raises(BadInput, match="entry 65537 out of range"):
+        LinearCode(field(2), 2, np.array([[1, 65537]]))
+    with pytest.raises(BadInput, match="entry -40000 out of range"):
+        SemiLinearMap(field(3), diag=np.array([1, -40000]))
+    assert LinearCode(field(2), 2, np.array([[1, 1]], dtype=np.int64)).gen.tolist() == [[1, 1]]
 
 
 def test_malformed_input_errors_keep_value_error_base():

@@ -1,7 +1,11 @@
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmalcd import gqc, oracle, poly
 from sigmalcd.codes import LinearCode
@@ -12,6 +16,7 @@ from sigmalcd.field import field
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F9 = field(3, 2)
 
 ONE = poly.from_seq([1])
 X = poly.from_seq([0, 1])
@@ -438,3 +443,124 @@ def test_product_random_components():
         t = {3: 2, 5: 4}
         assert res.dim == sum(c.k * t[mj] for mj, _, c in comps)
         assert oracle.brute_min_distance(res.code.flat) >= res.distance_bound
+
+
+# ------------------------------------------------------------ evaluator
+
+# per field, moduli whose splitting fields stay small; blocks divide one
+EVAL_MODULI = {F2: (7, 9, 15), F3: (8, 10, 13), F4: (9, 15), F9: (8, 10, 13)}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_evaluate_matches_eval_poly(data):
+    """Every entry of _evaluate is delta_{j,i} g_{r,j}(xi^i) by Horner's rule,
+    for unreduced and zero blocks, indices anywhere in Z, and any chunking."""
+    F = data.draw(st.sampled_from(sorted(EVAL_MODULI, key=repr)))
+    M = data.draw(st.sampled_from(EVAL_MODULI[F]))
+    blocks = tuple(data.draw(st.lists(st.sampled_from([d for d in range(1, M + 1) if M % d == 0]), max_size=3)))
+    ctx = CyclotomicContext(F, gqc.lcm_of(blocks))
+    gens = [
+        tuple(data.draw(st.lists(st.integers(0, F.q - 1), max_size=2 * mj + 2)) for mj in blocks)
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    indices = data.draw(st.lists(st.integers(-3 * ctx.m, 3 * ctx.m), max_size=8))
+    with mock.patch.object(gqc, "_EVAL_CELLS", data.draw(st.sampled_from([1, 5, 2**16]))):
+        E = gqc._evaluate(ctx, blocks, gqc._flat_gens(F, blocks, gens), indices)
+    assert E.shape == (len(gens), len(blocks), len(indices))
+    for g, Eg in zip(gens, E):
+        for s, i in enumerate(indices):
+            for j, mj in enumerate(blocks):
+                want = ctx.emb.eval_poly(g[j], ctx.eval_point(i)) if ctx.delta(i, mj) else 0
+                assert Eg[j, s] == want
+
+
+def test_constituent_from_generators_matches_flat_rows():
+    """Constituents read off the r module generators equal those read off
+    the k flat RREF rows, byte for byte."""
+    rng = np.random.default_rng(17)
+    for F, blocks in [(F2, (7,)), (F2, (3, 5, 15)), (F3, (4, 8)), (F4, (3, 5)), (F9, (4, 4))]:
+        for ngen in range(3):
+            gens = [tuple(rng.integers(0, F.q, size=int(rng.integers(0, 2 * mj + 2))) for mj in blocks)
+                    for _ in range(ngen)]
+            code = gqc.GqcCode.from_generators(F, blocks, gens)
+            assert code.generators.shape == (ngen, code.n)
+            flat = gqc.GqcCode(F, blocks, code.flat.gen, _trusted=True)
+            ctx = gqc.context_for(code)
+            for i in range(ctx.m):
+                a, b = gqc.constituent(code, ctx, i), gqc.constituent(flat, ctx, i)
+                assert a.active == b.active
+                assert a.basis.dtype == b.basis.dtype and a.basis.tobytes() == b.basis.tobytes()
+                assert a.basis.shape == b.basis.shape
+
+
+def test_one_gen_routes_agree_for_every_unit():
+    """Eval, gcd (equal blocks), constituent and oracle verdicts agree for
+    every unit a, unequal blocks included."""
+    rng = np.random.default_rng(18)
+    for F, blocks in [(F2, (7, 7)), (F2, (3, 5)), (F2, (3, 9, 9)), (F3, (4, 8)), (F3, (5, 5)),
+                      (F4, (3, 3)), (F4, (5, 15)), (F9, (2, 4))]:
+        m = gqc.lcm_of(blocks)
+        ctx = CyclotomicContext(F, m)
+        for _ in range(4):
+            cvec = tuple(rng.integers(0, F.q, size=int(rng.integers(0, 2 * mj + 1))) for mj in blocks)
+            code = gqc.one_gen_code(F, blocks, cvec)
+            for a in coprime_units(m) or [1]:
+                lcd = oracle.brute_hull_dim(code.flat, code.mu_map(a)) == 0
+                assert gqc.one_gen_lcd_eval(ctx, blocks, cvec, a) == gqc.is_mua_lcd(code, ctx, a) == lcd
+                so = gqc.is_mua_self_orthogonal(code, ctx, a)
+                assert gqc.one_gen_self_orthogonal_eval(ctx, blocks, cvec, a) == so
+                if len(set(blocks)) == 1:
+                    assert gqc.one_gen_lcd_gcd(F, blocks, cvec, a) == lcd
+                    assert gqc.one_gen_self_orthogonal_gcd(F, blocks, cvec, a) == so
+
+
+def test_evaluator_empty_shapes():
+    """No generators, a zero generator and no blocks at all."""
+    ctx = CyclotomicContext(F2, 7)
+    none = gqc.GqcCode.from_generators(F2, (7,), [])
+    assert none.k == 0 and none.generators.shape == (0, 7)
+    assert gqc.constituent(none, ctx, 1).dim == 0 and gqc.is_mua_lcd(none, ctx)
+    zero = gqc.GqcCode.from_generators(F2, (7, 7), [([0, 0], [])])
+    assert zero.k == 0 and gqc.is_mua_lcd(zero, ctx) and gqc.is_mua_self_dual(zero, ctx) is False
+    assert gqc._evaluate(ctx, (7,), none.generators, [1, 2]).shape == (0, 1, 2)
+    empty = gqc.GqcCode(F2, (), None)
+    ctx1 = gqc.context_for(empty)
+    assert gqc.constituent(empty, ctx1, 0).basis.shape == (0, 0)
+    assert gqc.one_gen_lcd_eval(ctx1, (), ()) and gqc.one_gen_self_orthogonal_eval(ctx1, (), ())
+
+
+def test_one_gen_lcd_eval_m4095_time_and_memory():
+    """m = 4095 over GF(2): 351 leaders and their images in one chunked pass,
+    with no temporary beyond _EVAL_CELLS cells."""
+    ctx = CyclotomicContext(F2, 4095)
+    c1 = poly.trim(np.random.default_rng(19).integers(0, 2, size=4095).astype(np.int16))
+    cvec = (c1, poly.add(F2, c1, ONE))  # sum_j c_j(xi^i)^2 = 1 at every i
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        verdict = gqc.one_gen_lcd_eval(ctx, (4095, 4095), cvec, -1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict
+    assert elapsed < 2, f"{elapsed:.2f} s"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_unequal_blocks_odd_characteristic_match_flat():
+    """Where the m_j differ mod p, V_i pairs with V_-i by sum_j (m/m_j) x_j y_j,
+    not by the plain product: every constituent verdict matches the flat code."""
+    rng = np.random.default_rng(20)
+    for F, blocks in [(F3, (4, 5)), (F3, (2, 5)), (field(5), (2, 3)), (F9, (2, 5))]:
+        for _ in range(6):
+            gens = [tuple(rng.integers(0, F.q, size=mj) for mj in blocks) for _ in range(int(rng.integers(1, 3)))]
+            code = gqc.GqcCode.from_generators(F, blocks, gens)
+            ctx = gqc.context_for(code)
+            for a in coprime_units(ctx.m)[:4]:
+                mu_dual = code.mu(a).flat.dual()
+                lcd = oracle.brute_hull_dim(code.flat, code.mu_map(a)) == 0
+                assert gqc.cross_block_lcd(code, ctx, a) == gqc.is_mua_lcd(code, ctx, a) == lcd
+                assert gqc.is_mua_self_orthogonal(code, ctx, a) == mu_dual.contains_code(code.flat)
+                assert gqc.is_mua_self_dual(code, ctx, a) == (mu_dual == code.flat)
