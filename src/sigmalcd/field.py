@@ -177,14 +177,18 @@ class Field:
 
         self._neg = (((p - self.digits) % p) @ self.digit_weights).astype(np.int16)
         self._neg_s = self._neg.tolist()
-        # odd-p extension fields add through a q x q table, built digit by
-        # digit so the build never holds more than one q x q array
+        # odd-p extension fields add through a q x q table, grown from the
+        # p x p table of GF(p) one digit at a time: the table of the low k + 1
+        # digits is [d, low] + [d', low'] = (d + d') p^k + (low + low'), one
+        # broadcast that writes each entry once
         self._add_table = None
         if p > 2 and e > 1:
-            self._add_table = np.zeros((q, q), dtype=np.int16)
-            for i, w in enumerate(self.digit_weights):
-                d = self.digits[:, i]
-                self._add_table += ((d[:, None] + d[None, :]) % p) * np.int16(w)
+            base = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(np.int16)
+            table = base
+            for k in range(1, e):
+                qk = p**k
+                table = (base[:, None, :, None] * np.int16(qk) + table[None, :, None, :]).reshape(p * qk, p * qk)
+            self._add_table = table
 
     @functools.cached_property
     def regular(self) -> np.ndarray:

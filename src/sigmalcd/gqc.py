@@ -412,15 +412,17 @@ class MaximalCheck:
 
 
 def maximal_one_gen_check(F: Field, block_lengths, cvec, a: int = -1) -> MaximalCheck:
-    """Maximality gcd(c_1,...,c_l, x^m - 1) = 1, the complementary-dual
-    verdict, and for q even, l = 2, m odd the unique canonical generator
-    c1 (c1+c2)^{-1} of a maximal complementary-dual code."""
+    """Maximality gcd(c_1,...,c_l, x^m - 1) = 1, the mu_a complementary-dual
+    verdict, and for a = -1 (mod m), q even, l = 2, m odd the unique
+    canonical generator c1 (c1+c2)^{-1} of a maximal complementary-dual
+    code.  The canonical form is a theorem about a = -1 only: for any other
+    a, c1 + c2 may be a zero divisor, and canonical is None."""
     m, cs = _qc_reduced(F, block_lengths, cvec)
     g = _module_gcd(F, m, cs)
     maximal = poly.degree(g) == 0
     lcd = _lcd_gcd(F, m, cs, a, g)
     canonical = None
-    if F.p == 2 and len(cs) == 2 and m % 2 == 1 and maximal and lcd:
+    if (a + 1) % m == 0 and F.p == 2 and len(cs) == 2 and m % 2 == 1 and maximal and lcd:
         u = poly.add(F, cs[0], cs[1])
         inv = None if poly.is_zero(u) else poly.inverse_mod(F, u, poly.xm1(F, m))
         if inv is None:

@@ -145,6 +145,18 @@ def test_doubled_tables_match_stepwise_build(p, e):
     assert F._inv_s == [0] + [exp[-log[a] % N] for a in range(1, F.q)]
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 7)])
+def test_add_table_matches_digit_pass_build(p, e):
+    # the table as e digit passes over q x q temporaries build it
+    F = field(p, e)
+    ref = np.zeros((F.q, F.q), dtype=np.int16)
+    for i, w in enumerate(F.digit_weights):
+        d = F.digits[:, i]
+        ref += ((d[:, None] + d[None, :]) % p) * np.int16(w)
+    assert F._add_table.dtype == np.int16
+    assert np.array_equal(F._add_table, ref)
+
+
 def test_element_order_divides_group_order():
     F = field(2, 3)
     for a in range(1, F.q):

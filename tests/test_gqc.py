@@ -357,6 +357,18 @@ def test_maximal_worked_examples():
     assert code == canon
 
 
+def test_maximal_check_canonical_only_for_a_minus_one():
+    # maximal and mu_a-LCD for a = 4 and 7, but c1 + c2 is a zero divisor
+    # modulo x^15 - 1, so there is no canonical generator to report
+    c1 = poly.from_seq([0, 2, 3, 3, 2, 0, 0, 0, 2, 0, 2])
+    c2 = poly.from_seq([0, 3, 1, 0, 0, 0, 1, 3, 3, 2, 0, 1, 2, 2, 0, 1, 2, 3, 1, 3, 1, 0])
+    code = gqc.one_gen_code(F4, (15, 15), (c1, c2))
+    for a in (4, 7):
+        r = gqc.maximal_one_gen_check(F4, (15, 15), (c1, c2), a)
+        assert r.maximal and r.lcd and r.canonical is None
+        assert oracle.brute_hull_dim(code.flat, code.mu_map(a)) == 0
+
+
 def test_maximal_count_q2_m3():
     found = set()
     pairs = 0
