@@ -213,8 +213,9 @@ def hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
 
 
 def hull_basis(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:
-    dual = sigma_dual(code, sigma)
-    return linalg.intersection(code.field, code.gen, dual.gen)
+    if code.k == 0:  # the zero code's dual, all of F_q^n, is never built
+        return code.gen
+    return linalg.intersection(code.field, code.gen, sigma_dual(code, sigma).gen)
 
 
 def is_sigma_lcd(code: LinearCode, sigma: SemiLinearMap | None = None) -> bool:

@@ -1,9 +1,18 @@
 """Exact vectorized linear algebra over GF(p^e) integer encodings.
 
 Matrices are 2-D numpy int16 arrays of field encodings; every function takes
-the Field first.  Reduction is plain Gauss-Jordan with the deterministic
-pivot rule: first nonzero entry scanning top to bottom in the leftmost
-unfinished column.
+the Field first.
+
+rref is Gauss-Jordan with one whole-slice update per pivot, R[:, c:] -=
+f (x) R[r, c:] over every row, f the pivot column with f[r] = 0.  Over GF(p),
+p odd, it is a plain integer subtract, and only what is read (the pivot
+column, the pivot row, f) is reduced mod p, the rest once at the end.  A
+pivot moves an entry by at most (p - 1)^2, so |entry| < p + min(m, n)
+(p - 1)^2: int32 below 2^31, else int64, enough for GF(4093) at any size.
+GF(2) is `^= f & row` on uint8; GF(2^e) XORs in products gathered from the
+q multiples of the pivot row when q <= m, else one log/exp product.  The
+RREF is unique, so the pivot row chosen does not show.  `oracle` keeps the
+plain per-column loop as its own kernel.
 
 mat_mul works over GF(p) through the field's regular representation: each
 entry a of the left factor becomes its e x e matrix over GF(p), each entry
@@ -59,6 +68,14 @@ def _exact_terms(p: int) -> int:
     return (EXACT_LIMIT - p) // (p - 1) ** 2
 
 
+def _reduce(acc: np.ndarray, p: int) -> np.ndarray:
+    """acc mod p in place, for float64 integers 0 <= acc < 2^53: acc / p is
+    at least 1/p below the next integer, more than its rounding error
+    acc / (p 2^53), so its floor is the exact quotient."""
+    acc -= p * np.floor(acc / p)
+    return acc
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.int16)
     B = np.asarray(B, dtype=np.int16)
@@ -73,7 +90,7 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     acc = np.zeros((k * e, m))
     for lo in range(0, n * e, step):
         acc += left[:, lo : lo + step] @ right[lo : lo + step]
-        np.fmod(acc, p, out=acc)
+        _reduce(acc, p)
     return (F.digit_weights @ acc.reshape(k, e, m)).astype(np.int16)
 
 
@@ -83,30 +100,45 @@ def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def rref(F: Field, M: np.ndarray):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = np.array(M, dtype=np.int16, copy=True)
-    m, n = R.shape
+    p, q = F.p, F.q
+    lazy = F.e == 1 and p > 2
+    m, n = np.shape(M)
+    wide = np.int32 if p + min(m, n) * (p - 1) ** 2 < 2**31 else np.int64
+    R = np.array(M, dtype=wide if lazy else np.uint8 if q == 2 else np.int16)
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        f = R[:, c] % p if lazy else R[:, c].copy()
+        pr = r + int(f[r:].argmax())  # any nonzero entry will do
+        pv = int(f[pr])
+        if pv == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        pv = int(R[r, c])
+        if pr != r:  # rows r.. are 0 mod p left of column c
+            R[r, c:], R[pr, c:] = R[pr, c:], R[r, c:].copy()
+            f[pr] = f[r]
+        row = R[r, c:] % p if lazy else R[r, c:]
         if pv != 1:
-            R[r] = F.mul(F.inv(pv), R[r])
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            # row r is zero left of column c, so only columns c.. change
-            R[others, c:] = F.sub(R[others, c:], F.mul(R[others, c][:, None], R[r, c:][None, :]))
+            row = row * F.inv(pv) % p if lazy else F.mul(F.inv(pv), row)
+        R[r, c:] = row
+        f[r] = 0
         pivots.append(c)
         r += 1
-    return R, pivots
+        if not f.any():
+            continue
+        # row r is zero left of column c, so only columns c.. change
+        if lazy:
+            R[:, c:] -= np.multiply.outer(f, row)
+        elif q == 2:
+            R[:, c:] ^= np.bitwise_and.outer(f, row)
+        elif p == 2:
+            R[:, c:] ^= np.take(F.mul(np.arange(q)[:, None], row), f, axis=0) if q <= m else F.mul(f[:, None], row)
+        else:
+            R[:, c:] = F.sub(R[:, c:], F.mul(f[:, None], row))
+    if lazy:
+        R %= p
+    return R.astype(np.int16), pivots
 
 
 def rank(F: Field, M: np.ndarray) -> int:

@@ -470,6 +470,25 @@ def test_cli_prime_field_above_int8(tmp_path):
     assert kv(out)["hull_dim"] == "0" and kv(out)["verification"] == "agree"
 
 
+@pytest.mark.parametrize("argv", [
+    ("lcd", "check", "--code", "{z}"),
+    ("lcd", "hull", "--code", "{z}"),
+    ("lcd", "make", "--code", "{z}"),
+    ("oracle", "intersect", "{z}", "{z}"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_zero_code_of_huge_length(tmp_path, capsys, argv):
+    """The zero code of length 10^6 has a 10^6 x 10^6 dual (1.8 TiB of
+    int16); no route may build it."""
+    z = _write(tmp_path, "zero.code", "2 1000000 0\n")
+    rc, out = run_cli("--format", "machine", *(a.format(z=z) for a in argv))
+    assert rc == 0 and capsys.readouterr().err == ""
+    got = kv(out)
+    if argv[0] == "lcd":
+        assert got["verification"] == "agree"
+    if argv[1] != "make":
+        assert got.get("hull_dim", got.get("intersection_dim")) == "0"
+
+
 def test_cli_repro_suites():
     rc, out = run_cli("repro", "golay23")
     assert rc == 0

@@ -1,9 +1,11 @@
-"""The table-driven field kernel and linalg.mat_mul against a schoolbook
-reference.
+"""The table-driven field kernel, linalg.mat_mul and linalg.rref against
+slow references.
 
-The reference knows only p, e and the modulus: an element is its digit
-polynomial, a product is the polynomial product reduced by the modulus,
-and matrices are multiplied and reduced with plain triple loops.
+The schoolbook reference knows only p, e and the modulus: an element is its
+digit polynomial, a product is the polynomial product reduced by the
+modulus, and matrices are multiplied and reduced with plain triple loops.
+Larger eliminations are checked against the oracle's own per-column
+Gauss-Jordan.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sigmalcd import linalg
 from sigmalcd.errors import DivisionByZero
 from sigmalcd.field import field
+from sigmalcd.oracle import _gauss_jordan
 
 FIELDS = [field(2), field(3), field(2, 2), field(2, 3), field(3, 2), field(2, 4), field(131)]
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -250,6 +253,62 @@ def test_rref_and_rank_match_reference(data):
     assert piv == want_piv
     assert R.tolist() == want_R
     assert linalg.rank(F, as_array(M, cols)) == len(want_piv)
+
+
+@st.composite
+def elimination_case(draw, max_rows=24, max_cols=30):
+    """A field (GF(4093) too) and an int16 matrix up to 24 x 30, any shape
+    0 included: each row a random combination of the first r, with r drawn,
+    and some columns zeroed."""
+    F = draw(st.sampled_from(FIELDS + [field(4093)]))
+    m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.integers(0, F.q, size=(m, n)).astype(np.int16)
+    M[:, rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0
+    r = draw(st.integers(0, m))
+    if r < m:
+        coeffs = rng.integers(0, F.q, size=(m, r))
+        M = F.sum(F.mul(coeffs[:, :, None], M[None, :r]), axis=1).reshape(m, n)
+    return F, M
+
+
+def assert_rref_is_gauss_jordan(F, M):
+    R, piv = linalg.rref(F, M)
+    want_R, want_piv = _gauss_jordan(F, M)
+    assert piv == want_piv
+    assert R.dtype == want_R.dtype == np.int16 and R.shape == want_R.shape
+    assert R.tobytes() == want_R.tobytes()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(elimination_case())
+def test_rref_matches_gauss_jordan(case):
+    """The whole-slice kernel against the per-column loop: table and
+    log/exp products on GF(2^e), lazy runs on GF(p), rank-deficient rows,
+    zero columns, one row and empty shapes."""
+    assert_rref_is_gauss_jordan(*case)
+
+
+def test_rref_dense_gf4093():
+    """The worst case of the lazy bound: 200 pivots of GF(4093) move an
+    entry by up to 200 * 4092^2, past int32, before the last reduction."""
+    F = field(4093)
+    M = np.random.default_rng(4093).integers(0, F.q, size=(200, 200)).astype(np.int16)
+    assert linalg.rank(F, M) == 200
+    assert_rref_is_gauss_jordan(F, M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 131, 4093])
+def test_reduce_is_exact_at_the_top_of_a_piece(p):
+    """The values just below the most a piece can reach, and the multiples
+    of p there with their neighbours, reduce to their exact residues."""
+    top = (p - 1) + linalg._exact_terms(p) * (p - 1) ** 2
+    assert top < 2**53
+    base = top - top % p
+    near = {base - j * p + d for j in range(3000) for d in (-1, 0, 1)}
+    values = sorted(set(range(top - 3000, top + 1)) | {v for v in near if v <= top})
+    got = linalg._reduce(np.array(values, dtype=np.float64), p)
+    assert got.tolist() == [v % p for v in values]
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (4, 1, 5), (1, 1, 1)])

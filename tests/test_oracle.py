@@ -138,6 +138,32 @@ def test_enumeration_calls_no_linalg():
             oracle.brute_min_distance(c)
 
 
+def test_hull_oracle_calls_no_linalg():
+    """The hull and intersection oracles run on their own Gauss-Jordan."""
+    from sigmalcd import linalg
+
+    rng = np.random.default_rng(26)
+    cases = []
+    for F in (F2, F3, F4, field(3, 2)):
+        n = 6
+        mid = LinearCode(F, n, rng.integers(0, F.q, size=(3, n)).astype(np.int16))
+        cs = [C(F, n), mid, LinearCode(F, n, np.eye(n, dtype=np.int16))]
+        perm, diag = rng.permutation(n).astype(np.int32), rng.integers(1, F.q, size=n).astype(np.int16)
+        maps = [None, SemiLinearMap(F, perm=perm, diag=diag), SemiLinearMap(F, perm=perm, diag=diag, frob=1)]
+        for c in cs:
+            cases += [(oracle.brute_hull_dim, (c, s), hull_dim(c, s)) for s in maps]
+            cases += [(oracle.brute_intersection_dim, (c, d), linalg.intersect_dim(F, c.gen, d.gen)) for d in cs]
+    assert {c.k for (_, (c, _), _) in cases} >= {0, 6} and any(0 < c.k < 6 for _, (c, _), _ in cases)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hull oracle called linalg")
+
+    names = [n for n, f in vars(linalg).items() if inspect.isfunction(f) and f.__module__ == linalg.__name__]
+    with mock.patch.multiple(linalg, **{n: refuse for n in names}):
+        got = [fn(*args) for fn, args, _ in cases]
+    assert got == [want for _, _, want in cases]
+
+
 def test_intersection_examples():
     c = C(F3, 3, (1, 0, 0), (0, 1, 0))
     assert oracle.brute_intersection_dim(c, c) == 2
