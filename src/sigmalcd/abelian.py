@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode, SemiLinearMap, hull_dim
+from .codes import LinearCode, SemiLinearMap, gram, hull_dim
 from .errors import BadInput
 from .field import Field
 
@@ -123,16 +123,10 @@ def ga_add(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElemen
 
 
 def ga_mul(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
+    """a b = sum_i a_i (g_i b): a's coefficients times b's translate matrix."""
     _check_same(a, b)
-    F, G = a.field, a.group
-    out = np.zeros(G.order, dtype=np.int16)
-    for i in range(G.order):
-        ai = int(a.coeffs[i])
-        if ai:
-            # G.op[i] is a permutation row, so plain fancy assignment is safe
-            contrib = np.asarray(F.mul(ai, b.coeffs), dtype=np.int16)
-            out[G.op[i]] = F.add(out[G.op[i]], contrib)
-    return GroupAlgebraElement(F, G, out)
+    out = linalg.mat_mul(a.field, a.coeffs.reshape(1, -1), translate_matrix(b))[0]
+    return GroupAlgebraElement(a.field, a.group, out)
 
 
 def mu_minus1_ga(a: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -146,12 +140,10 @@ def mu_sigma(field: Field, group: AbelianGroup) -> SemiLinearMap:
 
 
 def translate_matrix(e: GroupAlgebraElement) -> np.ndarray:
-    """Rows g * e for all g, in index order."""
+    """Rows g * e for all g, in index order: (g_i e)_t = e_j with
+    g_j = g_i^-1 g_t."""
     G = e.group
-    M = np.zeros((G.order, G.order), dtype=np.int16)
-    for i in range(G.order):
-        M[i, G.op[i]] = e.coeffs
-    return M
+    return e.coeffs[G.op[G.inv]]
 
 
 def ideal_from_generator(e: GroupAlgebraElement) -> LinearCode:
@@ -183,24 +175,20 @@ def _require_ideal(code: LinearCode, group: AbelianGroup):
 def find_idempotent_generator(code: LinearCode, group: AbelianGroup):
     """Idempotent e with C = F_q[G] e, or None when C is not
     complementary-dual for the inversion map: split 1 = e + f along
-    C (+) (mu_{-1} C)^perp and verify both defining properties."""
+    C (+) (mu_{-1} C)^perp and verify both defining properties.  e = y G
+    with M^T y^T = G[:, 0] for M = G mu(G)^T, invertible iff C is
+    complementary-dual: one elimination of [M^T | G[:, 0]] decides and solves."""
     _require_ideal(code, group)
-    F, n = code.field, code.n
-    if code.k == n:
+    F, n, k = code.field, code.n, code.k
+    if k == n:
         return ga_one(F, group)
-    if code.k == 0:
+    if k == 0:
         return GroupAlgebraElement(F, group, np.zeros(n, dtype=np.int16))
-    Dgen = LinearCode(F, n, code.gen[:, group.inv]).dual().gen
-    if linalg.sum_dim(F, code.gen, Dgen) != n:
+    M = gram(code, mu_sigma(F, group))
+    R, piv = linalg.rref(F, np.hstack([M.T, code.gen[:, :1]]))
+    if piv != list(range(k)):
         return None
-    one = np.zeros(n, dtype=np.int16)
-    one[0] = 1
-    A = linalg.stack(code.gen, Dgen).T
-    x = linalg.solve_right(F, A, one)
-    if x is None:
-        return None
-    e_vec = linalg.mat_vec(F, code.gen.T, x[: code.k])
-    e = GroupAlgebraElement(F, group, e_vec)
+    e = GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, R[:k, k]))
     if not is_idempotent(e):
         return None
     if ideal_from_generator(e) != code:

@@ -309,25 +309,13 @@ def _cmd_oracle_search(args, report: RunReport) -> int:
 # repro suites
 
 
-def _golay_code():
-    F2 = make_field(2)
-    ctx = CyclotomicContext(F2, 23)
-    best = None
-    for subset, code in gqc.divisor_cyclic_codes(ctx):
-        if code.k != 12:
-            continue
-        g = poly.from_seq([1])
-        for i in subset:
-            g = poly.mul(F2, g, ctx.minimal_poly(i))
-        enc = sum(int(v) << t for t, v in enumerate(g))
-        if best is None or enc < best[0]:
-            best = (enc, code)
-    assert best is not None
-    return best[1]
+# g(x) = 1 + x + x^5 + x^6 + x^7 + x^9 + x^11, the divisor of x^23 - 1 of
+# degree 11 with the least coefficient encoding: the binary Golay code
+_GOLAY_GEN = (1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1)
 
 
 def _repro_golay23(report: RunReport) -> int:
-    code = _golay_code()
+    code = gqc.one_gen_code(make_field(2), (23,), (poly.from_seq(_GOLAY_GEN),))
     ctx = gqc.context_for(code)
     d = oracle.brute_min_distance(code.flat)
     report.result["params"] = f"[23,{code.k},{d}]"

@@ -4,7 +4,10 @@ A LinearCode stores its canonical reduced-row-echelon generator matrix.  A
 SemiLinearMap acts as permutation after diagonal scaling after entrywise
 Frobenius; for such a map the twisted product <w, c>_sigma = <w, sigma(c)>
 defines the sigma-dual (sigma(C))^perp, the sigma-hull C cap C^perp_sigma,
-and the complementary-dual (hull zero) property.
+and the complementary-dual (hull zero) property.  Every hull comes from
+one Gram product: rowspace(G) cap rowspace(H)^perp is {y G : y G H^T = 0},
+so its dimension is k - rank(G H^T) and its basis the kernel of H G^T
+times G, with H = sigma(G) for the sigma-hull.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ class LinearCode:
         return LinearCode(self.field, self.n, linalg.nullspace(self.field, self.gen))
 
     def contains(self, v) -> bool:
-        R, piv = self.gen, [int(np.nonzero(r)[0][0]) for r in self.gen]
-        return linalg.in_row_space(self.field, R, piv, v)
+        return linalg.sum_dim(self.field, self.gen, linalg.as_matrix(v, self.n)) == self.k
 
     def contains_code(self, other: "LinearCode") -> bool:
         return linalg.sum_dim(self.field, self.gen, other.gen) == self.k
@@ -201,10 +203,22 @@ def sigma_dual(code: LinearCode, sigma: SemiLinearMap | None = None) -> LinearCo
     return apply_sigma(sigma, code).dual()
 
 
+def _image_rows(code: LinearCode, sigma: SemiLinearMap | None) -> np.ndarray:
+    """sigma(G), rows spanning sigma(C); G itself when sigma is None."""
+    if sigma is None:
+        return code.gen
+    _check_pair(code, sigma)
+    return sigma.apply(code.gen)
+
+
+def _meet_dual(F: Field, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Canonical basis of rowspace(G) cap rowspace(H)^perp, G of full row
+    rank: the words y G with y (G H^T) = 0."""
+    return linalg.row_space(F, linalg.mat_mul(F, linalg.nullspace(F, linalg.mat_mul(F, H, G.T)), G))
+
+
 def gram(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:
-    G = code.gen
-    Gs = sigma.apply(G) if (sigma is not None and code.k) else G
-    return linalg.mat_mul(code.field, G, Gs.T)
+    return linalg.mat_mul(code.field, code.gen, _image_rows(code, sigma).T)
 
 
 def hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
@@ -213,9 +227,7 @@ def hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
 
 
 def hull_basis(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:
-    if code.k == 0:  # the zero code's dual, all of F_q^n, is never built
-        return code.gen
-    return linalg.intersection(code.field, code.gen, sigma_dual(code, sigma).gen)
+    return _meet_dual(code.field, code.gen, _image_rows(code, sigma))
 
 
 def is_sigma_lcd(code: LinearCode, sigma: SemiLinearMap | None = None) -> bool:
@@ -234,7 +246,7 @@ def normalize_hull(code: LinearCode):
     """Permutation pi, generator [I_h A'; 0 A''] of pi(C) with the Euclidean
     hull spanned by the first h rows, and h itself."""
     F = code.field
-    n, k = code.n, code.k
+    n = code.n
     hull = hull_basis(code, None)
     h = hull.shape[0]
     if h == 0:
@@ -246,22 +258,11 @@ def normalize_hull(code: LinearCode):
     perm[cols_order] = np.arange(n)
     pi = SemiLinearMap.permutation(F, perm)
     hull_p = hull[:, cols_order]
-    pool = linalg.row_space(F, code.gen[:, cols_order])
-    basis = hull_p
-    for row in pool:
-        if basis.shape[0] == k:
-            break
-        cand = linalg.stack(basis, row.reshape(1, -1))
-        if linalg.rank(F, cand) > basis.shape[0]:
-            basis = cand
-    assert basis.shape[0] == k, "basis extension must reach dim k"
-    tail = basis[h:]
-    if tail.shape[0]:
-        tail = linalg.as_matrix(
-            np.asarray(F.sub(tail, linalg.mat_mul(F, tail[:, :h], hull_p)), dtype=np.int16), n
-        )
-    g = linalg.stack(hull_p, tail)
-    return pi, g, h
+    # hull_p = [I_h A'], so these words of pi(C) vanish on the first h
+    # coordinates and span a complement of the hull
+    G = code.gen[:, cols_order]
+    tail = linalg.row_space(F, F.sub(G, linalg.mat_mul(F, G[:, :h], hull_p)))
+    return pi, linalg.stack(hull_p, tail), h
 
 
 def make_lcd_sigma(code: LinearCode):
@@ -340,7 +341,7 @@ def _aligned_perm(F: Field, G1: np.ndarray, G2: np.ndarray, n: int) -> np.ndarra
 def _lcp_candidates_big_q(F: Field, c1: LinearCode, c2: LinearCode):
     n = c1.n
     yield SemiLinearMap.identity(F, n)
-    rel = linalg.intersection(F, c1.gen, linalg.nullspace(F, c2.gen))
+    rel = _meet_dual(F, c1.gen, c2.gen)
     if rel.shape[0]:
         _, piv = linalg.rref(F, rel)
         for lam in range(2, F.q):
@@ -374,10 +375,7 @@ def _lcp_candidates_binary(F: Field, c1: LinearCode, c2: LinearCode, sample: int
                 yield inv1.compose(SemiLinearMap.permutation(F, perm2)).compose(pi1)
 
     variants = [np.arange(N, dtype=np.int32)]
-    for rel in (
-        linalg.intersection(F, c1.gen, linalg.nullspace(F, c2.gen)),
-        linalg.intersection(F, c2.gen, linalg.nullspace(F, c1.gen)),
-    ):
+    for rel in (_meet_dual(F, c1.gen, c2.gen), _meet_dual(F, c2.gen, c1.gen)):
         if rel.shape[0]:
             _, piv = linalg.rref(F, rel)
             others = [c for c in range(n) if c not in piv]

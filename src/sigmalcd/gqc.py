@@ -5,7 +5,10 @@ flat as a LinearCode of length sum(m_j) that is closed under the
 simultaneous cyclic shift of every block, with its module generators as
 flat rows.  mu_a sends each block c_j(x) to c_j(x^a); its complementary-dual /
 self-orthogonality criteria live on the constituents
-C_i = {(c_j(xi^i) delta_{j,i})_j} inside V_i.  One evaluator, _evaluate,
+C_i = {(c_j(xi^i) delta_{j,i})_j} inside V_i, each read off the rank of
+the pairing P = sum_j (m / m_j) A_j B_j^T of the bases of C_i and
+C_{-ai}: complementary-dual iff rank P = dim C_i at every i, self-orthogonal
+iff P = 0.  One evaluator, _evaluate,
 gives every c_j(xi^i) that the constituent, evaluation, support-set and
 product routes read, and one index map, _block_map, every permutation.
 """
@@ -221,34 +224,38 @@ def _norm_a(m: int, a: int) -> int:
     return a
 
 
-def _dual_pairs(code: GqcCode, ctx: CyclotomicContext, a: int, all_indices: bool = False):
-    """(C_i, (C_{-ai})^perp') at every leader i, or at every i in Z_m."""
+def _pairing(ctx: CyclotomicContext, block_lengths, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """P = sum_j (m / m_j) A_j B_j^T for basis rows A of C_i and B of C_-ai:
+    C_i cap (C_{-ai})^perp' = {y A : y P = 0} has dimension dim C_i - rank P."""
+    ext = ctx.ext
+    wA = ext.mul(A, _form_weights(ctx, block_lengths))
+    return ext.sum(ext.mul(wA[:, None, :], B[None, :, :]), axis=2)
+
+
+def _pairings(code: GqcCode, ctx: CyclotomicContext, a: int, all_indices: bool = False):
+    """(C_i, C_{-ai}, P) at every leader i, or at every i in Z_m."""
     _check_ctx(code, ctx)
     a = _norm_a(ctx.m, a)
     get = functools.cache(lambda i: constituent(code, ctx, i))
     for i in range(ctx.m) if all_indices else ctx.leaders:
-        yield get(i), v_dual(code, ctx, get((-a * i) % ctx.m))
+        A, B = get(i), get((-a * i) % ctx.m)
+        yield A, B, _pairing(ctx, code.block_lengths, A.basis, B.basis)
 
 
 def is_mua_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1, all_indices: bool = False) -> bool:
     """C_i cap (C_{-ai})^perp' = 0 at every index (leaders suffice by
     conjugation; all_indices checks the whole of Z_m)."""
-    return all(
-        not (A.dim and B.dim) or linalg.sum_dim(ctx.ext, A.basis, B.basis) == A.dim + B.dim
-        for A, B in _dual_pairs(code, ctx, a, all_indices)
-    )
+    return all(linalg.rank(ctx.ext, P) == A.dim for A, _, P in _pairings(code, ctx, a, all_indices))
 
 
 def is_mua_self_orthogonal(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """C_i contained in (C_{-ai})^perp' at every leader."""
-    return all(
-        not A.dim or linalg.sum_dim(ctx.ext, B.basis, A.basis) == B.dim
-        for A, B in _dual_pairs(code, ctx, a)
-    )
+    return all(not P.any() for _, _, P in _pairings(code, ctx, a))
 
 
 def is_mua_self_dual(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
-    return all(np.array_equal(A.basis, B.basis) for A, B in _dual_pairs(code, ctx, a))
+    """C_i = (C_{-ai})^perp' at every leader."""
+    return all(not P.any() and A.dim + B.dim == len(A.active) for A, B, P in _pairings(code, ctx, a))
 
 
 def trivial_constituent_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
@@ -303,10 +310,8 @@ def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
         ctx_j = CyclotomicContext(code.field, bl[j])
         if not is_mua_lcd(proj, ctx_j, a):
             return False
-    con0 = constituent(code, ctx, 0)
-    G0 = con0.basis
-    gram0 = linalg.mat_mul(ctx.ext, ctx.ext.mul(G0, _form_weights(ctx, bl)), G0.T)
-    return con0.dim - linalg.rank(ctx.ext, gram0) == 0
+    G0 = constituent(code, ctx, 0).basis
+    return linalg.rank(ctx.ext, _pairing(ctx, bl, G0, G0)) == G0.shape[0]
 
 
 # ---------------------------------------------------------------------------

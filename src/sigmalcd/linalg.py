@@ -21,6 +21,9 @@ small integers, reduced mod p, gives the digits of the result.  A float64
 sum of products is exact while it stays below 2^53, so the inner dimension
 is split into pieces of at most (2^53 - p) / (p - 1)^2 terms, each reduced
 mod p before the next is added.
+
+No subspace intersection lives here: `codes` reads every meet of a code
+with a dual off the kernel of a small Gram product.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ def as_matrix(rows, n: int | None = None) -> np.ndarray:
     if M.size == 0 and n is not None:
         M = M.reshape(-1, n) if n else M.reshape(0, 0)
     return M
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int16)
 
 
 # a float64 sum of integer products is exact below this
@@ -166,22 +165,6 @@ def nullspace(F: Field, M: np.ndarray) -> np.ndarray:
     return B
 
 
-def residual(F: Field, R: np.ndarray, pivots, V: np.ndarray) -> np.ndarray:
-    """Reduce rows of V against an RREF basis; zero rows lie in the span."""
-    V = np.array(V, dtype=np.int16, copy=True)
-    if V.ndim == 1:
-        V = V.reshape(1, -1)
-    for i, c in enumerate(pivots):
-        f = V[:, c]
-        if np.any(f):
-            V[:, c:] = F.sub(V[:, c:], F.mul(f[:, None], R[i, c:][None, :]))
-    return V
-
-
-def in_row_space(F: Field, R: np.ndarray, pivots, v) -> bool:
-    return not np.any(residual(F, R, pivots, np.asarray(v, dtype=np.int16)))
-
-
 def stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.vstack([np.asarray(A, dtype=np.int16), np.asarray(B, dtype=np.int16)])
 
@@ -192,12 +175,6 @@ def sum_dim(F: Field, A: np.ndarray, B: np.ndarray) -> int:
 
 def intersect_dim(F: Field, A: np.ndarray, B: np.ndarray) -> int:
     return rank(F, A) + rank(F, B) - sum_dim(F, A, B)
-
-
-def intersection(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Canonical basis of rowspace(A) intersect rowspace(B)."""
-    dual_sum = stack(nullspace(F, A), nullspace(F, B))
-    return row_space(F, nullspace(F, dual_sum))
 
 
 def solve_right(F: Field, A: np.ndarray, b) -> np.ndarray | None:

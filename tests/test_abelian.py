@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmalcd import abelian, oracle
+from sigmalcd import abelian, linalg, oracle
 from sigmalcd.codes import LinearCode, hull_dim
 from sigmalcd.errors import BadInput
 from sigmalcd.field import field
@@ -89,16 +89,34 @@ def test_mixed_group_rejected():
         abelian.ga_add(x, y)
 
 
+def _loop_translate_matrix(e):
+    """Reference: row i is g_i * e, one group element at a time."""
+    G = e.group
+    M = np.zeros((G.order, G.order), dtype=np.int16)
+    for i in range(G.order):
+        M[i, G.op[i]] = e.coeffs
+    return M
+
+
+def _loop_ga_mul(F, G, a, b):
+    """Reference: a b = sum_i a_i (g_i b), one term at a time."""
+    out = np.zeros(G.order, dtype=np.int16)
+    for i in range(G.order):
+        if a[i]:
+            out[G.op[i]] = F.add(out[G.op[i]], F.mul(int(a[i]), b))
+    return out
+
+
 def test_translate_matrix_agrees_with_mul():
     rng = np.random.default_rng(1)
-    G = abelian.AbelianGroup((3, 3))
-    a = elem(F3, G, rng.integers(0, 3, size=9))
-    b = elem(F3, G, rng.integers(0, 3, size=9))
-    M = abelian.translate_matrix(a)
-    from sigmalcd import linalg
-
-    via_matrix = linalg.mat_mul(F3, b.coeffs.reshape(1, -1), M)[0]
-    assert np.array_equal(via_matrix, abelian.ga_mul(a, b).coeffs)
+    for F in (F2, F3, field(2, 2), field(3, 2)):
+        for factors in [(1,), (5,), (3, 3), (2, 2, 2), (2, 3), (6,)]:
+            G = abelian.AbelianGroup(factors)
+            for _ in range(3):
+                a = elem(F, G, rng.integers(0, F.q, size=G.order))
+                b = elem(F, G, rng.integers(0, F.q, size=G.order))
+                assert np.array_equal(abelian.translate_matrix(a), _loop_translate_matrix(a))
+                assert np.array_equal(abelian.ga_mul(a, b).coeffs, _loop_ga_mul(F, G, a.coeffs, b.coeffs))
 
 
 # ------------------------------------------------------------ the inversion map
@@ -236,6 +254,39 @@ def test_lcd_iff_idempotent_generated(q, factors, n_ideals, n_lcd):
             assert abelian.ideal_from_generator(gen) == c
         lcd_count += lcd
     assert lcd_count == n_lcd
+
+
+def _dual_and_solve_split(code, group):
+    """Reference: split 1 = e + f along C (+) (mu C)^perp by building the
+    dual and solving the n x n system."""
+    F, n = code.field, code.n
+    if code.k in (0, n):
+        return abelian.find_idempotent_generator(code, group)
+    D = LinearCode(F, n, code.gen[:, group.inv]).dual().gen
+    if linalg.sum_dim(F, code.gen, D) != n:
+        return None
+    one = np.zeros(n, dtype=np.int16)
+    one[0] = 1
+    x = linalg.solve_right(F, linalg.stack(code.gen, D).T, one)
+    e = abelian.GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, x[: code.k]))
+    if not abelian.is_idempotent(e) or abelian.ideal_from_generator(e) != code:
+        return None
+    return e
+
+
+@pytest.mark.parametrize(
+    "q,factors",
+    [(2, (3,)), (2, (5,)), (3, (4,)), (2, (3, 3)), (2, (2,)), (3, (3,)), (3, (3, 3)), (2, (4,))],
+)
+def test_find_idempotent_generator_matches_dual_and_solve(q, factors):
+    """Semisimple and modular algebras: the Gram route returns the same
+    element, or None, as the explicit split."""
+    F, G = field(q), abelian.AbelianGroup(factors)
+    for c in abelian.enumerate_ideals(F, G):
+        got, want = abelian.find_idempotent_generator(c, G), _dual_and_solve_split(c, G)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_semisimple_every_ideal_lcd():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sigmalcd import oracle
+from sigmalcd import codes, oracle
 from sigmalcd.codes import (
     LcpPair,
     LinearCode,
@@ -205,6 +206,46 @@ def test_hull_basis_spans_hull():
     c = C(F2, 4, (1, 1, 0, 0), (0, 0, 1, 1))
     H = hull_basis(c, None)
     assert H.shape[0] == hull_dim(c, None) == 2
+
+
+def _oracle_meet_dual(F, G, H):
+    """rowspace(G) cap rowspace(H)^perp by the oracle's own elimination: the
+    dual of the stacked duals of rowspace(G) and of rowspace(H)^perp."""
+    R, piv = oracle._gauss_jordan(F, oracle._dual(F, np.vstack([oracle._dual(F, G), H])))
+    return R[: len(piv)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_meet_dual_matches_oracle(data):
+    """hull_basis and _meet_dual give the oracle's canonical basis byte for
+    byte, the zero code and the whole space included."""
+    F = data.draw(st.sampled_from([F2, F3, F4, field(3, 2)]), label="field")
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c, d = rand_code(F, n, k, rng), rand_code(F, n, int(rng.integers(0, n + 1)), rng)
+    sg = rand_sigma(F, n, rng)
+    cases = [
+        (hull_basis(c, None), c.gen, c.gen),
+        (hull_basis(c, sg), c.gen, sg.apply(c.gen)),
+        (codes._meet_dual(F, c.gen, d.gen), c.gen, d.gen),
+        (codes._meet_dual(F, d.gen, c.gen), d.gen, c.gen),
+    ]
+    for got, G, H in cases:
+        want = _oracle_meet_dual(F, G, H)
+        assert got.dtype == want.dtype == np.int16
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("Fc,Fs", [(F4, F2), (F2, F4), (F3, field(3, 2)), (field(3, 2), F3)])
+@pytest.mark.parametrize("k", [0, 1])
+def test_gram_routes_reject_a_map_over_another_field(Fc, Fs, k):
+    c = C(Fc, 3, (1, 1, 0)) if k else C(Fc, 3)
+    sigma = SemiLinearMap.identity(Fs, 3)
+    for route in (gram, hull_dim, hull_basis, is_sigma_lcd, is_sigma_self_orthogonal, is_sigma_self_dual):
+        with pytest.raises(BadInput, match="code and map over different fields"):
+            route(c, sigma)
 
 
 def test_lcd_and_self_dual_flags():

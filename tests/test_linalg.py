@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sigmalcd import linalg
+from sigmalcd.codes import LinearCode
+from sigmalcd.errors import BadInput
 from sigmalcd.field import field
 
 F2 = field(2)
@@ -95,8 +97,6 @@ def test_intersection_and_sum_dim():
     # span{(1,0,0),(0,1,0)} cap span{(0,1,0),(0,0,1)} = span{(0,1,0)}
     A = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int16)
     B = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int16)
-    I = linalg.intersection(F2, A, B)
-    assert I.shape[0] == 1 and I[0].tolist() == [0, 1, 0]
     assert linalg.sum_dim(F2, A, B) == 3
     assert linalg.intersect_dim(F2, A, B) == 1
 
@@ -114,9 +114,11 @@ def test_dimension_formula_random():
 
 
 def test_in_row_space():
-    R, piv = linalg.rref(F2, [[1, 0, 1], [0, 1, 1]])
-    assert linalg.in_row_space(F2, R, piv, np.array([1, 1, 0], dtype=np.int16))
-    assert not linalg.in_row_space(F2, R, piv, np.array([1, 1, 1], dtype=np.int16))
+    c = LinearCode(F2, 3, [[1, 0, 1], [0, 1, 1]])
+    assert c.contains(np.array([1, 1, 0], dtype=np.int16))
+    assert not c.contains(np.array([1, 1, 1], dtype=np.int16))
+    with pytest.raises(BadInput, match="expected 3 columns"):
+        c.contains(np.array([1, 1], dtype=np.int16))
 
 
 def test_zero_width_matrix():
