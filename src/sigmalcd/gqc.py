@@ -3,27 +3,29 @@
 A code here is an F_q[x]-submodule of prod_j F_q[x]/(x^{m_j} - 1), stored
 flat as a LinearCode of length sum(m_j) that is closed under the
 simultaneous cyclic shift of every block, with its module generators as
-flat rows.  mu_a sends each block c_j(x) to c_j(x^a); its complementary-dual /
-self-orthogonality criteria live on the constituents
-C_i = {(c_j(xi^i) delta_{j,i})_j} inside V_i, each read off the rank of
-the pairing P = sum_j (m / m_j) A_j B_j^T of the bases of C_i and
-C_{-ai}: complementary-dual iff rank P = dim C_i at every i, self-orthogonal
-iff P = 0.  One evaluator, _evaluate,
-gives every c_j(xi^i) that the constituent, evaluation, support-set and
-product routes read, and one index map, _block_map, every permutation.
+flat rows.  mu_a sends each block c_j(x) to c_j(x^a).  Its criteria live on
+the constituents C_i = {(c_j(xi^i) delta_{j,i})_j} inside V_i, and one
+pairing, _pairings, reads them off the generators' evaluations A_i at xi^i,
+B_i at xi^{-ai} and P_i = sum_j (m / m_j) A_j B_j^T:
+dim(C_i cap (C_{-ai})^perp') = rank A_i - rank P_i, so complementary-dual iff
+rank P_i = rank A_i at every leader, self-orthogonal iff every P_i = 0; with
+one generator row that is the evaluation criterion.  One evaluator, _evaluate,
+gives every c_j(xi^i), and one index map, _block_map, every permutation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import linalg, poly
 from .codes import LinearCode, SemiLinearMap, hull_dim, is_sigma_lcd
-from .cyclotomic import CyclotomicContext
+from .cyclotomic import CyclotomicContext, mult_order
 from .errors import BadInput, SigmaLcdError
 from .field import Field, embedding, field as make_field
 
@@ -129,15 +131,20 @@ def context_for(code: GqcCode) -> CyclotomicContext:
     return CyclotomicContext(code.field, lcm_of(code.block_lengths))
 
 
-def _check_ctx(code: GqcCode, ctx: CyclotomicContext):
-    if ctx.base != code.field:
+def _check_ctx(ctx: CyclotomicContext, block_lengths, field: Field | None = None):
+    if field is not None and ctx.base != field:
         raise BadInput("context base field differs from code field")
-    if ctx.m != lcm_of(code.block_lengths):
+    if ctx.m != lcm_of(block_lengths):
         raise BadInput(f"context modulus {ctx.m} != lcm of blocks")
 
 
 # cells in one temporary of the evaluator: generators x indices x block length
 _EVAL_CELLS = 2**16
+
+
+def _eval_step(r: int, block_lengths) -> int:
+    """Indices per step of the evaluator, for r generators."""
+    return max(1, _EVAL_CELLS // max(1, r * max(block_lengths, default=1)))
 
 
 def _evaluate(ctx: CyclotomicContext, block_lengths, G: np.ndarray, indices) -> np.ndarray:
@@ -149,7 +156,7 @@ def _evaluate(ctx: CyclotomicContext, block_lengths, G: np.ndarray, indices) -> 
     idx = np.asarray(indices, dtype=np.int64).reshape(-1) % m
     r = G.shape[0]
     E = np.zeros((r, len(block_lengths), idx.size), dtype=np.int16)
-    step = max(1, _EVAL_CELLS // max(1, r * max(block_lengths, default=1)))
+    step = _eval_step(r, block_lengths)
     off = 0
     for j, mj in enumerate(block_lengths):
         C = ctx.emb(G[:, None, off : off + mj])
@@ -178,7 +185,7 @@ class Constituent:
 
 
 def constituent(code: GqcCode, ctx: CyclotomicContext, i: int) -> Constituent:
-    _check_ctx(code, ctx)
+    _check_ctx(ctx, code.block_lengths, code.field)
     i = i % ctx.m
     active = tuple(
         j for j, mj in enumerate(code.block_lengths) if ctx.delta(i, mj)
@@ -224,54 +231,72 @@ def _norm_a(m: int, a: int) -> int:
     return a
 
 
-def _pairing(ctx: CyclotomicContext, block_lengths, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """P = sum_j (m / m_j) A_j B_j^T for basis rows A of C_i and B of C_-ai:
-    C_i cap (C_{-ai})^perp' = {y A : y P = 0} has dimension dim C_i - rank P."""
-    ext = ctx.ext
-    wA = ext.mul(A, _form_weights(ctx, block_lengths))
-    return ext.sum(ext.mul(wA[:, None, :], B[None, :, :]), axis=2)
+def _ranks(ext: Field, S: np.ndarray):
+    """Per-slice ranks: one numpy step for one-row slices, else lazily."""
+    if S.shape[1] <= 1:
+        return S.reshape(len(S), -1).any(axis=1).astype(np.int64)
+    return map(functools.partial(linalg.rank, ext), S)
 
 
-def _pairings(code: GqcCode, ctx: CyclotomicContext, a: int, all_indices: bool = False):
-    """(C_i, C_{-ai}, P) at every leader i, or at every i in Z_m."""
-    _check_ctx(code, ctx)
-    a = _norm_a(ctx.m, a)
-    get = functools.cache(lambda i: constituent(code, ctx, i))
-    for i in range(ctx.m) if all_indices else ctx.leaders:
-        A, B = get(i), get((-a * i) % ctx.m)
-        yield A, B, _pairing(ctx, code.block_lengths, A.basis, B.basis)
+def _pairings(ctx: CyclotomicContext, block_lengths, G: np.ndarray, a: int, indices=None):
+    """Chunks (I, A, B, P) over the leaders, or over indices: A[s] and B[s]
+    are G's evaluations at I[s] and -a I[s], cut to l RREF rows when G has
+    more, and P[s] = sum_j (m / m_j) A[s]_j B[s]_j^T.  y A = 0 forces y P = 0,
+    so dim(C_i cap (C_{-ai})^perp') = rank A[s] - rank P[s]."""
+    _check_ctx(ctx, block_lengths)
+    a, ext, l = _norm_a(ctx.m, a), ctx.ext, len(block_lengths)
+    idx = np.asarray(ctx.leaders if indices is None else indices, dtype=np.int64) % ctx.m
+    w = _form_weights(ctx, block_lengths)
+    step = _eval_step(2 * G.shape[0], block_lengths)  # indices and images in one step
+    for s0 in range(0, idx.size, step):
+        I = idx[s0 : s0 + step]
+        J, seen = -a * I % ctx.m, np.zeros(ctx.m, dtype=bool)
+        seen[I] = seen[J] = True
+        at = np.cumsum(seen) - 1  # each distinct point evaluated once; at[i] is its row in E
+        E = _evaluate(ctx, block_lengths, G, np.flatnonzero(seen)).transpose(2, 0, 1)
+        if E.shape[1] > l:
+            E = np.stack([linalg.rref(ext, e)[0][:l] for e in E])
+        A, B = E[at[I]], E[at[J]]
+        yield I, A, B, ext.sum(ext.mul(ext.mul(A, w)[:, :, None], B[:, None]), axis=3)
 
 
-def is_mua_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1, all_indices: bool = False) -> bool:
-    """C_i cap (C_{-ai})^perp' = 0 at every index (leaders suffice by
-    conjugation; all_indices checks the whole of Z_m)."""
-    return all(linalg.rank(ctx.ext, P) == A.dim for A, _, P in _pairings(code, ctx, a, all_indices))
+def _lcd(ctx: CyclotomicContext, block_lengths, G: np.ndarray, a: int, indices=None) -> bool:
+    """rank A_i = rank P_i at every leader (or index), up to the first failure."""
+    return all(
+        all(map(operator.eq, _ranks(ctx.ext, A), _ranks(ctx.ext, P)))
+        for _, A, _, P in _pairings(ctx, block_lengths, G, a, indices)
+    )
+
+
+def is_mua_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
+    """C_i cap (C_{-ai})^perp' = 0 at every leader (so at every i, by conjugation)."""
+    _check_ctx(ctx, code.block_lengths, code.field)
+    return _lcd(ctx, code.block_lengths, code.generators, a)
 
 
 def is_mua_self_orthogonal(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """C_i contained in (C_{-ai})^perp' at every leader."""
-    return all(not P.any() for _, _, P in _pairings(code, ctx, a))
+    _check_ctx(ctx, code.block_lengths, code.field)
+    return not any(P.any() for *_, P in _pairings(ctx, code.block_lengths, code.generators, a))
 
 
 def is_mua_self_dual(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
-    """C_i = (C_{-ai})^perp' at every leader."""
-    return all(not P.any() and A.dim + B.dim == len(A.active) for A, B, P in _pairings(code, ctx, a))
+    """C_i = (C_{-ai})^perp' at every leader: self-orthogonal, and the
+    dimensions rank A_i + rank B_i <= dim V_i summed over Z_m give 2k = n."""
+    return is_mua_self_orthogonal(code, ctx, a) and 2 * code.k == code.n
 
 
 def trivial_constituent_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """For codes whose constituents are all {0} or V_i: complementary-dual
     for mu_a iff the support set satisfies S = -aS."""
-    _check_ctx(code, ctx)
-    a = _norm_a(ctx.m, a)
+    _check_ctx(ctx, code.block_lengths, code.field)
     S: set[int] = set()
-    for i in ctx.leaders:
-        con = constituent(code, ctx, i)
-        if con.dim not in (0, len(con.active)):
-            raise BadInput(
-                f"constituent at {i} has dim {con.dim} inside V of dim {len(con.active)}"
-            )
-        if con.dim:
-            S.update(ctx.cosets[i])
+    for I, A, _, _ in _pairings(ctx, code.block_lengths, code.generators, a):
+        for i, dim, dim_v in zip(I, _ranks(ctx.ext, A), (I[:, None] * code.block_lengths % ctx.m == 0).sum(axis=1)):
+            if dim not in (0, dim_v):
+                raise BadInput(f"constituent at {i} has dim {dim} inside V of dim {dim_v}")
+            if dim:
+                S.update(ctx.cosets[i])
     return S == {(-a * s) % ctx.m for s in S}
 
 
@@ -298,20 +323,16 @@ def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """For pairwise coprime block lengths: mu_a complementary-dual iff every
     block projection is and the joint constituent at i = 0 is
     complementary-dual in F_q^l under sum_j (m / m_j) x_j y_j."""
-    _check_ctx(code, ctx)
+    _check_ctx(ctx, code.block_lengths, code.field)
     a = _norm_a(ctx.m, a)
     bl = code.block_lengths
-    for x in range(len(bl)):
-        for y in range(x + 1, len(bl)):
-            if math.gcd(bl[x], bl[y]) != 1:
-                raise BadInput(f"blocks {bl[x]} and {bl[y]} share a factor")
-    for j in range(code.l):
-        proj = block_projection(code, j)
-        ctx_j = CyclotomicContext(code.field, bl[j])
-        if not is_mua_lcd(proj, ctx_j, a):
+    for x, y in combinations(bl, 2):
+        if math.gcd(x, y) != 1:
+            raise BadInput(f"blocks {x} and {y} share a factor")
+    for off, mj in zip(code.offsets, bl):
+        if not _lcd(CyclotomicContext(code.field, mj), (mj,), code.generators[:, off : off + mj], a):
             return False
-    G0 = constituent(code, ctx, 0).basis
-    return linalg.rank(ctx.ext, _pairing(ctx, bl, G0, G0)) == G0.shape[0]
+    return _lcd(ctx, bl, code.generators, a, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +343,16 @@ def one_gen_code(field: Field, block_lengths, cvec) -> GqcCode:
     return GqcCode.from_generators(field, block_lengths, [tuple(cvec)])
 
 
-def _eval_pairs(ctx: CyclotomicContext, block_lengths, cvec, a: int):
-    """v[j, s] = delta c_j(xi^i) at the s-th leader i, and per leader the sum
-    over j of (m / m_j) v_j delta c_j(xi^{-ai})."""
-    a = _norm_a(ctx.m, a)
-    L = np.asarray(ctx.leaders)
-    G = _flat_gens(ctx.base, block_lengths, [cvec])
-    E = _evaluate(ctx, block_lengths, G, np.concatenate([L, -a * L]))[0]
-    v, w = E[:, : L.size], E[:, L.size :]
-    vw = ctx.ext.mul(ctx.ext.mul(v, w), _form_weights(ctx, block_lengths)[:, None])
-    return v, ctx.ext.sum(vw, axis=0)
-
-
 def one_gen_lcd_eval(ctx: CyclotomicContext, block_lengths, cvec, a: int = -1) -> bool:
     """Complementary-dual test straight from the evaluation criterion: at
     every leader with a nonzero evaluation vector,
     sum_j (m / m_j) delta c_j(xi^i) c_j(xi^{-ai}) must be nonzero."""
-    v, s = _eval_pairs(ctx, block_lengths, cvec, a)
-    return not np.any(np.any(v, axis=0) & (s == 0))
+    return _lcd(ctx, block_lengths, _flat_gens(ctx.base, block_lengths, [cvec]), a)
 
 
 def one_gen_self_orthogonal_eval(ctx: CyclotomicContext, block_lengths, cvec, a: int = -1) -> bool:
-    return not np.any(_eval_pairs(ctx, block_lengths, cvec, a)[1])
+    G = _flat_gens(ctx.base, block_lengths, [cvec])
+    return not any(P.any() for *_, P in _pairings(ctx, block_lengths, G, a))
 
 
 def _qc_m(block_lengths) -> int:
@@ -402,11 +411,7 @@ def disjoint_support_lcd(ctx: CyclotomicContext, block_lengths, cvec) -> bool:
     """Sufficient criterion: pairwise disjoint evaluation supports force the
     mu_{-1} complementary-dual property."""
     sets = support_sets(ctx, block_lengths, cvec)
-    for x in range(len(sets)):
-        for y in range(x + 1, len(sets)):
-            if sets[x] & sets[y]:
-                return False
-    return True
+    return sum(map(len, sets)) == len(set().union(*sets))
 
 
 @dataclass(frozen=True)
@@ -459,7 +464,8 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
     mjs = [mj for mj, _, _ in comps]
     if len(set(mjs)) != len(mjs):
         raise BadInput(f"component block lengths must be distinct, got {mjs}")
-    m = lcm_of(mjs)
+    # a component of length 0 adds no block, so its m_j stays out of m
+    m = lcm_of(mj for mj, rj, _ in comps if rj)
     ctx = CyclotomicContext(base, m)
     ext = ctx.ext
     pf = make_field(base.p)
@@ -468,11 +474,9 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
     rows: list[np.ndarray] = []
     comp_dims: list[int] = []
     dist_bound = None
-    total_dim = 0
     plans = []
     for mj, rj, comp in comps:
-        mhat = m // mj
-        tj = len(ctx.coset(mhat))
+        tj = mult_order(base.q, mj)  # the size of the coset of m / m_j
         want = make_field(base.p, base.e * tj)
         if comp.field != want:
             raise BadInput(f"component for m={mj} must live over {want}, got {comp.field}")
@@ -480,8 +484,10 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
             raise BadInput(f"component length {comp.n} != r = {rj}")
         if comp.k and hull_dim(comp, None) != 0:
             raise BadInput(f"component for m={mj} is not Euclidean complementary-dual")
-        plans.append((mj, rj, comp, mhat, tj))
-        block_lengths.extend([mj] * rj)
+        comp_dims.append(comp.k * tj)
+        if rj:
+            plans.append((mj, rj, comp, m // mj, tj))
+            block_lengths.extend([mj] * rj)
 
     off = 0
     for mj, rj, comp, mhat, tj in plans:
@@ -493,13 +499,8 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
         assert eta != 0
         comp_emb = embedding(comp.field, ext)
         # GF(p)-basis of F_q[zeta] inside the splitting field: omega^u zeta^s
-        cols = []
-        for s in range(tj):
-            zs = ext.pow(zeta, s)
-            for u in range(base.e):
-                wu = ctx.emb(base.p**u) if base.e > 1 else 1
-                cols.append(ext.digits[ext.mul(zs, wu)])
-        Bmat = np.asarray(cols, dtype=np.int16).T  # (ext.e, e*tj) over GF(p)
+        zs, wu = ctx.xi_pows[mhat * np.arange(tj) % m], ctx.emb(base.p ** np.arange(base.e))
+        Bmat = ext.digits[ext.mul(zs[:, None], wu)].reshape(tj * base.e, ext.e).T.astype(np.int16)  # over GF(p)
 
         def to_block_poly(gamma_ext: int) -> np.ndarray:
             """gamma in F_q[zeta] -> H_j * r(x) with r(zeta) = gamma/eta."""
@@ -522,9 +523,6 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
                         pos = off + c * mj
                         flat[pos : pos + f.size] = f
                 rows.append(flat)
-        comp_k = comp.k * tj
-        comp_dims.append(comp_k)
-        total_dim += comp_k
         if comp.k:
             from .oracle import brute_min_distance
 
@@ -536,14 +534,14 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
         off += rj * mj
 
     code = GqcCode(base, tuple(block_lengths), rows)
-    if code.k != total_dim:
-        raise RuntimeError(f"embedded dimension {code.k} != expected {total_dim}")
+    if code.k != sum(comp_dims):
+        raise RuntimeError(f"embedded dimension {code.k} != expected {sum(comp_dims)}")
     if not is_mua_lcd(code, ctx, -1):
         raise RuntimeError("product code failed the mu_-1 complementary-dual check")
     return ProductResult(
         code=code,
         ctx=ctx,
-        dim=total_dim,
+        dim=sum(comp_dims),
         distance_bound=0 if dist_bound is None else dist_bound,
         component_dims=tuple(comp_dims),
     )
@@ -552,8 +550,6 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
 def divisor_cyclic_codes(ctx: CyclotomicContext):
     """All cyclic codes of length m over the base field, one per subset of
     the irreducible factors of x^m - 1 (generator = product of the subset)."""
-    from itertools import combinations
-
     leaders = ctx.leaders
     for r in range(len(leaders) + 1):
         for subset in combinations(leaders, r):

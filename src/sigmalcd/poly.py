@@ -467,10 +467,14 @@ def inverse_mod(F: Field, a, m) -> np.ndarray | None:
 
 
 def mod_xm1(F: Field, a, m: int) -> np.ndarray:
-    """Reduce modulo x^m - 1 by folding exponents."""
+    """Reduce modulo x^m - 1 by folding exponents; below degree m, a is
+    already reduced and packs into no int."""
     _check_m(m)
     core = _core(F)
-    return _array(core, core.mod_xm1(_load(core, a), m))
+    coeffs = _coeffs(core, a)
+    if len(coeffs) <= m:
+        return np.array(coeffs, dtype=np.int16) if coeffs else ZERO
+    return _array(core, core.mod_xm1(core.value(coeffs), m))
 
 
 def subst_power_mod(F: Field, a, k: int, m: int) -> np.ndarray:

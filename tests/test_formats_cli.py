@@ -280,6 +280,12 @@ def test_cli_gqc_onegen_and_product(files):
     assert "mu1_lcd: true" in out and "min_distance: 2" in out
 
 
+def test_cli_gqc_product_zero_length_component(tmp_path):
+    """A component with r = 0 adds no block and no dimension."""
+    rc, out = run_cli("gqc", "product", _write(tmp_path, "r0.spec", "2\n3 0 0\n"))
+    assert rc == 0 and "dim: 0" in out
+
+
 def test_cli_abelian(files):
     rc, out = run_cli("abelian", "check", "--group", "3", "--code", str(files / "z3.code"))
     assert rc == 0 and "idempotent_found: true" in out

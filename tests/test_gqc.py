@@ -175,9 +175,9 @@ def test_criterion_matches_oracle_randomized():
             assert gqc.is_mua_lcd(code, ctx, a) == (
                 oracle.brute_hull_dim(code.flat, code.mu_map(a)) == 0
             )
-        assert gqc.is_mua_lcd(code, ctx, -1, all_indices=True) == gqc.is_mua_lcd(
-            code, ctx, -1
-        )
+        # leaders suffice by conjugation: every index of Z_m agrees
+        every = gqc._lcd(ctx, code.block_lengths, code.generators, -1, indices=range(m))
+        assert every == gqc.is_mua_lcd(code, ctx, -1)
 
 
 def test_self_orthogonal_and_self_dual():
@@ -311,6 +311,16 @@ def test_one_gen_forms_agree_randomized():
                 assert not (ev and so_ev)  # mutually exclusive for nonzero codes
 
 
+def test_one_gen_eval_rejects_wrong_context():
+    """The evaluation routes check the context modulus like the code routes."""
+    cvec = (X1, ONE)
+    for ctx in (CyclotomicContext(F2, 3), CyclotomicContext(F2, 7)):
+        with pytest.raises(BadInput, match=f"context modulus {ctx.m} != lcm of blocks"):
+            gqc.one_gen_lcd_eval(ctx, (5, 5), cvec)
+        with pytest.raises(BadInput, match=f"context modulus {ctx.m} != lcm of blocks"):
+            gqc.one_gen_self_orthogonal_eval(ctx, (5, 5), cvec)
+
+
 def test_one_gen_gcd_requires_qc():
     with pytest.raises(BadInput, match="quasi-cyclic form needs equal blocks"):
         gqc.one_gen_lcd_gcd(F2, (3, 5), (ONE, ONE), -1)
@@ -414,6 +424,18 @@ def test_product_empty():
     assert res.dim == 0 and res.code.flat.n == 0
 
 
+def test_product_zero_length_component():
+    """A component with r = 0 adds no block: the product equals the one
+    without it, and the component's dimension reads 0."""
+    F16 = field(2, 4)
+    c1 = LinearCode(F4, 1, np.array([[1]], dtype=np.int16))
+    res = gqc.product_lcd_gqc(F2, [(3, 1, c1), (5, 0, LinearCode(F16, 0))])
+    alone = gqc.product_lcd_gqc(F2, [(3, 1, c1)])
+    assert res.ctx.m == 3 and res.code == alone.code
+    assert (res.dim, res.distance_bound) == (alone.dim, alone.distance_bound)
+    assert res.component_dims == alone.component_dims + (0,)
+
+
 def test_product_rejects_duplicate_blocks():
     comp = LinearCode(F4, 1, np.array([[1]], dtype=np.int16))
     with pytest.raises(BadInput, match="component block lengths must be distinct"):
@@ -489,7 +511,8 @@ def test_evaluate_matches_eval_poly(data):
 
 def test_constituent_from_generators_matches_flat_rows():
     """Constituents read off the r module generators equal those read off
-    the k flat RREF rows, byte for byte."""
+    the k flat RREF rows, byte for byte, and the criteria agree on both; the
+    k > l flat rows take the pairing's row cut."""
     rng = np.random.default_rng(17)
     for F, blocks in [(F2, (7,)), (F2, (3, 5, 15)), (F3, (4, 8)), (F4, (3, 5)), (F9, (4, 4))]:
         for ngen in range(3):
@@ -504,11 +527,25 @@ def test_constituent_from_generators_matches_flat_rows():
                 assert a.active == b.active
                 assert a.basis.dtype == b.basis.dtype and a.basis.tobytes() == b.basis.tobytes()
                 assert a.basis.shape == b.basis.shape
+            for a in coprime_units(ctx.m)[:3] or [1]:
+                for test in (gqc.is_mua_lcd, gqc.is_mua_self_orthogonal, gqc.is_mua_self_dual):
+                    assert test(code, ctx, a) == test(flat, ctx, a)
 
 
 def test_one_gen_routes_agree_for_every_unit():
     """Eval, gcd (equal blocks), constituent and oracle verdicts agree for
     every unit a, unequal blocks included."""
+    _check_one_gen_routes()
+
+
+def test_one_gen_routes_agree_one_index_per_chunk():
+    """The same with one index per pairing chunk, so a failure found in a
+    later chunk ends the walk between chunks."""
+    with mock.patch.object(gqc, "_EVAL_CELLS", 1):
+        _check_one_gen_routes()
+
+
+def _check_one_gen_routes():
     rng = np.random.default_rng(18)
     for F, blocks in [(F2, (7, 7)), (F2, (3, 5)), (F2, (3, 9, 9)), (F3, (4, 8)), (F3, (5, 5)),
                       (F4, (3, 3)), (F4, (5, 15)), (F9, (2, 4))]:
