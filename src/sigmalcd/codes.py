@@ -325,9 +325,9 @@ def _pair_rank(F: Field, G1: np.ndarray, G2s: np.ndarray) -> int:
     return linalg.rank(F, linalg.mat_mul(F, G1, G2s.T))
 
 
-def _aligned_perm(F: Field, G1: np.ndarray, G2: np.ndarray, n: int) -> np.ndarray:
+def _aligned_perm(F: Field, G1: np.ndarray, G2: np.ndarray, n: int):
     """Stable permutation sending pivot columns of G2 onto pivot columns of
-    G1 and non-pivots onto non-pivots, preserving order."""
+    G1 and non-pivots onto non-pivots, preserving order; and G2's pivots."""
     _, piv1 = linalg.rref(F, G1)
     _, piv2 = linalg.rref(F, G2)
     non1 = [c for c in range(n) if c not in piv1]
@@ -335,31 +335,34 @@ def _aligned_perm(F: Field, G1: np.ndarray, G2: np.ndarray, n: int) -> np.ndarra
     perm = np.empty(n, dtype=np.int32)
     for src, dst in zip(list(piv2) + non2, list(piv1) + non1):
         perm[src] = dst
-    return perm
+    return perm, piv2
 
 
 def _lcp_candidates_big_q(F: Field, c1: LinearCode, c2: LinearCode):
-    n = c1.n
-    yield SemiLinearMap.identity(F, n)
-    rel = _meet_dual(F, c1.gen, c2.gen)
-    if rel.shape[0]:
-        _, piv = linalg.rref(F, rel)
-        for lam in range(2, F.q):
-            diag = np.ones(n, dtype=np.int16)
-            diag[list(piv)] = lam
-            yield SemiLinearMap.diagonal(F, diag)
-    perm = _aligned_perm(F, c1.gen, c2.gen, n)
-    base = q1 = F.q - 1
-    for count in range(q1**n):
-        diag = np.empty(n, dtype=np.int16)
-        c = count
-        for i in range(n):
-            diag[i] = 1 + c % base
-            c //= base
-        yield SemiLinearMap(F, perm=perm, diag=diag)
+    """One map, constructed: sigma = perm o diag with the aligned perm,
+    G1 sigma(G2)^T = G1[:, perm] D G2^T = S + Lambda, S = G1[:, perm] G2^T - I
+    and Lambda = diag(lambda_t) read at G2's pivots (both carry I there).
+    Eliminating S + Lambda row by row, pivot t is s_t + lambda_t where s_t
+    depends on earlier lambdas only, so the least nonzero lambda_t with
+    s_t + lambda_t != 0 leaves every pivot nonzero (q > 2 leaves a choice)."""
+    n, k = c1.n, c1.k
+    perm, piv = _aligned_perm(F, c1.gen, c2.gen, n)
+    M = F.sub(linalg.mat_mul(F, c1.gen[:, perm], c2.gen.T), np.eye(k, dtype=np.int16))
+    diag = np.ones(n, dtype=np.int16)
+    for t in range(k):
+        lam = 1 if F.add(M[t, t], 1) else 2
+        M[t, t] = F.add(M[t, t], lam)
+        below = F.div(M[t + 1 :, t], M[t, t])
+        M[t + 1 :] = F.sub(M[t + 1 :], F.mul(below[:, None], M[t]))
+        diag[piv[t]] = lam
+    yield SemiLinearMap(F, perm=perm, diag=diag)
 
 
-def _lcp_candidates_binary(F: Field, c1: LinearCode, c2: LinearCode, sample: int = 20000):
+# random permutations the binary family tries after its structured maps
+_LCP_BINARY_SAMPLE = 20000
+
+
+def _lcp_candidates_binary(F: Field, c1: LinearCode, c2: LinearCode):
     n = c1.n
     N = n + 1
     yield SemiLinearMap.identity(F, N)
@@ -392,16 +395,17 @@ def _lcp_candidates_binary(F: Field, c1: LinearCode, c2: LinearCode, sample: int
         perm[[0, t]] = perm[[t, 0]]
         yield SemiLinearMap.permutation(F, perm)
     rng = np.random.default_rng(0xC0DE)
-    for _ in range(sample):
+    for _ in range(_LCP_BINARY_SAMPLE):
         yield SemiLinearMap.permutation(F, rng.permutation(N).astype(np.int32))
 
 
 def build_lcp(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_MAX_WORDS) -> LcpPair:
     """Linear complementary pair from two same-dimension codes.
 
-    For q > 2 the pair is (c1, (sigma(c2))^perp) with sigma monomial; for
-    q = 2 both codes are first extended by a zero coordinate and sigma is a
-    pure permutation of length n+1.
+    For q > 2 the pair is (c1, (sigma(c2))^perp) with sigma the one
+    monomial map _lcp_candidates_big_q constructs, no search; for q = 2 both
+    codes are first extended by a zero coordinate and sigma is the first
+    pure permutation of length n+1 in a fixed family that works.
     """
     from .oracle import brute_min_distance
 

@@ -11,6 +11,9 @@ dim(C_i cap (C_{-ai})^perp') = rank A_i - rank P_i, so complementary-dual iff
 rank P_i = rank A_i at every leader, self-orthogonal iff every P_i = 0; with
 one generator row that is the evaluation criterion.  One evaluator, _evaluate,
 gives every c_j(xi^i), and one index map, _block_map, every permutation.
+The product construction runs the other way, from values to words: the
+inverse transform c_u = m_j^-1 Tr(gamma zeta^-u) gives the word of the
+minimal ideal at zeta with value gamma (_ideal_words).
 """
 
 from __future__ import annotations
@@ -362,9 +365,10 @@ def _qc_m(block_lengths) -> int:
     return next(iter(ms))
 
 
-def _qc_reduced(F: Field, block_lengths, cvec):
+def _qc_reduced(F: Field, block_lengths, cvec, a: int):
+    """m, the generator's blocks reduced mod x^m - 1, and a as a unit mod m."""
     m = _qc_m(block_lengths)
-    return m, [poly.mod_xm1(F, poly.from_seq(c), m) for c in cvec]
+    return m, [poly.mod_xm1(F, poly.from_seq(c), m) for c in cvec], _norm_a(m, a)
 
 
 def _qc_sum_poly(F: Field, m: int, cs, a: int) -> np.ndarray:
@@ -389,12 +393,12 @@ def _lcd_gcd(F: Field, m: int, cs, a: int, module_gcd: np.ndarray) -> bool:
 def one_gen_lcd_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
     """Quasi-cyclic form of the criterion:
     gcd(sum_j c_j(x) c_j(x^{-a}), x^m - 1) = gcd(c_1, ..., c_l, x^m - 1)."""
-    m, cs = _qc_reduced(F, block_lengths, cvec)
+    m, cs, a = _qc_reduced(F, block_lengths, cvec, a)
     return _lcd_gcd(F, m, cs, a, _module_gcd(F, m, cs))
 
 
 def one_gen_self_orthogonal_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
-    m, cs = _qc_reduced(F, block_lengths, cvec)
+    m, cs, a = _qc_reduced(F, block_lengths, cvec, a)
     return poly.is_zero(_qc_sum_poly(F, m, cs, a))
 
 
@@ -427,7 +431,7 @@ def maximal_one_gen_check(F: Field, block_lengths, cvec, a: int = -1) -> Maximal
     canonical generator c1 (c1+c2)^{-1} of a maximal complementary-dual
     code.  The canonical form is a theorem about a = -1 only: for any other
     a, c1 + c2 may be a zero divisor, and canonical is None."""
-    m, cs = _qc_reduced(F, block_lengths, cvec)
+    m, cs, a = _qc_reduced(F, block_lengths, cvec, a)
     g = _module_gcd(F, m, cs)
     maximal = poly.degree(g) == 0
     lcd = _lcd_gcd(F, m, cs, a, g)
@@ -454,12 +458,30 @@ class ProductResult:
     component_dims: tuple[int, ...]
 
 
+def _ideal_words(ctx: CyclotomicContext, mj: int, tj: int, gammas) -> np.ndarray:
+    """For each gamma in F_q[zeta] (splitting-field encodings), zeta =
+    xi^(m/m_j), the word of length m_j in the minimal ideal of
+    F_q[x]/(x^{m_j} - 1) with nonzeros at zeta's coset and value gamma at
+    zeta: c_u = m_j^-1 Tr_{F_q[zeta]/F_q}(gamma zeta^-u), by the inverse
+    discrete Fourier transform.  gammas may have any shape; the words add
+    a last axis of length m_j."""
+    ext, base, m = ctx.ext, ctx.base, ctx.m
+    x = ext.mul(np.asarray(gammas, dtype=np.int16)[..., None], ctx.xi_pows[-(m // mj) * np.arange(mj) % m])
+    tr = ext.sum(np.stack([ext.pow(x, base.q**s) for s in range(tj)]), axis=0)
+    return base.mul(ctx.emb.lift(tr), base.inv(mj % base.p))
+
+
 def product_lcd_gqc(base: Field, components) -> ProductResult:
     """Glue Euclidean complementary-dual component codes over GF(q^{t_j})
     into one mu_{-1} complementary-dual code on blocks m_j (repeated r_j
-    times), via the cyclic embedding through H_j = (x^{m_j}-1)/M_{m-hat_j}.
+    times): each entry gamma of a component word, times zeta^s for s < t_j,
+    becomes the block word of the minimal ideal with value gamma zeta^s at
+    zeta = xi^(m/m_j) (_ideal_words).  The distance bound multiplies each
+    component's distance by that ideal's (the span of the words of zeta^s).
 
     components: iterable of (m_j, r_j, LinearCode over GF(q^{t_j}))."""
+    from .oracle import brute_min_distance
+
     comps = [(int(mj), int(rj), comp) for mj, rj, comp in components]
     mjs = [mj for mj, _, _ in comps]
     if len(set(mjs)) != len(mjs):
@@ -467,13 +489,9 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
     # a component of length 0 adds no block, so its m_j stays out of m
     m = lcm_of(mj for mj, rj, _ in comps if rj)
     ctx = CyclotomicContext(base, m)
-    ext = ctx.ext
-    pf = make_field(base.p)
 
     block_lengths: list[int] = []
-    rows: list[np.ndarray] = []
     comp_dims: list[int] = []
-    dist_bound = None
     plans = []
     for mj, rj, comp in comps:
         tj = mult_order(base.q, mj)  # the size of the coset of m / m_j
@@ -486,52 +504,21 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
             raise BadInput(f"component for m={mj} is not Euclidean complementary-dual")
         comp_dims.append(comp.k * tj)
         if rj:
-            plans.append((mj, rj, comp, m // mj, tj))
+            plans.append((mj, rj, comp, tj))
             block_lengths.extend([mj] * rj)
 
-    off = 0
-    for mj, rj, comp, mhat, tj in plans:
-        zeta = ctx.eval_point(mhat)
-        minp = ctx.minimal_poly(mhat)
-        Hj, rem = poly.divmod_(base, poly.xm1(base, mj), minp)
-        assert poly.is_zero(rem), "minimal polynomial must divide x^m_j - 1"
-        eta = int(_evaluate(ctx, (mj,), _flat_gens(base, (mj,), [(Hj,)]), [mhat])[0, 0, 0])
-        assert eta != 0
-        comp_emb = embedding(comp.field, ext)
-        # GF(p)-basis of F_q[zeta] inside the splitting field: omega^u zeta^s
-        zs, wu = ctx.xi_pows[mhat * np.arange(tj) % m], ctx.emb(base.p ** np.arange(base.e))
-        Bmat = ext.digits[ext.mul(zs[:, None], wu)].reshape(tj * base.e, ext.e).T.astype(np.int16)  # over GF(p)
-
-        def to_block_poly(gamma_ext: int) -> np.ndarray:
-            """gamma in F_q[zeta] -> H_j * r(x) with r(zeta) = gamma/eta."""
-            target = ext.digits[ext.div(gamma_ext, eta)].astype(np.int16)
-            z = linalg.solve_right(pf, Bmat, target)
-            assert z is not None, "element must lie in F_q[zeta]"
-            coeffs = [
-                base.encode(z[s * base.e : (s + 1) * base.e]) for s in range(tj)
-            ]
-            return poly.mod_xm1(base, poly.mul(base, Hj, poly.from_seq(coeffs)), mj)
-
-        for row in comp.gen:
-            emb_row = [int(comp_emb(int(x))) for x in row]
-            for s2 in range(tj):
-                mult = ext.pow(zeta, s2)
-                flat = np.zeros(sum(block_lengths), dtype=np.int16)
-                for c, gamma in enumerate(emb_row):
-                    if gamma:
-                        f = to_block_poly(ext.mul(gamma, mult))
-                        pos = off + c * mj
-                        flat[pos : pos + f.size] = f
-                rows.append(flat)
+    rows = np.zeros((sum(comp_dims), sum(block_lengths)), dtype=np.int16)
+    row = off = 0
+    dist_bound = None
+    for mj, rj, comp, tj in plans:
+        zetas = ctx.xi_pows[m // mj * np.arange(tj) % m]
+        gammas = ctx.ext.mul(embedding(comp.field, ctx.ext)(comp.gen)[:, None, :], zetas[:, None])
+        rows[row : row + comp.k * tj, off : off + rj * mj] = _ideal_words(ctx, mj, tj, gammas).reshape(comp.k * tj, rj * mj)
         if comp.k:
-            from .oracle import brute_min_distance
-
-            d_comp = brute_min_distance(comp)
-            h_code = one_gen_code(base, (mj,), (Hj,))
-            d_h = brute_min_distance(h_code.flat)
-            cand = d_comp * d_h
+            ideal = LinearCode(base, mj, _ideal_words(ctx, mj, tj, zetas))
+            cand = brute_min_distance(comp) * brute_min_distance(ideal)
             dist_bound = cand if dist_bound is None else min(dist_bound, cand)
-        off += rj * mj
+        row, off = row + comp.k * tj, off + rj * mj
 
     code = GqcCode(base, tuple(block_lengths), rows)
     if code.k != sum(comp_dims):

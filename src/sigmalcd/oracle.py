@@ -210,16 +210,14 @@ def brute_hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
 
 SIGMA_FAMILIES = ("diagonal-lambda", "cyclic-pi2", "permutation-sample")
 
-# full enumeration of S_n is feasible up to 7! = 5040 candidates
+# full enumeration of S_n is feasible up to 7! = 5040 candidates; past
+# that, the reversal and then this many seeded random permutations
 _PERM_EXHAUST_LIMIT = 7
+_PERM_SAMPLE = 2000
+_PERM_SEED = 0xA5
 
 
-def exhaustive_sigma_search(
-    code: LinearCode,
-    family: str = "permutation-sample",
-    sample: int = 2000,
-    seed: int = 0xA5,
-) -> SemiLinearMap | None:
+def exhaustive_sigma_search(code: LinearCode, family: str = "permutation-sample") -> SemiLinearMap | None:
     """First map in a deterministic family order making the code
     complementary-dual, or None once the family is exhausted.
 
@@ -248,9 +246,9 @@ def exhaustive_sigma_search(
                 for p in itertools.permutations(range(n)):
                     yield SemiLinearMap.permutation(F, np.asarray(p, dtype=np.int32))
             else:
-                rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(_PERM_SEED)
                 yield SemiLinearMap.reversal(F, n)
-                for _ in range(sample):
+                for _ in range(_PERM_SAMPLE):
                     perm = rng.permutation(n).astype(np.int32)
                     yield SemiLinearMap.permutation(F, perm)
 

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,6 +455,46 @@ def test_lcp_d2_is_distance_of_dual_of_second():
         n, k = 5, 2
         pair = build_lcp(rand_code(F3, n, k, rng), rand_code(F3, n, k, rng))
         assert pair.d2 == oracle.brute_min_distance(pair.c2.dual())
+
+
+
+def _padded(F, zeros, *rows):
+    return LinearCode(F, zeros + len(rows[0]), [[0] * zeros + [int(c) for c in r] for r in rows])
+
+
+def test_lcp_construction_needs_no_search():
+    """A GF(3) pair whose first good map in the old (q-1)^n diagonal walk lay
+    beyond 2^n candidates: the construction yields one map, and it works."""
+    c1 = _padded(F3, 30, "1000000", "0100100", "0010100", "0001000", "0000011")
+    c2 = _padded(F3, 30, "1000001", "0100002", "0010200", "0001102", "0000012")
+    assert len(list(itertools.islice(codes._lcp_candidates_big_q(F3, c1, c2), 2))) == 1
+    start = time.perf_counter()
+    pair = build_lcp(c1, c2)
+    assert time.perf_counter() - start < 1
+    assert pair.c1 == c1 and pair.c1.k + pair.c2.k == pair.n == 37
+    assert oracle.brute_intersection_dim(pair.c1, pair.c2) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lcp_construction_is_complementary(data):
+    """For q > 2 the one constructed map pairs c1 with (sigma(c2))^perp into
+    a complementary pair: sigma is monomial on the aligned permutation and
+    scales only C2's pivot coordinates; the zero code, the whole space and
+    c2 = c1 included."""
+    F = data.draw(st.sampled_from([F3, F4, F5, field(7), field(2, 3), field(3, 2)]), label="field")
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c1 = rand_code(F, n, k, rng)
+    c2 = c1 if data.draw(st.booleans(), label="c2 = c1") else rand_code(F, n, k, rng)
+    (sigma,) = codes._lcp_candidates_big_q(F, c1, c2)
+    second = sigma_dual(c2, sigma)
+    assert oracle.brute_intersection_dim(c1, second) == 0 and c1.k + second.k == n
+    assert sigma.is_monomial and np.array_equal(sigma.perm, codes._aligned_perm(F, c1.gen, c2.gen, n)[0])
+    off_pivots = np.ones(n, dtype=bool)
+    off_pivots[(c2.gen != 0).argmax(axis=1)] = False
+    assert np.all(sigma.diag[off_pivots] == 1)
 
 
 # ---------------------------------------------------------------- distance

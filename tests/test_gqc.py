@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalcd import gqc, oracle, poly
-from sigmalcd.codes import LinearCode
-from sigmalcd.cyclotomic import CyclotomicContext
+from sigmalcd import gqc, linalg, oracle, poly
+from sigmalcd.codes import LinearCode, hull_dim
+from sigmalcd.cyclotomic import CyclotomicContext, mult_order
 from sigmalcd.errors import BadInput
-from sigmalcd.field import field
+from sigmalcd.field import embedding, field
 
 F2 = field(2)
 F3 = field(3)
@@ -326,6 +326,17 @@ def test_one_gen_gcd_requires_qc():
         gqc.one_gen_lcd_gcd(F2, (3, 5), (ONE, ONE), -1)
 
 
+
+def test_gcd_routes_reject_non_unit_a():
+    """Every one-generator route rejects an a that is not a unit mod m."""
+    cvec = ([1, 1], [1, 0, 2])
+    with pytest.raises(BadInput, match="a = 2 not invertible modulo 4"):
+        gqc.one_gen_lcd_eval(CyclotomicContext(F3, 4), (4, 4), cvec, 2)
+    for route in (gqc.one_gen_lcd_gcd, gqc.one_gen_self_orthogonal_gcd, gqc.maximal_one_gen_check):
+        with pytest.raises(BadInput, match="a = 2 not invertible modulo 4"):
+            route(F3, (4, 4), cvec, 2)
+
+
 # ------------------------------------------------------------ supports
 
 
@@ -468,8 +479,6 @@ def test_product_random_components():
                 k = int(rng.integers(1, r + 1))
                 cand = LinearCode(Fc, r, rng.integers(0, Fc.q, size=(k, r)).astype(np.int16))
                 if cand.k and np.all(cand.gen.sum() >= 0):
-                    from sigmalcd.codes import hull_dim
-
                     if hull_dim(cand, None) == 0:
                         comps.append((mj, r, cand))
                         break
@@ -477,6 +486,82 @@ def test_product_random_components():
         t = {3: 2, 5: 4}
         assert res.dim == sum(c.k * t[mj] for mj, _, c in comps)
         assert oracle.brute_min_distance(res.code.flat) >= res.distance_bound
+
+
+
+def _product_reference(base, components):
+    """The product through H_j = (x^{m_j} - 1)/M_zeta, entry by entry: gamma
+    becomes H_j r(x) with r(zeta) = gamma/eta, eta = H_j(zeta), r solved over
+    GF(p) in the basis omega^u zeta^s.  Returns the flat generator, the
+    blocks, the component dimensions and the distance bound."""
+    m = gqc.lcm_of(mj for mj, rj, _ in components if rj)
+    ctx = CyclotomicContext(base, m)
+    ext, pf = ctx.ext, field(base.p)
+    blocks = [mj for mj, rj, _ in components for _ in range(rj)]
+    rows, dims, bound, off = [], [], None, 0
+    for mj, rj, comp in components:
+        tj = mult_order(base.q, mj)
+        dims.append(comp.k * tj)
+        if not rj:
+            continue
+        mhat = m // mj
+        zeta = ctx.eval_point(mhat)
+        Hj, rem = poly.divmod_(base, poly.xm1(base, mj), ctx.minimal_poly(mhat))
+        assert poly.is_zero(rem)
+        eta = int(gqc._evaluate(ctx, (mj,), gqc._flat_gens(base, (mj,), [(Hj,)]), [mhat])[0, 0, 0])
+        zs, wu = ctx.xi_pows[mhat * np.arange(tj) % m], ctx.emb(base.p ** np.arange(base.e))
+        Bmat = ext.digits[ext.mul(zs[:, None], wu)].reshape(tj * base.e, ext.e).T.astype(np.int16)
+        emb = embedding(comp.field, ext)
+        for row in comp.gen:
+            for s in range(tj):
+                flat = np.zeros(sum(blocks), dtype=np.int16)
+                for c, gamma in enumerate(int(emb(int(x))) for x in row):
+                    if gamma:
+                        target = ext.digits[ext.div(ext.mul(gamma, ext.pow(zeta, s)), eta)].astype(np.int16)
+                        z = linalg.solve_right(pf, Bmat, target)
+                        r = poly.from_seq([base.encode(z[u * base.e : (u + 1) * base.e]) for u in range(tj)])
+                        f = poly.mod_xm1(base, poly.mul(base, Hj, r), mj)
+                        flat[off + c * mj : off + c * mj + f.size] = f
+                rows.append(flat)
+        if comp.k:
+            d = oracle.brute_min_distance(comp) * oracle.brute_min_distance(gqc.one_gen_code(base, (mj,), (Hj,)).flat)
+            bound = d if bound is None else min(bound, d)
+        off += rj * mj
+    code = gqc.GqcCode(base, tuple(blocks), rows)
+    return code.flat.gen, code.block_lengths, tuple(dims), 0 if bound is None else bound
+
+
+# per base field, block lengths coprime to q whose pairs keep GF(q^t) small
+PRODUCT_BLOCKS = {F2: (1, 3, 5, 7), F3: (1, 2, 4, 5, 8), F4: (1, 3, 5), field(5): (1, 2, 3, 4, 6)}
+
+
+def test_product_matches_minimal_ideal_reference():
+    """The trace-built blocks equal the H_j r(x) construction byte for byte:
+    flat generator, blocks, component dimensions and distance bound, over
+    one and two components with r_j = 0 among them."""
+    rng = np.random.default_rng(21)
+    seen = set()
+    for base, ms in PRODUCT_BLOCKS.items():
+        for l in (1, 2, 1, 2, 1, 2):
+            while True:
+                mjs = sorted(int(x) for x in rng.choice(ms, size=l, replace=False))
+                if base.q ** mult_order(base.q, gqc.lcm_of(mjs)) <= 4096:
+                    break
+            comps = []
+            for mj in mjs:
+                Fc = field(base.p, base.e * mult_order(base.q, mj))
+                r = int(rng.integers(0, 4))
+                while True:
+                    c = LinearCode(Fc, r, rng.integers(0, Fc.q, size=(int(rng.integers(0, r + 1)), r)))
+                    if c.k == 0 or hull_dim(c, None) == 0:
+                        break
+                comps.append((mj, r, c))
+                seen.add(("r = 0" if r == 0 else "k > 0" if c.k else "k = 0", l))
+            res = gqc.product_lcd_gqc(base, comps)
+            gen, blocks, dims, bound = _product_reference(base, comps)
+            assert res.code.flat.gen.shape == gen.shape and res.code.flat.gen.tobytes() == gen.tobytes()
+            assert (res.code.block_lengths, res.component_dims, res.distance_bound) == (blocks, dims, bound)
+    assert {("r = 0", 1), ("r = 0", 2), ("k > 0", 1), ("k > 0", 2)} <= seen
 
 
 # ------------------------------------------------------------ evaluator
