@@ -6,20 +6,19 @@ array.  Every public function takes and returns that form.
 
 Division, gcds, products and the reductions modulo x^m - 1 convert their
 arguments once on the way in and their results once on the way out, and run
-in between on plain Python values, one representation per characteristic:
+in between on one packed int per polynomial (`_Core`).  Over GF(p^e) the
+w-bit field [(i e + k) w, (i e + k + 1) w) holds digit k of the coefficient
+of x^i, so a shift by i e w multiplies by x^i.  A multiple c b is the sum
+over k < e of (c y^k) times the digit plane b_k, which holds digit k of
+every coefficient of b in its lowest field; each product writes one packed
+constant into every coefficient without carries.  The characteristic
+decides only how values add:
 
-- characteristic 2 (`_Slots`): a polynomial over GF(2^e) is one int whose
-  bits [i e, (i + 1) e) hold the coefficient of x^i.  Addition is XOR, a
-  shift by i e multiplies by x^i, and GF(2) is e = 1.  A multiple c b is the
-  XOR over k < e of ((b >> k) & ones) (c x^k), where ones has bit 0 of every
-  slot set: each product writes one e-bit constant into every slot without
-  carries, so scaling costs e big-int multiplies;
-- odd p (`_Digits`): a polynomial over GF(p^e) is one int whose w-bit
-  fields [(i e + k) w, (i e + k + 1) w) hold digit k of the coefficient of
-  x^i.  Sums and multiples are integer sums and products: w leaves each
-  digit room for a multiple's e products below p^2, so no field carries
-  into the next, and a reducer then takes every digit back mod p with a
-  few big-int operations per halving of the digit bound.
+- p = 2: digits are single bits (w = 1), so the packing of an encoding is
+  the encoding itself and addition is XOR;
+- odd p: w leaves each digit room for a multiple's e products below p^2,
+  so sums are integer sums, and a reducer then takes every digit back
+  mod p with a few big-int operations per halving of the digit bound.
 
 The public add, sub, neg, scale and monic stay single vectorised numpy
 operations.
@@ -111,164 +110,72 @@ def xm1(F: Field, m: int) -> np.ndarray:
 # the core on plain Python values
 
 
-def _slots_from_list(coeffs: list, e: int) -> int:
-    """Pack coefficients into e-bit slots; halving keeps it O(n log n)."""
+def _slots_from_list(coeffs: list, width: int) -> int:
+    """Pack values into width-bit slots; halving keeps it O(n log n)."""
     n = len(coeffs)
     if n > 64:
         h = n // 2
-        return _slots_from_list(coeffs[:h], e) | (_slots_from_list(coeffs[h:], e) << (h * e))
+        return _slots_from_list(coeffs[:h], width) | (_slots_from_list(coeffs[h:], width) << (h * width))
     v = 0
     for c in reversed(coeffs):
-        v = (v << e) | c
+        v = (v << width) | c
     return v
 
 
-def _slots_to_list(v: int, e: int, n: int) -> list:
-    """The n coefficients in the e-bit slots of v."""
+def _slots_to_list(v: int, width: int, n: int) -> list:
+    """The n values in the width-bit slots of v."""
     if n > 64:
         h = n // 2
-        return _slots_to_list(v & ((1 << (h * e)) - 1), e, h) + _slots_to_list(v >> (h * e), e, n - h)
-    mask = (1 << e) - 1
+        return _slots_to_list(v & ((1 << (h * width)) - 1), width, h) + _slots_to_list(v >> (h * width), width, n - h)
+    mask = (1 << width) - 1
     out = []
     for _ in range(n):
         out.append(v & mask)
-        v >>= e
+        v >>= width
     return out
 
 
-def _ltrim(v: list) -> list:
-    while v and not v[-1]:
-        v.pop()
-    return v
+def _ones(n: int, width: int) -> int:
+    """Bit 0 of each of n width-bit fields."""
+    return ((1 << (n * width)) - 1) // ((1 << width) - 1)
 
 
-def _fold(add, coeffs, k: int, m: int) -> list:
-    """sum_i c_i x^(i k mod m) as m coefficients, with the scalar add."""
-    out = [0] * m
-    for i, c in enumerate(coeffs):
-        if c:
-            j = i * k % m
-            out[j] = add(out[j], c)
-    return out
-
-
-class _Slots:
-    """Characteristic 2: one int per polynomial, coefficient i in the e-bit
-    slot at bit i e."""
-
-    zero, one = 0, 1
-    sadd = operator.xor
-
-    def __init__(self, F: Field):
-        self.q, self.e = F.q, F.e
-        self.exp, self.log, self.inv = F._exp_s, F._log_s, F._inv_s
-        self.xk = [F._log_s[1 << k] for k in range(F.e)]  # logs of x^k
-
-    def value(self, coeffs: list) -> int:
-        return _slots_from_list(coeffs, self.e)
-
-    def coeffs(self, v: int) -> list:
-        e = self.e
-        return _slots_to_list(v, e, (v.bit_length() + e - 1) // e)
-
-    def deg(self, v: int) -> int:
-        return (v.bit_length() - 1) // self.e
-
-    def lead(self, v: int) -> int:
-        return v >> (self.deg(v) * self.e)
-
-    def sub(self, u: int, v: int) -> int:
-        return u ^ v
-
-    def multiples(self, b: int):
-        """c -> c * b for nonzero c, caching a few products."""
-        e = self.e
-        if e == 1:
-            return lambda c: b
-        exp, log, xk = self.exp, self.log, self.xk
-        ones = ((1 << ((self.deg(b) + 1) * e)) - 1) // ((1 << e) - 1)
-        bits = [(b >> k) & ones for k in range(e)]  # bit k of every slot, moved to bit 0
-        cache = {1: b}
-
-        def times(c):
-            v = cache.get(c)
-            if v is None:
-                lc, v = log[c], 0
-                for s, lx in zip(bits, xk):
-                    v ^= s * exp[lc + lx]
-                if len(cache) < _CACHED_MULTIPLES:
-                    cache[c] = v
-            return v
-
-        return times
-
-    def scale(self, c: int, v: int) -> int:
-        return self.multiples(v)(c) if v else 0
-
-    def mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        if a.bit_length() > b.bit_length():
-            a, b = b, a
-        times, e, out = self.multiples(b), self.e, 0
-        for i, c in enumerate(self.coeffs(a)):
-            if c:
-                out ^= times(c) << (i * e)
-        return out
-
-    def divmod(self, a: int, b: int):
-        e, exp, log = self.e, self.exp, self.log
-        db = self.deg(b)
-        linv = log[self.inv[b >> (db * e)]]
-        times, q = self.multiples(b), 0
-        while True:
-            da = (a.bit_length() - 1) // e
-            if da < db:
-                return q, a
-            c = exp[log[a >> (da * e)] + linv]
-            s = (da - db) * e
-            a ^= times(c) << s
-            q |= c << s
-
-    def mod_xm1(self, v: int, m: int) -> int:
-        w = m * self.e
-        low, out = (1 << w) - 1, 0
-        while v:
-            out ^= v & low
-            v >>= w
-        return out
-
-
-class _Digits:
-    """Odd p: one int per polynomial, coefficient i in the e w-bit fields
-    from bit i e w up, one base-p digit each.  Sums and multiples are plain
-    integer sums and products; w leaves each digit room to grow, so no
-    field carries into the next, and a reducer then takes every digit back
-    mod p with a few big-int operations."""
+class _Core:
+    """One int per polynomial over GF(p^e): digit k of the coefficient of
+    x^i in the w-bit field from bit (i e + k) w up, with w = 1 for p = 2."""
 
     zero, one = 0, 1
 
     def __init__(self, F: Field):
         p, e = F.p, F.e
         self.q, self.p, self.e = F.q, p, e
-        # a digit of a multiple c b sums e products below p^2; reducing it
-        # takes `top` steps, 2^top p > e (p - 1)^2, and w bits hold 2^top p
-        self.top = (e * (p - 1) ** 2 // p).bit_length()
-        self.w = w = ((p << self.top) - 1).bit_length()
-        self.ew = e * w
+        # p = 2 adds by XOR; odd p adds integers, and a digit of a multiple
+        # c b sums e products below p^2: reducing it takes `top` steps,
+        # 2^top p > e (p - 1)^2, and w bits hold 2^top p
+        self.plus, self.top, w = operator.xor, 0, 1
+        if p > 2:
+            self.plus, self.top = operator.add, (e * (p - 1) ** 2 // p).bit_length()
+            w = ((p << self.top) - 1).bit_length()
+        self.w, self.ew = w, e * w
         self.exp, self.log, self.inv, self.neg = F._exp_s, F._log_s, F._inv_s, F._neg_s
-        self.pack = [sum(d << (k * w) for k, d in enumerate(ds)) for ds in F.digits.tolist()]
-        self.enc = {v: x for x, v in enumerate(self.pack)}
-        pack, enc, reduce = self.pack, self.enc, self.reducer(1)
-        self.sadd = lambda x, y: enc[reduce(pack[x] + pack[y])]
-        self.ylogs = [F._log_s[p**k] for k in range(e)]  # logs of y^k, y the class of x
+        self.ylogs = [self.log[p**k] for k in range(e)]  # logs of y^k, y the class of x
+        # packing is the identity for one-bit digits or one digit, and pack
+        # and enc are then one list; plog takes a packed coefficient to its log
+        self.pack = self.enc = list(range(F.q))
+        self.plog = self.log
+        if w > 1 and e > 1:
+            self.pack = [sum(d << (k * w) for k, d in enumerate(ds)) for ds in F.digits.tolist()]
+            self.enc = {v: x for x, v in enumerate(self.pack)}
+            self.plog = {v: self.log[x] for x, v in enumerate(self.pack)}
+        pack, enc, add = self.pack, self.enc, self.adder(1)[0]
+        self.sadd = add if pack is enc else lambda x, y: enc[add(pack[x], pack[y])]
 
     def value(self, coeffs: list) -> int:
-        return _slots_from_list(coeffs if self.e == 1 else [self.pack[c] for c in coeffs], self.ew)
+        return _slots_from_list(coeffs if self.pack is self.enc else [self.pack[c] for c in coeffs], self.ew)
 
     def coeffs(self, v: int) -> list:
         out = _slots_to_list(v, self.ew, self.deg(v) + 1)
-        return out if self.e == 1 else [self.enc[x] for x in out]
+        return out if self.pack is self.enc else [self.enc[x] for x in out]
 
     def deg(self, v: int) -> int:
         return (v.bit_length() - 1) // self.ew
@@ -276,18 +183,16 @@ class _Digits:
     def lead(self, v: int) -> int:
         return self.enc[v >> (self.deg(v) * self.ew)]
 
-    @staticmethod
-    def ones(n: int, width: int) -> int:
-        """Bit 0 of each of n width-bit fields."""
-        return ((1 << (n * width)) - 1) // ((1 << width) - 1)
-
     def reducer(self, n: int):
         """reduce(u, top) takes every digit of u, of at most n coefficients
         and with digits below 2^top p, back mod p; a sum of two reduced
         values needs top = 1.  Step j subtracts 2^j p from the digits
-        d >= 2^j p, those where d + 2^(w-1) - 2^j p has bit w - 1 set."""
+        d >= 2^j p, those where d + 2^(w-1) - 2^j p has bit w - 1 set.
+        None for p = 2, whose sums need no reducing."""
+        if not self.top:
+            return None
         w, p = self.w, self.p
-        ones = self.ones(n * self.e, w)
+        ones = _ones(n * self.e, w)
         steps = [(ones * ((1 << (w - 1)) - (p << j)), p << j) for j in range(self.top)]
 
         def reduce(u, top=1):
@@ -297,31 +202,42 @@ class _Digits:
 
         return reduce
 
+    def adder(self, n: int):
+        """(add, reduce) for values of at most n coefficients: add(u, v) is
+        the reduced u + v, and reduce the reducer (None for p = 2)."""
+        if not self.top:
+            return self.plus, None
+        reduce = self.reducer(n)
+        return (lambda u, v: reduce(u + v)), reduce
+
     def sub(self, u: int, v: int) -> int:
+        if self.p == 2:
+            return u ^ v
         n = max(self.deg(u), self.deg(v)) + 1
         # every digit of u + p - v lies in 1..2p - 1
-        return self.reducer(n)(u + self.ones(n * self.e, self.w) * self.p - v)
+        return self.reducer(n)(u + _ones(n * self.e, self.w) * self.p - v)
 
-    def multiples(self, b: int, reduce=None):
-        """c -> c * b for nonzero c, reduced by `reduce` (by default a
-        reducer for b), caching a few.  c b = sum_k b_k (c y^k) over the
-        digit planes b_k of b: b_k holds digit k of every coefficient in
-        its lowest field, and times the packed digits of c y^k fills all e
-        fields of each coefficient."""
-        w, e, n = self.w, self.e, self.deg(b) + 1
-        reduce = reduce or self.reducer(n)
-        planes = [b]
-        if e > 1:
-            digit = self.ones(n, self.ew) * ((1 << w) - 1)
-            planes = [(b >> (k * w)) & digit for k in range(e)]
-        exp, log, pack, ylogs, top = self.exp, self.log, self.pack, self.ylogs, self.top
-        cache = {}
+    def multiples(self, b: int, reduce):
+        """c -> c b for nonzero c, caching a few, with `reduce` a reducer
+        for b or more.  c b = sum_k b_k (c y^k) over the digit planes b_k
+        of b: b_k holds digit k of every coefficient in its lowest field,
+        and times the packed digits of c y^k fills all e fields of each
+        coefficient."""
+        if self.q == 2:
+            return lambda c: b
+        w, n = self.w, (b.bit_length() - 1) // self.ew + 1
+        digit = _ones(n, self.ew) * ((1 << w) - 1)
+        planes = [(b >> (k * w)) & digit for k in range(self.e)]
+        cache = {1: b}
 
         def times(c):
             v = cache.get(c)
             if v is None:
-                lc = log[c]
-                v = reduce(sum(b_k * pack[exp[lc + ly]] for b_k, ly in zip(planes, ylogs)), top)
+                lc, v, exp, pack, plus = self.log[c], 0, self.exp, self.pack, self.plus
+                for b_k, ly in zip(planes, self.ylogs):
+                    v = plus(v, b_k * pack[exp[lc + ly]])
+                if reduce:
+                    v = reduce(v, self.top)
                 if len(cache) < _CACHED_MULTIPLES:
                     cache[c] = v
             return v
@@ -329,47 +245,50 @@ class _Digits:
         return times
 
     def scale(self, c: int, v: int) -> int:
-        return self.multiples(v)(c) if v else 0
+        return self.multiples(v, self.reducer(self.deg(v) + 1))(c) if v else 0
 
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
             return 0
         if a.bit_length() > b.bit_length():
             a, b = b, a
-        reduce = self.reducer(self.deg(a) + self.deg(b) + 1)
+        add, reduce = self.adder(self.deg(a) + self.deg(b) + 1)
         times, ew, out = self.multiples(b, reduce), self.ew, 0
         for i, c in enumerate(self.coeffs(a)):
             if c:
-                out = reduce(out + (times(c) << (i * ew)))
+                out = add(out, times(c) << (i * ew))
         return out
 
     def divmod(self, a: int, b: int):
-        ew, exp, log, neg, enc, pack = self.ew, self.exp, self.log, self.neg, self.enc, self.pack
-        db = self.deg(b)
-        lb = log[self.inv[self.lead(b)]]
-        reduce = self.reducer(self.deg(a) + 1)
+        ew, exp, plog, pack, neg = self.ew, self.exp, self.plog, self.pack, self.neg
+        db = (b.bit_length() - 1) // ew
+        lb = self.log[self.inv[self.enc[b >> (db * ew)]]]
+        add, reduce = self.adder((a.bit_length() - 1) // ew + 1)
         times, q = self.multiples(b, reduce), 0
         while True:
             da = (a.bit_length() - 1) // ew
             if da < db:
                 return q, a
-            c = exp[log[enc[a >> (da * ew)]] + lb]
+            c = exp[plog[a >> (da * ew)] + lb]
             s = (da - db) * ew
-            a = reduce(a + (times(neg[c]) << s))
+            a = add(a, times(neg[c]) << s)
             q |= pack[c] << s
 
     def mod_xm1(self, v: int, m: int) -> int:
-        w = m * self.ew
-        reduce, low, out = self.reducer(m), (1 << w) - 1, 0
+        """v modulo x^m - 1; below degree m, v is already reduced."""
+        if self.deg(v) < m:
+            return v
+        width = m * self.ew
+        add, low, out = self.adder(m)[0], (1 << width) - 1, 0
         while v:
-            out = reduce(out + (v & low))
-            v >>= w
+            out = add(out, v & low)
+            v >>= width
         return out
 
 
 @functools.lru_cache(maxsize=None)
 def _core(F: Field):
-    return _Slots(F) if F.p == 2 else _Digits(F)
+    return _Core(F)
 
 
 def _coeffs(core, a) -> list:
@@ -478,11 +397,18 @@ def mod_xm1(F: Field, a, m: int) -> np.ndarray:
 
 
 def subst_power_mod(F: Field, a, k: int, m: int) -> np.ndarray:
-    """a(x^k) reduced modulo x^m - 1."""
+    """a(x^k) reduced modulo x^m - 1, folding exponents into a dict."""
     _check_m(m)
-    core = _core(F)
-    out = _ltrim(_fold(core.sadd, _coeffs(core, a), k, m))
-    return np.array(out, dtype=np.int16) if out else ZERO
+    core, out = _core(F), {}
+    sadd = core.sadd
+    for i, c in enumerate(_coeffs(core, a)):
+        if c:
+            j = i * k % m
+            out[j] = sadd(out[j], c) if j in out else c
+    arr = [0] * (max(out, default=-1) + 1)
+    for j, c in out.items():
+        arr[j] = c
+    return trim(np.array(arr, dtype=np.int16))
 
 
 def mul_mod_xm1(F: Field, a, b, m: int) -> np.ndarray:

@@ -20,9 +20,15 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
 
-# slot widths 1 to 4 in characteristic 2; for odd p, 8-bit digits with one,
-# two and three digits per coefficient, and 16-bit digits past p = 128
-CORE_FIELDS = [F2, F3, F4, field(2, 3), field(3, 2), field(2, 4), field(5, 3), field(131)]
+# one-bit digits, 1 to 4 and 12 per coefficient, in characteristic 2; for odd
+# p, narrow digits with one, two, three and seven per coefficient, and the
+# wide single digits of GF(131) and GF(4093): GF(2^12), GF(3^7) and GF(4093)
+# are the widest slot, most-digit and widest-digit packings of any splitting
+# field
+CORE_FIELDS = [
+    F2, F3, F4, field(2, 3), field(3, 2), field(2, 4), field(5, 3), field(131),
+    field(2, 12), field(3, 7), field(4093),
+]
 
 
 # ---------------------------------------------------------------- reference
@@ -284,6 +290,32 @@ def test_odd_p_gcd_with_x1093_minus_1_is_fast():
     assert time.perf_counter() - start < 0.75
     for (F, f, xm), g in zip(cases[4:6], gs[4:6]):
         assert poly.is_zero(poly.mod(F, f, g)) and poly.is_zero(poly.mod(F, xm, g))
+
+
+def test_char2_extension_gcds_are_fast():
+    # 4^5 = 1 mod 1023 and 16^2 = 1 mod 255; the array reference needs about
+    # 0.27 s for these 10 gcds
+    rng = np.random.default_rng(255)
+    cases = []
+    for F, m in ((F4, 1023), (field(2, 4), 255)):
+        xm = poly.xm1(F, m)
+        cases += [(F, np.append(rng.integers(0, F.q, m - 1), 1).astype(np.int16), xm) for _ in range(5)]
+    start = time.perf_counter()
+    gs = [poly.gcd(F, f, xm) for F, f, xm in cases]
+    assert time.perf_counter() - start < 0.15
+    for (F, f, xm), g in zip(cases[4:6], gs[4:6]):
+        assert poly.is_zero(poly.mod(F, f, g)) and poly.is_zero(poly.mod(F, xm, g))
+
+
+def test_xm1_reductions_of_short_inputs_do_not_grow_with_m():
+    # a product or substitution below degree m is already reduced; building
+    # anything m long made these take seconds
+    one_plus_x = poly.from_seq([1, 1])
+    start = time.perf_counter()
+    square = poly.mul_mod_xm1(field(3, 2), one_plus_x, one_plus_x, 10**8)
+    subst = poly.subst_power_mod(F2, one_plus_x, 2, 10**7)
+    assert time.perf_counter() - start < 0.1
+    assert square.tolist() == [1, 2, 1] and subst.tolist() == [1, 0, 1]
 
 
 def test_predicates_agree_on_int16_wraparound():
