@@ -321,10 +321,6 @@ class LcpPair:
         return (self.n, self.k, self.d1, self.d2)
 
 
-def _pair_rank(F: Field, G1: np.ndarray, G2s: np.ndarray) -> int:
-    return linalg.rank(F, linalg.mat_mul(F, G1, G2s.T))
-
-
 def _aligned_perm(F: Field, G1: np.ndarray, G2: np.ndarray, n: int):
     """Stable permutation sending pivot columns of G2 onto pivot columns of
     G1 and non-pivots onto non-pivots, preserving order; and G2's pivots."""
@@ -358,54 +354,41 @@ def _lcp_candidates_big_q(F: Field, c1: LinearCode, c2: LinearCode):
     yield SemiLinearMap(F, perm=perm, diag=diag)
 
 
-# random permutations the binary family tries after its structured maps
-_LCP_BINARY_SAMPLE = 20000
-
-
 def _lcp_candidates_binary(F: Field, c1: LinearCode, c2: LinearCode):
-    n = c1.n
-    N = n + 1
-    yield SemiLinearMap.identity(F, N)
-
-    def window_maps(pi1: SemiLinearMap):
-        inv1 = pi1.inverse()
-        for j in range(1, N):
-            for r in range(1, j + 1):
-                perm2 = np.arange(N, dtype=np.int32)
-                # rotate window {0..j} left by r: out position i gets input i+r
-                w = j + 1
-                perm2[: w] = (np.arange(w) - r) % w
-                yield inv1.compose(SemiLinearMap.permutation(F, perm2)).compose(pi1)
-
-    variants = [np.arange(N, dtype=np.int32)]
-    for rel in (_meet_dual(F, c1.gen, c2.gen), _meet_dual(F, c2.gen, c1.gen)):
-        if rel.shape[0]:
-            _, piv = linalg.rref(F, rel)
-            others = [c for c in range(n) if c not in piv]
-            perm = np.empty(n, dtype=np.int32)
-            perm[list(piv) + others] = np.arange(n)
-            p1 = np.empty(N, dtype=np.int32)
-            p1[0] = 0
-            p1[1:] = 1 + perm
-            variants.append(p1)
-    for p1 in variants:
-        yield from window_maps(SemiLinearMap.permutation(F, p1))
-    for t in range(1, N):
-        perm = np.arange(N, dtype=np.int32)
-        perm[[0, t]] = perm[[t, 0]]
-        yield SemiLinearMap.permutation(F, perm)
-    rng = np.random.default_rng(0xC0DE)
-    for _ in range(_LCP_BINARY_SAMPLE):
-        yield SemiLinearMap.permutation(F, rng.permutation(N).astype(np.int32))
+    """One pure permutation of the n + 1 coordinates of A = [0 | G1] and
+    B = [0 | G2], constructed: M = A[:, perm] B^T starts at the identity,
+    and while M is singular, with Y and Z spanning {y : y M = 0} and
+    {z : M z = 0}, perm[c] and perm[d] swap for some c, d whose signatures
+    alpha = Y A[:, perm] and beta = Z B differ at both.  The swap adds
+    u v^T = (a_x + a_y)(b_c + b_d)^T, x, y = perm[c], perm[d], with u
+    outside col M and v outside row M, so the rank rises by one: at most k
+    swaps.  Column 0 of A and B is zero, so neither signature is constant:
+    c with beta_c != 0 has such a partner d, or else every d with alpha_d
+    != alpha_c has beta_d = beta_c, and any one of them pairs with column 0."""
+    A, B = (np.pad(c.gen, ((0, 0), (1, 0))) for c in (c1, c2))
+    perm = np.arange(c1.n + 1, dtype=np.int32)
+    while True:
+        Ap = A[:, perm]
+        M = linalg.mat_mul(F, Ap, B.T)
+        Z = linalg.nullspace(F, M)
+        if not Z.shape[0]:
+            break
+        alpha = linalg.mat_mul(F, linalg.nullspace(F, M.T), Ap)
+        beta = linalg.mat_mul(F, Z, B)
+        c = int(np.any(beta, axis=0).argmax())
+        new_a = np.any(alpha != alpha[:, [c]], axis=0)
+        both = new_a & np.any(beta != beta[:, [c]], axis=0)
+        c, d = (c, int(both.argmax())) if both.any() else (int(new_a.argmax()), 0)
+        perm[[c, d]] = perm[[d, c]]
+    yield SemiLinearMap.permutation(F, perm)
 
 
 def build_lcp(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_MAX_WORDS) -> LcpPair:
-    """Linear complementary pair from two same-dimension codes.
-
-    For q > 2 the pair is (c1, (sigma(c2))^perp) with sigma the one
-    monomial map _lcp_candidates_big_q constructs, no search; for q = 2 both
-    codes are first extended by a zero coordinate and sigma is the first
-    pure permutation of length n+1 in a fixed family that works.
+    """Linear complementary pair from two same-dimension codes: (a,
+    (sigma(b))^perp) with sigma the one map a construction gives, no search.
+    For q > 2, (a, b) = (c1, c2) and _lcp_candidates_big_q gives a monomial
+    sigma; for q = 2, a and b are c1 and c2 extended by a zero coordinate and
+    _lcp_candidates_binary gives a pure permutation of length n + 1.
     """
     from .oracle import brute_min_distance
 
@@ -418,20 +401,14 @@ def build_lcp(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_MAX_WORDS) -
     F = c1.field
     if F.q > 2:
         a, b = c1, c2
-        candidates = _lcp_candidates_big_q(F, c1, c2)
+        (sigma,) = _lcp_candidates_big_q(F, c1, c2)
     else:
         a, b = c1.prepend_zero(), c2.prepend_zero()
-        candidates = _lcp_candidates_binary(F, c1, c2)
-    k = a.k
-    sigma = None
-    for cand in candidates:
-        if _pair_rank(F, a.gen, cand.apply(b.gen) if b.k else b.gen) == k:
-            sigma = cand
-            break
-    if sigma is None:
-        raise RuntimeError("no complementary map found in the documented family")
+        (sigma,) = _lcp_candidates_binary(F, c1, c2)
     second = sigma_dual(b, sigma)
-    assert linalg.sum_dim(F, a.gen, second.gen) == a.n, "pair must span the space"
+    if linalg.sum_dim(F, a.gen, second.gen) != a.n:
+        raise RuntimeError("constructed map failed the complementary-pair check")
+    k = a.k
     d1 = brute_min_distance(a, budget) if 0 < k else None
     d2 = brute_min_distance(b, budget) if 0 < k else None
     return LcpPair(c1=a, c2=second, sigma=sigma, n=a.n, k=k, d1=d1, d2=d2)

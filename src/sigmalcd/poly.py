@@ -275,15 +275,12 @@ class _Core:
             q |= pack[c] << s
 
     def mod_xm1(self, v: int, m: int) -> int:
-        """v modulo x^m - 1; below degree m, v is already reduced."""
-        if self.deg(v) < m:
-            return v
-        width = m * self.ew
-        add, low, out = self.adder(m)[0], (1 << width) - 1, 0
-        while v:
-            out = add(out, v & low)
-            v >>= width
-        return out
+        """v modulo x^m - 1: x^(m j) = 1 adds the upper half of v's m-blocks
+        onto the lower half, so each round halves their number."""
+        while self.deg(v) >= m:
+            h = (self.deg(v) // m + 2) // 2 * m
+            v = self.adder(h)[0](v & ((1 << (h * self.ew)) - 1), v >> (h * self.ew))
+        return v
 
 
 @functools.lru_cache(maxsize=None)

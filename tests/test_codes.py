@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalcd import codes, oracle
+from sigmalcd import codes, linalg, oracle
 from sigmalcd.codes import (
     LcpPair,
     LinearCode,
@@ -495,6 +495,38 @@ def test_lcp_construction_is_complementary(data):
     off_pivots = np.ones(n, dtype=bool)
     off_pivots[(c2.gen != 0).argmax(axis=1)] = False
     assert np.all(sigma.diag[off_pivots] == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_binary_lcp_construction_is_complementary(data):
+    """For q = 2 the one constructed permutation of the n + 1 coordinates
+    pairs {0} x c1 with (sigma({0} x c2))^perp into a complementary pair,
+    in at most k transpositions; c2 inside c1^perp, where G1 G2^T = 0 and
+    every swap is needed, included."""
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c1 = rand_code(F2, n, k, rng)
+    kinds = ["c1", "random"] + (["inside c1^perp"] if 2 * k <= n else [])
+    kind = data.draw(st.sampled_from(kinds), label="c2")
+    if kind == "c1":
+        c2 = c1
+    elif kind == "random":
+        c2 = rand_code(F2, n, k, rng)
+    else:
+        dual = c1.dual()
+        while True:
+            c2 = LinearCode(F2, n, linalg.mat_mul(F2, rng.integers(0, 2, (k, dual.k)), dual.gen))
+            if c2.k == k:
+                break
+    maps = list(itertools.islice(codes._lcp_candidates_binary(F2, c1, c2), 2))
+    assert len(maps) == 1
+    (sigma,) = maps
+    assert sigma.is_permutation and sigma.n == n + 1
+    assert np.count_nonzero(sigma.perm != np.arange(n + 1)) <= 2 * k
+    a, second = c1.prepend_zero(), sigma_dual(c2.prepend_zero(), sigma)
+    assert oracle.brute_intersection_dim(a, second) == 0 and a.k + second.k == n + 1
 
 
 # ---------------------------------------------------------------- distance

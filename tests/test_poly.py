@@ -318,6 +318,16 @@ def test_xm1_reductions_of_short_inputs_do_not_grow_with_m():
     assert square.tolist() == [1, 2, 1] and subst.tolist() == [1, 0, 1]
 
 
+@pytest.mark.parametrize("F", [F2, F4, F3, field(3, 2)], ids=repr)
+def test_long_mod_xm1_matches_scalar_fold(F):
+    # mod_xm1 folds the packed int in halves, subst_power_mod with k = 1
+    # one coefficient at a time; odd block counts leave a short upper half
+    rng = np.random.default_rng(F.q)
+    for n, m in ((20_000, 1), (20_000, 2), (50_001, 7), (50_001, 1023), (3 * 4096 + 5, 4096)):
+        a = rng.integers(0, F.q, n).astype(np.int16)
+        assert np.array_equal(poly.mod_xm1(F, a, m), poly.subst_power_mod(F, a, 1, m))
+
+
 def test_predicates_agree_on_int16_wraparound():
     # every predicate reads its argument as int16, as trim does
     for a in ([65536], [0, 65536], [1, 65536]):
