@@ -229,26 +229,6 @@ def enumerate_ideals(field: Field, group: AbelianGroup) -> list[LinearCode]:
     return sorted(seen.values(), key=lambda c: (c.k, c.gen.tobytes()))
 
 
-def idempotents_in(code: LinearCode, group: AbelianGroup) -> list[GroupAlgebraElement]:
-    """All idempotent elements of the code, by batched convolution squares
-    over the full codeword enumeration."""
-    from .oracle import enumerate_codewords
-
-    F, G = code.field, group
-    if code.n != G.order:
-        raise BadInput(f"code length {code.n} != |G| = {G.order}")
-    W = np.stack([w.copy() for w in enumerate_codewords(code)])
-    sq = np.zeros_like(W)
-    for i in range(G.order):
-        col = W[:, i]
-        if not col.any():
-            continue
-        contrib = np.asarray(F.mul(col[:, None], W), dtype=np.int16)
-        sq[:, G.op[i]] = F.add(sq[:, G.op[i]], contrib)
-    mask = (sq == W).all(axis=1)
-    return [GroupAlgebraElement(F, G, W[t].copy()) for t in np.nonzero(mask)[0]]
-
-
 def cyclic_group(n: int) -> AbelianGroup:
     return AbelianGroup((n,))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadInput, SigmaLcdError
+from .errors import BadInput
 from .field import Field
 
 # the most codewords an exact enumeration may visit: the oracle's default
@@ -137,24 +137,6 @@ class SemiLinearMap:
     def __call__(self, v):
         return self.apply(v)
 
-    def compose(self, other: "SemiLinearMap") -> "SemiLinearMap":
-        """self after other."""
-        if self.field != other.field or self.n != other.n:
-            raise BadInput("cannot compose maps on different spaces")
-        F = self.field
-        perm = self.perm[other.perm]
-        diag = F.mul(F.frob(other.diag, self.frob), self.diag[other.perm])
-        return SemiLinearMap(F, perm=perm, diag=np.asarray(diag, dtype=np.int16),
-                             frob=self.frob + other.frob)
-
-    def inverse(self) -> "SemiLinearMap":
-        F = self.field
-        inv_perm = np.argsort(self.perm).astype(np.int32)
-        s_inv = (-self.frob) % F.e
-        d = np.empty(self.n, dtype=np.int16)
-        d[self.perm] = F.inv(F.frob(self.diag, s_inv))
-        return SemiLinearMap(F, perm=inv_perm, diag=d, frob=s_inv)
-
     def __eq__(self, other):
         if not isinstance(other, SemiLinearMap):
             return NotImplemented
@@ -181,19 +163,9 @@ def _check_pair(code: LinearCode, sigma: SemiLinearMap):
 
 
 def apply_sigma(sigma: SemiLinearMap, code: LinearCode) -> LinearCode:
-    """Image code sigma(C); always linear for this map family (defensively
-    verified when the Frobenius part is nontrivial)."""
-    _check_pair(code, sigma)
-    F = code.field
-    M = sigma.apply(code.gen) if code.k else code.gen
-    image = LinearCode(F, code.n, M)
-    if sigma.frob % F.e and code.k:
-        scaled = np.asarray(F.mul(F.generator, M), dtype=np.int16)
-        if linalg.sum_dim(F, image.gen, scaled) != image.k:
-            raise SigmaLcdError("image not closed under scalar multiplication")
-    if image.k != code.k:
-        raise SigmaLcdError("semi-linear image dropped rank")
-    return image
+    """Image code sigma(C), spanned by sigma(G): a semi-linear bijection
+    keeps both linearity and dimension."""
+    return LinearCode(code.field, code.n, _image_rows(code, sigma))
 
 
 def sigma_dual(code: LinearCode, sigma: SemiLinearMap | None = None) -> LinearCode:
@@ -266,39 +238,26 @@ def normalize_hull(code: LinearCode):
 
 
 def make_lcd_sigma(code: LinearCode):
-    """Equivalence carrying the code to a complementary-dual one.
+    """Map carrying the code to a complementary-dual one, read off the hull.
 
-    q > 2: sigma = pi^-1 gamma pi with gamma scaling the h hull coordinates
-    by the least encoding outside {0, 1}; output is the original code.
-    q = 2: output is {0} x C of length n+1 and sigma is the pure permutation
-    pi1^-1 pi2 pi1 rotating the prefix window of the hull coordinates.
+    C is sigma-LCD exactly when (C, (sigma(C))^perp) is a complementary
+    pair, so this is the LCP construction with C1 = C2 = C.
+    q > 2: sigma scales the pivot coordinates of the Euclidean hull's RREF
+    basis by 2, the least encoding outside {0, 1}; output is the original
+    code.  The Gram matrix of the hull rows becomes (lambda - 1) I, lambda
+    the element encoded 2, and a complement of the hull vanishing on those
+    pivots keeps its nonsingular Gram matrix.
+    q = 2: output is {0} x C of length n+1 and sigma is the pure
+    permutation _lcp_candidates_binary constructs for the pair (C, C).
     """
     F = code.field
-    n = code.n
     if F.q > 2:
-        pi, _, h = normalize_hull(code)
-        if h == 0:
-            return SemiLinearMap.identity(F, n), code
-        diag = np.ones(n, dtype=np.int16)
-        diag[:h] = 2
-        gamma = SemiLinearMap.diagonal(F, diag)
-        sigma = pi.inverse().compose(gamma).compose(pi)
-        out = code
+        diag = np.ones(code.n, dtype=np.int16)
+        diag[linalg.rref(F, hull_basis(code, None))[1]] = 2
+        sigma, out = SemiLinearMap.diagonal(F, diag), code
     else:
+        (sigma,) = _lcp_candidates_binary(F, code, code)
         out = code.prepend_zero()
-        pi, _, h = normalize_hull(code)
-        if h == 0:
-            sigma = SemiLinearMap.identity(F, n + 1)
-        else:
-            perm1 = np.empty(n + 1, dtype=np.int32)
-            perm1[0] = 0
-            perm1[1:] = 1 + pi.perm
-            pi1 = SemiLinearMap.permutation(F, perm1)
-            perm2 = np.arange(n + 1, dtype=np.int32)
-            perm2[0] = h
-            perm2[1 : h + 1] = np.arange(h)
-            pi2 = SemiLinearMap.permutation(F, perm2)
-            sigma = pi1.inverse().compose(pi2).compose(pi1)
     if hull_dim(out, sigma) != 0:
         raise RuntimeError("constructed map failed the complementary-dual check")
     return sigma, out

@@ -126,12 +126,13 @@ class Field:
     """GF(p^e) with table-backed vectorized arithmetic on integer encodings."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not is_prime(p):
-            raise BadInput(f"p = {p} is not prime")
+        # sizes first: trial division of a huge p would never finish
         if e < 1 or e > MAX_EXTENSION_DEGREE:
             raise BadInput(f"extension degree {e} outside supported 1..{MAX_EXTENSION_DEGREE}")
         if p**e > MAX_FIELD_SIZE:
             raise BadInput(f"field size {p**e} exceeds table-backed limit {MAX_FIELD_SIZE}")
+        if not is_prime(p):
+            raise BadInput(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.q = p**e

@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg, poly
 from .codes import LinearCode, SemiLinearMap
 from .errors import BadInput
-from .field import Field, field, is_prime
+from .field import MAX_FIELD_SIZE, Field, field, is_prime
 from .gqc import GqcCode
 
 
@@ -46,6 +46,9 @@ def parse_field(text: str) -> Field:
         v = _int(text)
         if v < 2:
             raise BadInput(f"{v} is not a prime power")
+        # before the factor search, which a huge v would never finish
+        if v > MAX_FIELD_SIZE:
+            raise BadInput(f"field size {v} exceeds table-backed limit {MAX_FIELD_SIZE}")
         if is_prime(v):
             p, e = v, 1
         else:
@@ -82,16 +85,14 @@ def _check_entries(F: Field, rows: np.ndarray):
         raise BadInput(f"entry out of range for GF({F.q})")
 
 
-def parse_code(text: str, field_hint: Field | None = None) -> LinearCode:
+def parse_code(text: str) -> LinearCode:
     lines = _lines(text)
     if not lines:
         raise BadInput("empty code file")
     head = lines[0].split()
     if len(head) != 3:
         raise BadInput(f"header must be 'q n k', got {lines[0]!r}")
-    F = field_hint if field_hint is not None else parse_field(head[0])
-    if F.q != parse_field(head[0]).q:
-        raise BadInput(f"header field {head[0]} != {field_str(F)}")
+    F = parse_field(head[0])
     n, k = _int(head[1]), _int(head[2])
     if n < 0 or k < 0:
         raise BadInput(f"code length and dimension must be nonnegative, got n = {n}, k = {k}")
@@ -162,7 +163,7 @@ def sigma_from_spec(spec: str, F: Field, n: int) -> SemiLinearMap:
         return parse_sigma(fh.read(), F, n)
 
 
-def parse_gqc_raw(text: str, field_hint: Field | None = None):
+def parse_gqc_raw(text: str):
     """(field, block lengths, generator tuples) without building the code."""
     lines = _lines(text)
     if len(lines) < 3:
@@ -170,7 +171,7 @@ def parse_gqc_raw(text: str, field_hint: Field | None = None):
     head = lines[0].split()
     if len(head) != 2:
         raise BadInput(f"header must be 'q l', got {lines[0]!r}")
-    F = field_hint if field_hint is not None else parse_field(head[0])
+    F = parse_field(head[0])
     l = _int(head[1])
     blocks = tuple(_int(v) for v in lines[1].split())
     if len(blocks) != l:
@@ -189,8 +190,8 @@ def parse_gqc_raw(text: str, field_hint: Field | None = None):
     return F, blocks, gens
 
 
-def parse_gqc(text: str, field_hint: Field | None = None) -> GqcCode:
-    F, blocks, gens = parse_gqc_raw(text, field_hint)
+def parse_gqc(text: str) -> GqcCode:
+    F, blocks, gens = parse_gqc_raw(text)
     return GqcCode.from_generators(F, blocks, gens)
 
 

@@ -195,12 +195,6 @@ def test_modular_ideal_without_idempotent():
     assert abelian.find_idempotent_generator(by_dim[2], Z3) is None
 
 
-def test_idempotents_in_full_algebra():
-    full = abelian.ideal_from_generator(abelian.ga_one(F2, Z3))
-    idems = {tuple(int(v) for v in e.coeffs) for e in abelian.idempotents_in(full, Z3)}
-    assert idems == {(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)}
-
-
 def test_enumerate_ideals_counts():
     assert len(abelian.enumerate_ideals(F2, Z3)) == 4
     assert len(abelian.enumerate_ideals(F3, Z3)) == 4

@@ -124,27 +124,6 @@ def test_sigma_zero_diag_rejected():
         SemiLinearMap(F3, perm=np.array([0, 1], dtype=np.int32), diag=np.array([1, 0], dtype=np.int16))
 
 
-def test_compose_matches_sequential_apply():
-    rng = np.random.default_rng(8)
-    for F in (F3, F4):
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            s1, s2 = rand_sigma(F, n, rng), rand_sigma(F, n, rng)
-            v = rng.integers(0, F.q, size=n).astype(np.int16)
-            assert np.array_equal(s1.compose(s2).apply(v), s1.apply(s2.apply(v)))
-
-
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(9)
-    for F in (F2, F4, field(3, 2)):
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            sg = rand_sigma(F, n, rng)
-            v = rng.integers(0, F.q, size=n).astype(np.int16)
-            assert np.array_equal(sg.inverse().apply(sg.apply(v)), v)
-            assert np.array_equal(sg.apply(sg.inverse().apply(v)), v)
-
-
 def test_is_permutation_is_monomial():
     sg = SemiLinearMap.reversal(F2, 4)
     assert sg.is_permutation and sg.is_monomial
@@ -371,6 +350,79 @@ def test_make_lcd_sigma_randomized():
         assert is_sigma_lcd(out, sigma)
 
 
+def _all_codes(F, n):
+    """Every linear code of length n over F, once each, by its RREF."""
+    for k in range(n + 1):
+        for piv in itertools.combinations(range(n), k):
+            free = [(r, c) for r in range(k) for c in range(piv[r] + 1, n) if c not in piv]
+            for vals in itertools.product(range(F.q), repeat=len(free)):
+                G = np.zeros((k, n), dtype=np.int16)
+                G[range(k), piv] = 1
+                for (r, c), v in zip(free, vals):
+                    G[r, c] = v
+                yield LinearCode(F, n, G)
+
+
+def _self_dual_subcode(F, rng):
+    """Random subcode of a self-dual code {(x, c x P)} of length 2m <= 14,
+    c^2 P P^T = -I, with its coordinates shuffled: c a square root of -1
+    and P a permutation matrix, or over GF(3) c = 1 and P = I (x) [[1, 1],
+    [1, 2]] for even m."""
+    roots = [c for c in range(1, F.q) if F.mul(c, c) == F.neg(1)]
+    if roots:
+        m = int(rng.integers(1, 8))
+        P = np.zeros((m, m), dtype=np.int16)
+        P[range(m), rng.permutation(m)] = roots[0]
+    else:
+        m = 2 * int(rng.integers(1, 4))
+        P = np.kron(np.eye(m // 2, dtype=np.int16), np.array([[1, 1], [1, 2]], dtype=np.int16))
+    G = np.hstack([np.eye(m, dtype=np.int16), P])[:, rng.permutation(2 * m)]
+    y = rng.integers(0, F.q, size=(int(rng.integers(0, m + 1)), m)).astype(np.int16)
+    return LinearCode(F, 2 * m, linalg.mat_mul(F, y, G))
+
+
+def _paper_sigma_rows(code):
+    """Images of the identity rows under the map of Theorem 1, built from
+    normalize_hull with apply alone: pi^-1 gamma pi for q > 2, gamma
+    scaling the first h coordinates by 2; for q = 2, pi1^-1 pi2 pi1 on the
+    n + 1 coordinates of {0} x C, pi1 fixing 0 and acting as pi on the
+    rest, pi2 rotating the window 0..h."""
+    F, n = code.field, code.n
+    pi, _, h = normalize_hull(code)
+    if F.q > 2:
+        diag = np.ones(n, dtype=np.int16)
+        diag[:h] = 2
+        first, middle = pi, SemiLinearMap.diagonal(F, diag)
+    else:
+        first = SemiLinearMap.permutation(F, np.concatenate([[0], 1 + pi.perm]))
+        window = np.arange(n + 1)
+        window[: h + 1] = np.roll(window[: h + 1], 1)
+        middle = SemiLinearMap.permutation(F, window)
+    rows = np.eye(first.n, dtype=np.int16)
+    for step in (first, middle, SemiLinearMap.permutation(F, np.argsort(first.perm))):
+        rows = step.apply(rows)
+    return rows
+
+
+def test_make_lcd_sigma_is_the_paper_map():
+    """The map read off the hull is the paper's composed map, exhaustively
+    on small lengths and on random codes with large hulls."""
+    rng = np.random.default_rng(17)
+    cases = [c for F, top in ((F2, 5), (F3, 3)) for n in range(top + 1) for c in _all_codes(F, n)]
+    for F in (F2, F3, F4, F5, field(3, 2)):
+        for _ in range(25):
+            cases.append(_self_dual_subcode(F, rng))
+            n = int(rng.integers(1, 15))
+            cases.append(rand_code(F, n, int(rng.integers(1, n + 1)), rng))
+    big_hulls = 0
+    for c in cases:
+        sigma, out = make_lcd_sigma(c)
+        assert out == (c if c.field.q > 2 else c.prepend_zero()) and sigma.frob == 0
+        assert np.array_equal(sigma.apply(np.eye(sigma.n, dtype=np.int16)), _paper_sigma_rows(c))
+        big_hulls += hull_dim(c) >= 3
+    assert big_hulls > 30
+
+
 def test_lemma2_duality_property():
     """pi(C1) cap C2-perp = 0  iff  C1 cap (pi^-1 C2)-perp = 0."""
     rng = np.random.default_rng(15)
@@ -381,9 +433,10 @@ def test_lemma2_duality_property():
             c1 = rand_code(F, n, k, rng)
             c2 = rand_code(F, n, n - k, rng)
             pi = SemiLinearMap.permutation(F, rng.permutation(n).astype(np.int32))
+            pi_inv = SemiLinearMap.permutation(F, np.argsort(pi.perm))
             lhs = oracle.brute_intersection_dim(apply_sigma(pi, c1), c2.dual()) == 0
             rhs = (
-                oracle.brute_intersection_dim(c1, apply_sigma(pi.inverse(), c2).dual())
+                oracle.brute_intersection_dim(c1, apply_sigma(pi_inv, c2).dual())
                 == 0
             )
             assert lhs == rhs

@@ -112,11 +112,6 @@ def test_parse_code_errors():
         formats.parse_code("2 3 1\n1 -1 0\n")
 
 
-def test_parse_code_field_hint_conflict():
-    with pytest.raises(BadInput, match="header field 2 != 3"):
-        formats.parse_code(HAMMING, field_hint=F3)
-
-
 # ------------------------------------------------------------ sigma files
 
 
@@ -375,6 +370,22 @@ def test_cli_malformed_input_exits_2(files, case):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _cli_error_at_once(argv: str) -> str:
+    """Run the CLI in a fresh interpreter; assert exit 2 with one `error:`
+    line within 2 s and return that line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sigmalcd.cli", *argv.split()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert elapsed < 2, f"{argv} took {elapsed:.2f} s"
+    return lines[0]
+
+
 @pytest.mark.parametrize("argv", [
     "gqc cosets 2 1000000007",
     "gqc constituents {d}/big.gqc",
@@ -387,16 +398,24 @@ def test_cli_m_beyond_every_field_exits_2_at_once(files, argv):
     before any generator is expanded into m shifted rows."""
     (files / "big.gqc").write_text("2 1\n4097\n1,1\n")
     (files / "big.spec").write_text("2\n4097 1 1\n1\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "sigmalcd.cli", *argv.format(d=files).split()],
-                          env=env, capture_output=True, text=True, timeout=60)
-    elapsed = time.perf_counter() - start
-    lines = proc.stderr.splitlines()
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert len(lines) == 1 and lines[0].startswith("error: m = ") and "fields stop at 4096" in lines[0]
-    assert elapsed < 2, f"{argv} took {elapsed:.2f} s"
+    line = _cli_error_at_once(argv.format(d=files))
+    assert line.startswith("error: m = ") and "fields stop at 4096" in line
+
+
+@pytest.mark.parametrize("argv", [
+    "gqc cosets 1000000000000000003 3",
+    "gqc cosets 1000000000000000003^1 3",
+    "gqc cosets 1000000016000000063 3",
+    "lcd check --code {d}/huge_q.code",
+])
+def test_cli_q_beyond_every_field_exits_2_at_once(files, argv):
+    """A field size beyond MAX_FIELD_SIZE is rejected before p is tested
+    for primality or a prime power is factored: trial division up to the
+    square root of 1000000000000000003, a prime, and the factor search of
+    1000000016000000063 = 1000000007 * 1000000009 would never finish."""
+    (files / "huge_q.code").write_text("1000000000000000003 3 1\n1 0 0\n")
+    line = _cli_error_at_once(argv.format(d=files))
+    assert line.startswith("error: field size ") and "exceeds table-backed limit 4096" in line
 
 
 @pytest.mark.parametrize("group,order", [("3000", 3000), ("30000", 30000), ("100,300", 30000)])
@@ -476,23 +495,34 @@ def test_cli_prime_field_above_int8(tmp_path):
     assert kv(out)["hull_dim"] == "0" and kv(out)["verification"] == "agree"
 
 
+ZERO_CODES = {"z": "2 1000000 0", "f2_len0": "2 0 0", "f3_len0": "3 0 0", "f3_len5": "3 5 0"}
+
+
 @pytest.mark.parametrize("argv", [
     ("lcd", "check", "--code", "{z}"),
     ("lcd", "hull", "--code", "{z}"),
     ("lcd", "make", "--code", "{z}"),
     ("oracle", "intersect", "{z}", "{z}"),
+    pytest.param(("lcd", "make", "--code", "{f2_len0}"), id="lcd-make-2-0-0"),
+    pytest.param(("lcd", "make", "--code", "{f3_len0}"), id="lcd-make-3-0-0"),
+    pytest.param(("lcd", "make", "--code", "{f3_len5}"), id="lcd-make-3-5-0"),
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_cli_zero_code_of_huge_length(tmp_path, capsys, argv):
     """The zero code of length 10^6 has a 10^6 x 10^6 dual (1.8 TiB of
-    int16); no route may build it."""
-    z = _write(tmp_path, "zero.code", "2 1000000 0\n")
-    rc, out = run_cli("--format", "machine", *(a.format(z=z) for a in argv))
+    int16); no route may build it.  Zero codes of length 0 and 5 have a
+    zero hull too, so `lcd make` returns the identity on them."""
+    paths = {name: _write(tmp_path, f"{name}.code", text + "\n") for name, text in ZERO_CODES.items()}
+    rc, out = run_cli("--format", "machine", *(a.format(**paths) for a in argv))
     assert rc == 0 and capsys.readouterr().err == ""
     got = kv(out)
     if argv[0] == "lcd":
         assert got["verification"] == "agree"
     if argv[1] != "make":
         assert got.get("hull_dim", got.get("intersection_dim")) == "0"
+    elif argv[3] != "{z}":
+        n = int(got["out_params"][1:].split(",")[0])
+        assert got["sigma_perm"] == " ".join(map(str, range(n)))
+        assert got["sigma_diag"] == " ".join(["1"] * n) and got["sigma_frob"] == "0"
 
 
 def test_cli_repro_suites():
