@@ -158,13 +158,7 @@ def is_ideal(code: LinearCode, group: AbelianGroup) -> bool:
     """Closure under the cyclic generators suffices: they generate G."""
     if code.n != group.order:
         raise BadInput(f"code length {code.n} != |G| = {group.order}")
-    if code.k == 0:
-        return True
-    for g in group.generators:
-        shifted = code.gen[:, np.argsort(group.op[g])]
-        if linalg.sum_dim(code.field, code.gen, shifted) != code.k:
-            return False
-    return True
+    return all(code.contains_rows(code.gen[:, np.argsort(group.op[g])]) for g in group.generators)
 
 
 def _require_ideal(code: LinearCode, group: AbelianGroup):
@@ -175,9 +169,14 @@ def _require_ideal(code: LinearCode, group: AbelianGroup):
 def find_idempotent_generator(code: LinearCode, group: AbelianGroup):
     """Idempotent e with C = F_q[G] e, or None when C is not
     complementary-dual for the inversion map: split 1 = e + f along
-    C (+) (mu_{-1} C)^perp and verify both defining properties.  e = y G
-    with M^T y^T = G[:, 0] for M = G mu(G)^T, invertible iff C is
-    complementary-dual: one elimination of [M^T | G[:, 0]] decides and solves."""
+    C (+) (mu_{-1} C)^perp and verify e.  e = y G with M^T y^T = G[:, 0]
+    for M = G mu(G)^T, invertible iff C is complementary-dual: one
+    elimination of [M^T | G[:, 0]] decides and solves.  No other: C being
+    an ideal holding e, g e = g for every row g of G exactly when e is
+    idempotent and F_q[G] e = C.  G is in RREF, so v lies in C exactly when
+    v = v[pivots] G, and two words of C agree once they agree at the
+    pivots, where G is the identity: one product (G T(e))[:, pivots] = I,
+    T(e) the translate matrix, checks both properties."""
     _require_ideal(code, group)
     F, n, k = code.field, code.n, code.k
     if k == n:
@@ -189,9 +188,7 @@ def find_idempotent_generator(code: LinearCode, group: AbelianGroup):
     if piv != list(range(k)):
         return None
     e = GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, R[:k, k]))
-    if not is_idempotent(e):
-        return None
-    if ideal_from_generator(e) != code:
+    if not np.array_equal(linalg.mat_mul(F, code.gen, translate_matrix(e)[:, code.pivots]), np.eye(k)):
         return None
     return e
 

@@ -8,6 +8,9 @@ and the complementary-dual (hull zero) property.  Every hull comes from
 one Gram product: rowspace(G) cap rowspace(H)^perp is {y G : y G H^T = 0},
 so its dimension is k - rank(G H^T) and its basis the kernel of H G^T
 times G, with H = sigma(G) for the sigma-hull.
+
+Membership needs no elimination: G is in RREF with an identity at its pivot
+columns, so a word v lies in C exactly when v = v[pivots] G.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ class LinearCode:
     def __init__(self, field: Field, n: int, rows=None):
         self.field = field
         self.n = int(n)
-        M = linalg.as_matrix([] if rows is None else rows, self.n)
-        if M.size and (M.min() < 0 or M.max() >= field.q):
-            raise BadInput(f"entries must be encodings in 0..{field.q - 1}")
-        if M.shape[1] != self.n:
-            raise BadInput(f"rows of length {M.shape[1]}, code length {self.n}")
-        self.gen = linalg.row_space(field, M)
+        R, self.pivots = linalg.rref(field, self._rows([] if rows is None else rows))
+        self.gen = R[: len(self.pivots)]
+
+    def _rows(self, rows) -> np.ndarray:
+        """rows as a matrix of length-n words with entries in 0..q-1."""
+        M = linalg.as_matrix(rows, self.n)
+        if M.size and (M.min() < 0 or M.max() >= self.field.q):
+            raise BadInput(f"entries must be encodings in 0..{self.field.q - 1}")
+        return M
 
     @property
     def k(self) -> int:
@@ -45,11 +51,20 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         return LinearCode(self.field, self.n, linalg.nullspace(self.field, self.gen))
 
+    def contains_rows(self, V) -> bool:
+        """Every row v of V lies in C: v = v[pivots] G, one product."""
+        V = self._rows(V)
+        return np.array_equal(linalg.mat_mul(self.field, V[:, self.pivots], self.gen), V)
+
     def contains(self, v) -> bool:
-        return linalg.sum_dim(self.field, self.gen, linalg.as_matrix(v, self.n)) == self.k
+        return self.contains_rows(v)
 
     def contains_code(self, other: "LinearCode") -> bool:
-        return linalg.sum_dim(self.field, self.gen, other.gen) == self.k
+        if other.field != self.field:
+            raise BadInput("codes over different fields")
+        if other.n != self.n:
+            raise BadInput(f"lengths differ: {self.n} vs {other.n}")
+        return self.contains_rows(other.gen)
 
     def prepend_zero(self) -> "LinearCode":
         z = np.zeros((self.k, 1), dtype=np.int16)
@@ -280,11 +295,10 @@ class LcpPair:
         return (self.n, self.k, self.d1, self.d2)
 
 
-def _aligned_perm(F: Field, G1: np.ndarray, G2: np.ndarray, n: int):
-    """Stable permutation sending pivot columns of G2 onto pivot columns of
-    G1 and non-pivots onto non-pivots, preserving order; and G2's pivots."""
-    _, piv1 = linalg.rref(F, G1)
-    _, piv2 = linalg.rref(F, G2)
+def _aligned_perm(c1: LinearCode, c2: LinearCode):
+    """Stable permutation sending pivot columns of c2 onto pivot columns of
+    c1 and non-pivots onto non-pivots, preserving order; and c2's pivots."""
+    n, piv1, piv2 = c1.n, c1.pivots, c2.pivots
     non1 = [c for c in range(n) if c not in piv1]
     non2 = [c for c in range(n) if c not in piv2]
     perm = np.empty(n, dtype=np.int32)
@@ -301,7 +315,7 @@ def _lcp_candidates_big_q(F: Field, c1: LinearCode, c2: LinearCode):
     depends on earlier lambdas only, so the least nonzero lambda_t with
     s_t + lambda_t != 0 leaves every pivot nonzero (q > 2 leaves a choice)."""
     n, k = c1.n, c1.k
-    perm, piv = _aligned_perm(F, c1.gen, c2.gen, n)
+    perm, piv = _aligned_perm(c1, c2)
     M = F.sub(linalg.mat_mul(F, c1.gen[:, perm], c2.gen.T), np.eye(k, dtype=np.int16))
     diag = np.ones(n, dtype=np.int16)
     for t in range(k):

@@ -77,10 +77,8 @@ class GqcCode:
         self.flat = LinearCode(field, self.n, rows)
         # module generators as flat rows; from_generators replaces them
         self.generators = self.flat.gen
-        if not _trusted:
-            shifted = self.shift_map().apply(self.flat.gen) if self.flat.k else self.flat.gen
-            if linalg.sum_dim(field, self.flat.gen, shifted) != self.flat.k:
-                raise BadInput("rows are not closed under the simultaneous shift")
+        if not _trusted and not self.flat.contains_rows(self.shift_map().apply(self.flat.gen)):
+            raise BadInput("rows are not closed under the simultaneous shift")
 
     @property
     def l(self) -> int:

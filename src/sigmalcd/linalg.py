@@ -171,23 +171,3 @@ def stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def sum_dim(F: Field, A: np.ndarray, B: np.ndarray) -> int:
     return rank(F, stack(A, B))
-
-
-def intersect_dim(F: Field, A: np.ndarray, B: np.ndarray) -> int:
-    return rank(F, A) + rank(F, B) - sum_dim(F, A, B)
-
-
-def solve_right(F: Field, A: np.ndarray, b) -> np.ndarray | None:
-    """One solution x of A x = b (columns act), or None if inconsistent."""
-    A = np.asarray(A, dtype=np.int16)
-    b = np.asarray(b, dtype=np.int16).reshape(-1)
-    if A.shape[0] != b.shape[0]:
-        raise BadInput(f"shape mismatch {A.shape} vs {b.shape}")
-    n = A.shape[1]
-    R, piv = rref(F, np.hstack([A, b.reshape(-1, 1)]))
-    if n in piv:
-        return None
-    x = np.zeros(n, dtype=np.int16)
-    for i, c in enumerate(piv):
-        x[c] = R[i, n]
-    return x

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sigmalcd import abelian, linalg, oracle
-from sigmalcd.codes import LinearCode, hull_dim
+from sigmalcd.codes import LinearCode, gram, hull_dim
 from sigmalcd.errors import BadInput
 from sigmalcd.field import field
+
+from linalg_reference import solve_right
 
 F2 = field(2)
 F3 = field(3)
@@ -172,6 +174,11 @@ def test_is_ideal_rejects_plain_subspace():
     assert not abelian.is_ideal(c, Z3)
     with pytest.raises(BadInput, match="not closed under the group action"):
         abelian.find_idempotent_generator(c, Z3)
+    # closed under the first cyclic generator of C2 x C2, not the second
+    G = abelian.AbelianGroup((2, 2))
+    c = LinearCode(F2, 4, np.array([[1, 0, 1, 0]], dtype=np.int16))
+    assert c.contains_rows(c.gen[:, np.argsort(G.op[G.generators[0]])])
+    assert not abelian.is_ideal(c, G)
 
 
 def test_find_idempotent_generator_known_cases():
@@ -261,7 +268,7 @@ def _dual_and_solve_split(code, group):
         return None
     one = np.zeros(n, dtype=np.int16)
     one[0] = 1
-    x = linalg.solve_right(F, linalg.stack(code.gen, D).T, one)
+    x = solve_right(F, linalg.stack(code.gen, D).T, one)
     e = abelian.GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, x[: code.k]))
     if not abelian.is_idempotent(e) or abelian.ideal_from_generator(e) != code:
         return None
@@ -281,6 +288,57 @@ def test_find_idempotent_generator_matches_dual_and_solve(q, factors):
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def _two_check_split(code, group):
+    """Reference: the Gram solve, then the two checks e e = e and
+    F_q[G] e = C, each through its own product or elimination."""
+    F, n, k = code.field, code.n, code.k
+    if k in (0, n):
+        return abelian.find_idempotent_generator(code, group)
+    M = gram(code, abelian.mu_sigma(F, group))
+    R, piv = linalg.rref(F, np.hstack([M.T, code.gen[:, :1]]))
+    if piv != list(range(k)):
+        return None
+    e = abelian.GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, R[:k, k]))
+    if not abelian.is_idempotent(e) or abelian.ideal_from_generator(e) != code:
+        return None
+    return e
+
+
+@pytest.mark.parametrize(
+    "p,e,factors",
+    [(2, 1, (7,)), (2, 1, (3, 3)), (3, 1, (4,)), (2, 1, (2, 2)), (2, 1, (4,)),
+     (3, 1, (3,)), (2, 2, (5,)), (2, 1, (6,)), (3, 1, (2, 2)), (2, 1, (9,))],
+)
+def test_find_idempotent_generator_matches_two_check_route(p, e, factors):
+    """The one product at the pivots returns the same element, or None, as
+    checking idempotence and F_q[G] e = C separately, on every ideal."""
+    F, G = field(p, e), abelian.AbelianGroup(factors)
+    for c in abelian.enumerate_ideals(F, G):
+        got, want = abelian.find_idempotent_generator(c, G), _two_check_split(c, G)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_idempotent_route_eliminates_once_and_is_ideal_never(monkeypatch):
+    """find_idempotent_generator runs one elimination (the Gram solve) on a
+    proper ideal and none on {0} or F_q[G]; is_ideal runs none."""
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda F, M: calls.append(1) or rref(F, M))
+    outcomes = set()
+    for F, factors in [(F2, (7,)), (F3, (3,)), (F2, (2, 2)), (F3, (4,))]:
+        G = abelian.AbelianGroup(factors)
+        for c in abelian.enumerate_ideals(F, G):
+            calls.clear()
+            assert abelian.is_ideal(c, G) and not calls
+            proper = 0 < c.k < c.n
+            found = abelian.find_idempotent_generator(c, G) is not None
+            assert len(calls) == proper
+            outcomes.add((proper, found))
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def test_semisimple_every_ideal_lcd():

@@ -96,6 +96,45 @@ def test_contains_code():
     assert not small.contains_code(big)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_contains_rows_matches_elimination(data):
+    """The pivot product v = v[pivots] G agrees with the elimination
+    dim(C + span V) = k, on members and on members with one entry changed;
+    the zero code and the whole space included."""
+    F = data.draw(st.sampled_from([F2, F3, F4, field(3, 2)]), label="field")
+    n = data.draw(st.integers(1, 10), label="n")
+    k = data.draw(st.one_of(st.integers(0, n), st.sampled_from([0, n])), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    code = rand_code(F, n, k, rng)
+    rows = data.draw(st.integers(1, 4), label="rows")
+    V = linalg.mat_mul(F, rng.integers(0, F.q, size=(rows, k)).astype(np.int16), code.gen)
+    if data.draw(st.booleans(), label="change one entry"):
+        i, j = int(rng.integers(rows)), int(rng.integers(n))
+        V[i, j] = (V[i, j] + rng.integers(1, F.q)) % F.q
+    want = linalg.sum_dim(F, code.gen, V) == k
+    assert code.contains_rows(V) == want
+    assert all(code.contains(v) == (linalg.sum_dim(F, code.gen, v[None]) == k) for v in V)
+    assert code.contains_code(LinearCode(F, n, V)) == want
+
+
+def test_contains_rejects_bad_input():
+    """Entries outside 0..q-1, a wrong length and a code over another field
+    or of another length are BadInput, never an IndexError or a verdict."""
+    c2, c3 = C(F2, 3, (1, 0, 1)), C(F3, 3, (1, 0, 1))
+    for code, word in ((c2, [2, 0, 0]), (c2, [0, -1, 0]), (c3, [3, 0, 0])):
+        with pytest.raises(BadInput, match="encodings"):
+            code.contains(word)
+        with pytest.raises(BadInput, match="encodings"):
+            code.contains_rows([word, [0, 0, 0]])
+    with pytest.raises(BadInput, match="expected 3 columns"):
+        c2.contains([1, 0])
+    with pytest.raises(BadInput, match="different fields"):
+        C(F2, 3).contains_code(C(F3, 3))
+    with pytest.raises(BadInput, match="lengths differ"):
+        c2.contains_code(C(F2, 4, (1, 0, 0, 1)))
+
+
 # ---------------------------------------------------------------- sigma maps
 
 
@@ -544,7 +583,7 @@ def test_lcp_construction_is_complementary(data):
     (sigma,) = codes._lcp_candidates_big_q(F, c1, c2)
     second = sigma_dual(c2, sigma)
     assert oracle.brute_intersection_dim(c1, second) == 0 and c1.k + second.k == n
-    assert sigma.is_monomial and np.array_equal(sigma.perm, codes._aligned_perm(F, c1.gen, c2.gen, n)[0])
+    assert sigma.is_monomial and np.array_equal(sigma.perm, codes._aligned_perm(c1, c2)[0])
     off_pivots = np.ones(n, dtype=bool)
     off_pivots[(c2.gen != 0).argmax(axis=1)] = False
     assert np.all(sigma.diag[off_pivots] == 1)

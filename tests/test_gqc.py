@@ -13,6 +13,8 @@ from sigmalcd.cyclotomic import CyclotomicContext, mult_order
 from sigmalcd.errors import BadInput
 from sigmalcd.field import embedding, field
 
+from linalg_reference import solve_right
+
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
@@ -518,7 +520,7 @@ def _product_reference(base, components):
                 for c, gamma in enumerate(int(emb(int(x))) for x in row):
                     if gamma:
                         target = ext.digits[ext.div(ext.mul(gamma, ext.pow(zeta, s)), eta)].astype(np.int16)
-                        z = linalg.solve_right(pf, Bmat, target)
+                        z = solve_right(pf, Bmat, target)
                         r = poly.from_seq([base.encode(z[u * base.e : (u + 1) * base.e]) for u in range(tj)])
                         f = poly.mod_xm1(base, poly.mul(base, Hj, r), mj)
                         flat[off + c * mj : off + c * mj + f.size] = f
