@@ -48,27 +48,19 @@ class RunReport:
     verification: str | None = None
     elapsed: float = 0.0
 
-    def machine_lines(self) -> list[str]:
-        out = [f"command={self.command}"]
-        for k, v in self.inputs.items():
-            out.append(f"input.{k}={_flat(v)}")
-        for k, v in self.result.items():
-            out.append(f"{k}={_flat(v)}")
+    def lines(self, fmt: str) -> list[str]:
+        sep, input_prefix, unit = _LAYOUTS[fmt]
+        rows = [("command", self.command)]
+        rows += [(input_prefix + k, _flat(v)) for k, v in self.inputs.items()]
+        rows += [(k, _flat(v)) for k, v in self.result.items()]
         if self.verification is not None:
-            out.append(f"verification={self.verification}")
-        out.append(f"elapsed={self.elapsed:.3f}")
-        return out
+            rows.append(("verification", self.verification))
+        rows.append(("elapsed", f"{self.elapsed:.3f}{unit}"))
+        return [f"{k}{sep}{v}" for k, v in rows]
 
-    def human_lines(self) -> list[str]:
-        out = [f"command: {self.command}"]
-        for k, v in self.inputs.items():
-            out.append(f"  {k}: {_flat(v)}")
-        for k, v in self.result.items():
-            out.append(f"{k}: {_flat(v)}")
-        if self.verification is not None:
-            out.append(f"verification: {self.verification}")
-        out.append(f"elapsed: {self.elapsed:.3f}s")
-        return out
+
+# per output format: key/value separator, prefix of input keys, elapsed unit
+_LAYOUTS = {"human": (": ", "  ", "s"), "machine": ("=", "input.", "")}
 
 
 def _flat(v) -> str:
@@ -455,7 +447,7 @@ _COMMANDS = (
 def _parser() -> argparse.ArgumentParser:
     """The argparse tree of `_COMMANDS`, built on the first dispatch."""
     top = argparse.ArgumentParser(prog="sigmalcd")
-    top.add_argument("--format", choices=("human", "machine"), default="human")
+    top.add_argument("--format", choices=tuple(_LAYOUTS), default="human")
     sub = top.add_subparsers(dest="command", required=True)
     groups: dict = {}
     for group, name, arguments, handler in _COMMANDS:
@@ -485,8 +477,7 @@ def cmd_dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.elapsed = time.perf_counter() - t0
-    lines = report.machine_lines() if args.format == "machine" else report.human_lines()
-    print("\n".join(lines))
+    print("\n".join(report.lines(args.format)))
     return rc
 
 

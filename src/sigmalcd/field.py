@@ -5,6 +5,12 @@ sum(c_i * x^i) is the canonical representative modulo the field's monic
 irreducible modulus.  Operations accept plain ints or numpy integer arrays
 and vectorize elementwise.
 
+The default modulus is the least monic irreducible in constant-major order,
+found by Ben-Or's test, and the table builder multiplies digit vectors as
+polynomials: both run on `poly` over the prime field, which builds from
+plain integer arithmetic mod p.  A degree-1 modulus changes no table, so
+every GF(p) stores the modulus x.
+
 Tables built once per field drive everything:
 
 - a zero-aware discrete-log pair: exp is doubled so a sum of two logs needs
@@ -34,17 +40,6 @@ MAX_FIELD_SIZE = 4096
 _INT = (int, np.integer)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -59,53 +54,28 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over GF(p) as little-endian int tuples, used only for
-# modulus selection
-
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _pmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = (a[-1] * inv_lb) % p
-        shift = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - coef * bj) % p
-        a.pop()
-    return _trim(a)
-
-
-@functools.lru_cache(maxsize=None)
-def _irreducibles(p: int, dmax: int):
-    """All monic irreducible polynomials over GF(p) of degree 1..dmax."""
-    out = []
-    for d in range(1, dmax + 1):
-        for idx in range(p**d):
-            c = tuple((idx // p**i) % p for i in range(d)) + (1,)
-            if not any(
-                len(g) - 1 <= d // 2 and not _pmod(c, g, p) for g in out
-            ):
-                out.append(c)
-    return tuple(out)
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 def _is_irreducible(f, p: int) -> bool:
+    """Ben-Or's test of a monic f over GF(p): of degree d >= 2 and with
+    f(0) != 0, f is irreducible iff gcd(x^(p^i) - x, f) = 1 for every
+    i <= d/2.  h -> h^p is h(x^p) mod f, the coefficients lying in GF(p)."""
     d = len(f) - 1
-    if d < 1:
-        return False
-    return not any(not _pmod(f, g, p) for g in _irreducibles(p, d // 2))
+    if d <= 1 or f[0] == 0:
+        return d == 1
+    from . import poly  # poly imports Field
+
+    Fp, x = field(p), np.array([0, 1], dtype=np.int16)
+    h = x
+    for _ in range(d // 2):
+        spread = np.zeros(p * (h.size - 1) + 1, dtype=np.int16)
+        spread[::p] = h
+        h = poly.mod(Fp, spread, f)
+        if poly.degree(poly.gcd(Fp, poly.sub(Fp, h, x), f)) > 0:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,9 +87,6 @@ def default_modulus(p: int, e: int) -> tuple:
         if _is_irreducible(c, p):
             return c
     raise AssertionError("no irreducible polynomial found")
-
-
-# ---------------------------------------------------------------------------
 
 
 class Field:
@@ -141,7 +108,9 @@ class Field:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise BadInput(f"modulus must be monic of degree {e}, got {modulus}")
-        if not _is_irreducible(modulus, p):
+        if e == 1:
+            modulus = (0, 1)  # changes no table, so GF(p) has one identity
+        elif not _is_irreducible(modulus, p):
             raise BadInput(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 
@@ -200,23 +169,16 @@ class Field:
         cols = [self.digits[self.mul(a, int(w))] for w in self.digit_weights]
         return np.stack(cols, axis=2).astype(np.int8 if self.p < 128 else np.int16)
 
-    # build-time scalar multiply straight from the digit representation
     def _smul(self, a: int, b: int) -> int:
-        p, e, mod = self.p, self.e, self.modulus
-        da = [(a // p**i) % p for i in range(e)]
-        db = [(b // p**i) % p for i in range(e)]
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(e):
-                    prod[d - e + i] = (prod[d - e + i] - c * mod[i]) % p
-        return sum(prod[i] * p**i for i in range(e))
+        """Build-time product of two encodings, through their digits; the
+        prime field builds without itself."""
+        if self.e == 1:
+            return a * b % self.p
+        from . import poly
+
+        Fp = field(self.p)
+        r = poly.mod(Fp, poly.mul(Fp, self.digits[a], self.digits[b]), self.modulus)
+        return int(r @ self.digit_weights[: r.size])
 
     def _powers(self, g: int, count: int) -> list[int]:
         """[g^0, ..., g^(count-1)] by doubling: with c = g^(2^j), block

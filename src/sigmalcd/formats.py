@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg, poly
 from .codes import LinearCode, SemiLinearMap
 from .errors import BadInput
-from .field import MAX_FIELD_SIZE, Field, field, is_prime
+from .field import MAX_FIELD_SIZE, Field, field, prime_factors
 from .gqc import GqcCode
 
 
@@ -49,17 +49,11 @@ def parse_field(text: str) -> Field:
         # before the factor search, which a huge v would never finish
         if v > MAX_FIELD_SIZE:
             raise BadInput(f"field size {v} exceeds table-backed limit {MAX_FIELD_SIZE}")
-        if is_prime(v):
-            p, e = v, 1
-        else:
-            p = next(d for d in range(2, v + 1) if v % d == 0)
-            e = 0
-            w = v
-            while w % p == 0:
-                w //= p
-                e += 1
-            if w != 1:
-                raise BadInput(f"{v} is not a prime power")
+        primes = prime_factors(v)
+        if len(primes) != 1:
+            raise BadInput(f"{v} is not a prime power")
+        p = primes[0]
+        e = next(e for e in range(1, v) if p**e == v)
     return field(p, e, modulus)
 
 

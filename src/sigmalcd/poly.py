@@ -20,7 +20,7 @@ decides only how values add:
   so sums are integer sums, and a reducer then takes every digit back
   mod p with a few big-int operations per halving of the digit bound.
 
-The public add, sub, neg, scale and monic stay single vectorised numpy
+The public add, sub, neg and monic stay single vectorised numpy
 operations.
 """
 
@@ -85,10 +85,6 @@ def neg(F: Field, a) -> np.ndarray:
 
 def sub(F: Field, a, b) -> np.ndarray:
     return add(F, a, neg(F, b))
-
-
-def scale(F: Field, c: int, a) -> np.ndarray:
-    return trim(F.mul(int(c), trim(a)))
 
 
 def monic(F: Field, a) -> np.ndarray:

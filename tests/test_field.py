@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from sigmalcd.errors import BadInput, DivisionByZero
-from sigmalcd.field import default_modulus, embedding, field
+from sigmalcd.field import Field, _is_irreducible, default_modulus, embedding, field, is_prime
 
 
 def test_prime_field_construction():
@@ -20,6 +22,126 @@ def test_default_modulus_gf4():
 def test_default_modulus_gf8_gf9():
     assert tuple(default_modulus(2, 3)) == (1, 0, 1, 1)  # x^3 + x^2 + 1
     assert tuple(default_modulus(3, 2)) == (1, 0, 1)  # x^2 + 1
+
+
+# every extension field with p^e <= 4096: its modulus, the least monic
+# irreducible in constant-major order, and its least generator
+PINNED = {
+    (2, 2): ((1, 1, 1), 2),
+    (2, 3): ((1, 0, 1, 1), 2),
+    (2, 4): ((1, 0, 0, 1, 1), 2),
+    (2, 5): ((1, 0, 0, 1, 0, 1), 2),
+    (2, 6): ((1, 0, 0, 0, 0, 1, 1), 2),
+    (2, 7): ((1, 0, 0, 0, 0, 0, 1, 1), 2),
+    (2, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 6),
+    (2, 9): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 7),
+    (2, 10): ((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 2),
+    (2, 11): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1), 2),
+    (2, 12): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 6),
+    (3, 2): ((1, 0, 1), 4),
+    (3, 3): ((1, 0, 2, 1), 3),
+    (3, 4): ((1, 0, 1, 1, 1), 10),
+    (3, 5): ((1, 0, 0, 0, 2, 1), 3),
+    (3, 6): ((1, 0, 0, 0, 1, 1, 1), 4),
+    (3, 7): ((1, 0, 0, 0, 0, 1, 2, 1), 3),
+    (5, 2): ((1, 1, 1), 7),
+    (5, 3): ((1, 0, 1, 1), 7),
+    (5, 4): ((1, 0, 1, 1, 1), 30),
+    (5, 5): ((1, 0, 0, 0, 4, 1), 7),
+    (7, 2): ((1, 0, 1), 9),
+    (7, 3): ((1, 0, 1, 1), 9),
+    (7, 4): ((1, 0, 0, 1, 1), 13),
+    (11, 2): ((1, 0, 1), 15),
+    (11, 3): ((1, 0, 4, 1), 12),
+    (13, 2): ((1, 3, 1), 18),
+    (13, 3): ((1, 0, 4, 1), 18),
+    (17, 2): ((1, 1, 1), 20),
+    (19, 2): ((1, 0, 1), 22),
+    (23, 2): ((1, 0, 1), 25),
+    (29, 2): ((1, 1, 1), 35),
+    (31, 2): ((1, 0, 1), 35),
+    (37, 2): ((1, 3, 1), 41),
+    (41, 2): ((1, 1, 1), 44),
+    (43, 2): ((1, 0, 1), 45),
+    (47, 2): ((1, 0, 1), 49),
+    (53, 2): ((1, 1, 1), 58),
+    (59, 2): ((1, 0, 1), 62),
+    (61, 2): ((1, 5, 1), 67),
+}
+
+
+def _times_generator(F, xs):
+    """Encodings xs times F.generator by schoolbook digit products reduced
+    by the modulus, a reference that reads neither the tables nor poly."""
+    p, e = F.p, F.e
+    a = F.digits[xs].astype(np.int64)
+    g = F.digits[F.generator].astype(np.int64)
+    prod = np.zeros((len(xs), 2 * e - 1), dtype=np.int64)
+    for j in range(e):
+        prod[:, j : j + e] += a * g[j]
+    for d in range(2 * e - 2, e - 1, -1):
+        prod[:, d - e : d + 1] -= (prod[:, d] % p)[:, None] * np.array(F.modulus)
+    return (prod[:, :e] % p) @ F.digit_weights
+
+
+def test_pins_cover_every_extension_field():
+    expected = {(p, e) for p in range(2, 65) if is_prime(p) for e in range(2, 13) if p**e <= 4096}
+    assert set(PINNED) == expected and len(PINNED) == 40
+
+
+@pytest.mark.parametrize("p,e", sorted(PINNED))
+def test_extension_field_modulus_generator_and_exp_pinned(p, e):
+    modulus, g = PINNED[p, e]
+    assert default_modulus(p, e) == modulus
+    F = field(p, e)
+    assert (F.modulus, F.generator) == (modulus, g)
+    # exp walks the powers of g under that modulus through every unit
+    exp = np.array(F._exp_s[: F.q - 1])
+    assert exp[0] == 1 and sorted(exp.tolist()) == list(range(1, F.q))
+    assert np.array_equal(_times_generator(F, exp), np.roll(exp, -1))
+
+
+def _mobius(n):
+    primes = [k for k in range(2, n + 1) if n % k == 0 and is_prime(k)]
+    return 0 if any(n % (k * k) == 0 for k in primes) else (-1) ** len(primes)
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 6), (2, 8), (3, 4), (3, 5), (5, 3), (7, 2), (31, 2)])
+def test_irreducible_count_matches_gauss_formula(p, d):
+    # the monic irreducibles of degree d over GF(p) number
+    # (1/d) sum over k | d of mu(d/k) p^k
+    expected = sum(_mobius(d // k) * p**k for k in range(1, d + 1) if d % k == 0) // d
+    found = sum(_is_irreducible([(i // p**j) % p for j in range(d)] + [1], p) for i in range(p**d))
+    assert found == expected
+
+
+def _primes_below(n):
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_matches_sieve():
+    assert [n for n in range(-3, 4097) if is_prime(n)] == _primes_below(4097)
+
+
+def test_prime_field_generator_is_least_primitive_root():
+    primes = _primes_below(4096)
+    for p in primes:
+        divisors = [d for d in primes if d < p and (p - 1) % d == 0]
+        least = next(g for g in range(1, p) if all(pow(g, (p - 1) // d, p) != 1 for d in divisors))
+        assert Field(p).generator == least, p
+
+
+def test_prime_field_named_modulus_is_the_prime_field():
+    # a degree-1 modulus changes no table
+    assert field(2, 1, (1, 1)) == field(2) and hash(field(3, 1, (2, 1))) == hash(field(3))
+    assert field(3, 1, (2, 1)).modulus == (0, 1)
+    with pytest.raises(BadInput, match="must be monic of degree 1"):
+        field(3, 1, (1, 2))
 
 
 def test_not_prime_rejected():

@@ -52,6 +52,8 @@ def test_parse_field_forms():
     assert formats.parse_field("2^2").q == 4
     assert formats.parse_field("4").q == 4 and formats.parse_field("4").p == 2
     assert formats.parse_field("9").p == 3 and formats.parse_field("9").e == 2
+    assert (formats.parse_field("4096").p, formats.parse_field("4096").e) == (2, 12)
+    assert (formats.parse_field("49").p, formats.parse_field("49").e) == (7, 2)
     f = formats.parse_field("2^2:1,1,1")
     assert f.q == 4 and tuple(f.modulus) == (1, 1, 1)
 
@@ -61,6 +63,8 @@ def test_parse_field_rejects_non_prime_power():
         formats.parse_field("6")
     with pytest.raises(BadInput, match="1 is not a prime power"):
         formats.parse_field("1")
+    with pytest.raises(BadInput, match="-3 is not a prime power"):
+        formats.parse_field("-3")
 
 
 def test_field_str_roundtrip():
@@ -297,6 +301,16 @@ def test_cli_oracle(files):
     assert rc == 0 and "intersection_dim: 4" in out
     rc, out = run_cli("oracle", "search-sigma", str(files / "ham.code"))
     assert rc == 0 and "found: true" in out and "sigma_perm:" in out
+
+
+def test_cli_prime_field_named_modulus_shares_gf2(tmp_path):
+    """A degree-1 modulus changes no table, so `2:1,1` is GF(2) itself."""
+    a = _write(tmp_path, "a.code", "2 4 2\n1 1 0 0\n0 0 1 1\n")
+    b = _write(tmp_path, "b.code", "2:1,1 4 2\n1 0 1 0\n0 1 0 1\n")
+    rc, out = run_cli("oracle", "intersect", a, b)
+    assert rc == 0 and "intersection_dim: 1" in out
+    rc, out = run_cli("lcp", "build", "--code1", a, "--code2", b)
+    assert rc == 0 and "verification: agree" in out
 
 
 def test_cli_oracle_search_not_found(files):
