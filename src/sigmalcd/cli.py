@@ -7,7 +7,11 @@ arguments and its handler.  The argparse tree is built from that table once
 per process, on the first dispatch, and reused.  `--budget`, the most
 codewords an exact enumeration may visit, is taken only by `lcp build`,
 `gqc product` and `oracle mindist`.  Every handler and repro suite that
-compares a formula with an oracle ends in `_settle`.
+compares a formula with an oracle ends in `_settle`.  Each hull dimension a
+command uses comes from `_hull`, with the certificate that
+`codes.hull_certificate` builds, and `_settle` has
+`oracle.check_hull_certificate` check every one with products alone: that
+check, not a second elimination, backs `verification: agree`.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
 input errors (any SigmaLcdError, printed as one `error:` line) or a
@@ -47,6 +51,8 @@ class RunReport:
     result: dict = dc_field(default_factory=dict)
     verification: str | None = None
     elapsed: float = 0.0
+    # (code, sigma, h, certificate) of each hull the command used, not printed
+    hulls: list = dc_field(default_factory=list)
 
     def lines(self, fmt: str) -> list[str]:
         sep, input_prefix, unit = _LAYOUTS[fmt]
@@ -78,16 +84,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _settle(report: RunReport, agree: bool, verdict: bool | None = None, detail: str = "") -> int:
-    """The epilogue of every formula/oracle cross-check: record the
-    agreement, and the verdict if the command gives one.  Exit 2 on a
-    disagreement, else 0, or 1 for a false verdict."""
-    report.verification = "agree" if agree else "disagree" + detail
+def _settle(report: RunReport, agree: bool, verdict: bool | None = None) -> int:
+    """The epilogue of every formula/oracle cross-check: the oracle checks
+    each hull certificate the report holds, then the agreement is recorded,
+    and the verdict if the command gives one.  Exit 2 on a disagreement or
+    a rejected certificate, else 0, or 1 for a false verdict."""
+    if all(oracle.check_hull_certificate(*hull) for hull in report.hulls):
+        report.verification = "agree" if agree else "disagree"
+    else:
+        agree, report.verification = False, "disagree (certificate rejected)"
     if verdict is not None:
         report.result["verdict"] = verdict
     if not agree:
         return 2
     return 0 if verdict is None or verdict else 1
+
+
+def _hull(report: RunReport, code, sigma) -> int:
+    """dim Hull_sigma(C), its certificate kept for `_settle` to check."""
+    h, cert = codes.hull_certificate(code, sigma)
+    report.hulls.append((code, sigma, h, cert))
+    return h
 
 
 def _load_code(report: RunReport, path: str):
@@ -112,24 +129,22 @@ def _cmd_lcd_hull(args, report: RunReport) -> int:
     code = _load_code(report, args.code)
     sigma = sigma_from_spec(args.sigma, code.field, code.n)
     report.inputs["sigma"] = args.sigma
-    h = codes.hull_dim(code, sigma)
+    h = _hull(report, code, sigma)
     report.result["hull_dim"] = h
-    brute = oracle.brute_hull_dim(code, sigma)
-    return _settle(report, brute == h, h == 0 if args.sub == "check" else None, f" (oracle {brute})")
+    return _settle(report, True, h == 0 if args.sub == "check" else None)
 
 
 def _cmd_lcd_make(args, report: RunReport) -> int:
     code = _load_code(report, args.code)
     sigma, out_code = codes.make_lcd_sigma(code)
-    ok = codes.is_sigma_lcd(out_code, sigma)
+    ok = _hull(report, out_code, sigma) == 0
     report.result["out_params"] = f"[{out_code.n},{out_code.k}]"
     _put_sigma(report, sigma)
-    brute = oracle.brute_hull_dim(out_code, sigma)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_sigma(sigma))
         report.result["written"] = args.out
-    return _settle(report, (brute == 0) == ok, ok)
+    return _settle(report, True, ok)
 
 
 def _cmd_lcp_build(args, report: RunReport) -> int:
@@ -205,7 +220,7 @@ def _cmd_gqc_check(args, report: RunReport) -> int:
     sigma = code.mu_map(args.a)
     test = {"lcd": gqc.is_mua_lcd, "so": gqc.is_mua_self_orthogonal, "sd": gqc.is_mua_self_dual}[args.test]
     verdict = test(code, ctx, args.a)
-    h = oracle.brute_hull_dim(code.flat, sigma)
+    h = _hull(report, code.flat, sigma)
     holds = {"lcd": h == 0, "so": h == code.k, "sd": h == code.k and 2 * code.k == code.n}[args.test]
     return _settle(report, holds == verdict, verdict)
 
@@ -223,8 +238,8 @@ def _cmd_gqc_onegen(args, report: RunReport) -> int:
         report.result["gcd_form"] = gqc.one_gen_lcd_gcd(F, blocks, cvec, args.a)
         agree = report.result["gcd_form"] == verdict
     code = gqc.one_gen_code(F, blocks, cvec)
-    brute_ok = oracle.brute_hull_dim(code.flat, code.mu_map(args.a)) == 0
-    return _settle(report, agree and brute_ok == verdict, verdict)
+    lcd = _hull(report, code.flat, code.mu_map(args.a)) == 0
+    return _settle(report, agree and lcd == verdict, verdict)
 
 
 def _cmd_gqc_product(args, report: RunReport) -> int:
@@ -255,10 +270,10 @@ def _group_and_code(args, report: RunReport):
 def _cmd_abelian_check(args, report: RunReport) -> int:
     group, code = _group_and_code(args, report)
     verdict = abelian.is_abelian_mu1_lcd(code, group)
-    brute_ok = oracle.brute_hull_dim(code, abelian.mu_sigma(code.field, group)) == 0
+    lcd = _hull(report, code, abelian.mu_sigma(code.field, group)) == 0
     e = abelian.find_idempotent_generator(code, group)
     report.result["idempotent_found"] = e is not None
-    return _settle(report, brute_ok == verdict == (e is not None), verdict)
+    return _settle(report, lcd == verdict == (e is not None), verdict)
 
 
 def _cmd_abelian_idempotent(args, report: RunReport) -> int:
@@ -316,11 +331,9 @@ def _repro_golay23(report: RunReport) -> int:
     group = abelian.cyclic_group(23)
     e = abelian.find_idempotent_generator(code.flat, group)
     report.result["idempotent_found"] = e is not None
-    eh = codes.hull_dim(code.flat, None)
+    eh = _hull(report, code.flat, None)
     report.result["euclidean_hull"] = eh
-    brute_mu = oracle.brute_hull_dim(code.flat, code.mu_map(-1))
-    brute_eh = oracle.brute_hull_dim(code.flat, None)
-    agree = (brute_mu == 0) == mu_ok and brute_eh == eh
+    agree = (_hull(report, code.flat, code.mu_map(-1)) == 0) == mu_ok
     return _settle(report, agree, mu_ok and e is not None and eh == 11 and d == 7 and code.k == 12)
 
 
@@ -345,11 +358,11 @@ def _repro_qr7(report: RunReport) -> int:
     gc = gqc.one_gen_lcd_gcd(F2, blocks, cvec, -1)
     code = gqc.one_gen_code(F2, blocks, cvec)
     con_ok = gqc.is_mua_lcd(code, gqc.context_for(code), -1)
-    brute_ok = oracle.brute_hull_dim(code.flat, code.mu_map(-1)) == 0
+    lcd = _hull(report, code.flat, code.mu_map(-1)) == 0
     report.result["eval_form"] = ev
     report.result["gcd_form"] = gc
     report.result["constituent_route"] = con_ok
-    return _settle(report, ev == gc == con_ok == brute_ok, disjoint and ev and gc and con_ok and brute_ok)
+    return _settle(report, ev == gc == con_ok == lcd, disjoint and ev and gc and con_ok and lcd)
 
 
 def _repro_theorem1_binary(report: RunReport) -> int:
@@ -359,11 +372,10 @@ def _repro_theorem1_binary(report: RunReport) -> int:
     report.result["input_params"] = f"[{ham.n},{ham.k}]"
     report.result["input_hull"] = codes.hull_dim(ham, None)
     sigma, out = codes.make_lcd_sigma(ham)
-    ok = codes.is_sigma_lcd(out, sigma)
+    ok = _hull(report, out, sigma) == 0
     report.result["out_params"] = f"[{out.n},{out.k}]"
     report.result["pure_permutation"] = sigma.is_permutation
-    brute = oracle.brute_hull_dim(out, sigma)
-    return _settle(report, (brute == 0) == ok, ok and out.n == ham.n + 1 and sigma.is_permutation)
+    return _settle(report, True, ok and out.n == ham.n + 1 and sigma.is_permutation)
 
 
 def _repro_maximal_qc(report: RunReport) -> int:

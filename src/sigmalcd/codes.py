@@ -7,7 +7,9 @@ defines the sigma-dual (sigma(C))^perp, the sigma-hull C cap C^perp_sigma,
 and the complementary-dual (hull zero) property.  Every hull comes from
 one Gram product: rowspace(G) cap rowspace(H)^perp is {y G : y G H^T = 0},
 so its dimension is k - rank(G H^T) and its basis the kernel of H G^T
-times G, with H = sigma(G) for the sigma-hull.
+times G, with H = sigma(G) for the sigma-hull.  `hull_certificate` adds a
+witness of that rank which `oracle.check_hull_certificate` checks with
+products alone.
 
 Membership needs no elimination: G is in RREF with an identity at its pivot
 columns, so a word v lies in C exactly when v = v[pivots] G.
@@ -211,6 +213,19 @@ def gram(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:
 def hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
     """dim(C cap C^perp_sigma) = k - rank(G (G^sigma)^T)."""
     return code.k - linalg.rank(code.field, gram(code, sigma))
+
+
+def hull_certificate(code: LinearCode, sigma: SemiLinearMap | None = None):
+    """dim Hull_sigma(C) = h with a witness (c, Y, N) that rank M = k - h,
+    M = G (G^sigma)^T, from one RREF R of [M | I_k]: c is M's pivot
+    columns, Y = R[:r, :k] and N = R[:r, k:] with r = |c|, so that
+    M = M[:, c] Y (rank M <= r) and N M[:, c] = I_r (rank M >= r)."""
+    M = gram(code, sigma)
+    k = code.k
+    R, piv = linalg.rref(code.field, np.hstack([M, np.eye(k, dtype=np.int16)]))
+    c = [j for j in piv if j < k]
+    r = len(c)
+    return k - r, (c, R[:r, :k], R[:r, k:])
 
 
 def hull_basis(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:

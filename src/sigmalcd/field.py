@@ -58,6 +58,17 @@ def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 
 
+def _check_order(p: int, e: int) -> None:
+    """Refuse an unsupported p^e, sizes first: trial division of a huge p
+    would never finish."""
+    if e < 1 or e > MAX_EXTENSION_DEGREE:
+        raise BadInput(f"extension degree {e} outside supported 1..{MAX_EXTENSION_DEGREE}")
+    if p**e > MAX_FIELD_SIZE:
+        raise BadInput(f"field size {p**e} exceeds table-backed limit {MAX_FIELD_SIZE}")
+    if not is_prime(p):
+        raise BadInput(f"p = {p} is not prime")
+
+
 def _is_irreducible(f, p: int) -> bool:
     """Ben-Or's test of a monic f over GF(p): of degree d >= 2 and with
     f(0) != 0, f is irreducible iff gcd(x^(p^i) - x, f) = 1 for every
@@ -93,13 +104,7 @@ class Field:
     """GF(p^e) with table-backed vectorized arithmetic on integer encodings."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        # sizes first: trial division of a huge p would never finish
-        if e < 1 or e > MAX_EXTENSION_DEGREE:
-            raise BadInput(f"extension degree {e} outside supported 1..{MAX_EXTENSION_DEGREE}")
-        if p**e > MAX_FIELD_SIZE:
-            raise BadInput(f"field size {p**e} exceeds table-backed limit {MAX_FIELD_SIZE}")
-        if not is_prime(p):
-            raise BadInput(f"p = {p} is not prime")
+        _check_order(p, e)
         self.p = p
         self.e = e
         self.q = p**e
@@ -289,12 +294,6 @@ class Field:
     def dot(self, u, v):
         return self.sum(self.mul(u, v))
 
-    def encode(self, coeffs) -> int:
-        coeffs = list(coeffs)
-        if len(coeffs) > self.e:
-            raise BadInput(f"{len(coeffs)} coefficients for degree-{self.e} field")
-        return int(sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs)))
-
     def coeffs(self, x: int) -> tuple:
         return tuple(int(d) for d in self.digits[int(x)])
 
@@ -331,8 +330,15 @@ def _field_cached(p, e, modulus):
 
 
 def field(p: int, e: int = 1, modulus=None) -> Field:
-    """Interned Field factory; same arguments give the same object."""
-    return _field_cached(p, e, None if modulus is None else tuple(int(c) for c in modulus))
+    """Interned Field factory: one object per field.  A modulus the field
+    stores anyway, any monic one of degree 1 or the default one, is dropped
+    before the lookup, so no spelling builds a second copy of the tables."""
+    if modulus is not None:
+        _check_order(p, e)
+        modulus = tuple(int(c) % p for c in modulus)
+        if len(modulus) == e + 1 and modulus[-1] == 1 and (e == 1 or modulus == default_modulus(p, e)):
+            modulus = None
+    return _field_cached(p, e, modulus)
 
 
 class Embedding:

@@ -16,6 +16,12 @@ codewords and raises BudgetExceeded beyond it.
 The hull and intersection dimensions call no linalg either: they eliminate
 with `_gauss_jordan`, the plain per-column loop, on sigma(C)'s rows from
 SemiLinearMap.apply, and build no LinearCode for sigma(C) or its dual.
+
+`check_hull_certificate` checks a claimed hull dimension with products
+alone, no elimination: G carries the identity at the code's pivots, so the
+hull has dimension k - rank M, M = G sigma(G)^T, and a certificate (c, Y,
+N) with M = M[:, c] Y and N M[:, c] = I proves rank M = |c|.  Its products
+are its own: int64 products reduced mod p, never linalg's float64 ones.
 """
 
 from __future__ import annotations
@@ -206,6 +212,55 @@ def brute_hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
         return 0
     image = code.gen if sigma is None else sigma.apply(code.gen)
     return _intersection_dim(code.field, code.gen, _dual(code.field, image))
+
+
+def _product(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B over F from int64 products, exact while e n (p - 1)^2 < 2^63:
+    one reduced mod p over GF(p); over GF(p^e) the e^2 products of digit
+    planes, plane i of A times plane j of B adding to the coefficient of
+    x^(i+j), recombined by the field's own multiply and add."""
+    p, e = F.p, F.e
+    if e == 1:
+        return (A.astype(np.int64) @ B.astype(np.int64) % p).astype(np.int16)
+    planes = [np.ascontiguousarray(np.moveaxis(F.digits[X], -1, 0), dtype=np.int64) for X in (A, B)]
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
+    for s in range(2 * e - 1):
+        acc = sum(planes[0][i] @ planes[1][s - i] for i in range(max(0, s - e + 1), min(s, e - 1) + 1))
+        out = F.add(out, F.mul((acc % p).astype(np.int16), F.pow(p, s)))
+    return out
+
+
+def _is_matrix(X: np.ndarray, shape, q: int) -> bool:
+    return X.shape == shape and X.dtype.kind in "iu" and (not X.size or (X.min() >= 0 and X.max() < q))
+
+
+def check_hull_certificate(code: LinearCode, sigma: SemiLinearMap | None, h: int, cert) -> bool:
+    """True when cert = (c, Y, N) proves dim(C cap (sigma(C))^perp) = h.
+
+    G equal to I_k at the code's pivots has rank k, so the hull, the words
+    y G with y M = 0, has dimension k - rank M for M = G sigma(G)^T.  With
+    r = k - h columns c, M = M[:, c] Y gives rank M <= r and N M[:, c] = I_r
+    gives rank M >= r.  Y must carry I_r at c, as an RREF does, which also
+    makes the columns distinct, so only M's other columns take a product."""
+    if sigma is not None:
+        _check_pair(code, sigma)
+    F, G, k = code.field, code.gen, code.k
+    c, Y, N = (np.asarray(part) for part in cert)
+    r = k - h
+    if not (0 <= r <= k and c.shape == (r,) and (c.dtype.kind in "iu" or not r) and np.all((0 <= c) & (c < k))):
+        return False
+    c, eye = c.astype(np.intp), np.eye(r, dtype=np.int16)
+    if not (_is_matrix(Y, (r, k), F.q) and _is_matrix(N, (r, k), F.q) and np.array_equal(Y[:, c], eye)):
+        return False
+    if not np.array_equal(G[:, code.pivots], np.eye(k, dtype=np.int16)):
+        return False
+    # so the pivot columns add H[:, pivots]^T to M = G H^T, H = sigma(G)
+    H, free = (G if sigma is None else sigma.apply(G)), np.ones(code.n, dtype=bool)
+    free[code.pivots] = False
+    M = F.add(H[:, code.pivots].T, _product(F, G[:, free], H[:, free].T))
+    Mc, rest = M[:, c], np.ones(k, dtype=bool)
+    rest[c] = False
+    return np.array_equal(_product(F, Mc, Y[:, rest]), M[:, rest]) and np.array_equal(_product(F, N, Mc), eye)
 
 
 SIGMA_FAMILIES = ("diagonal-lambda", "cyclic-pi2", "permutation-sample")

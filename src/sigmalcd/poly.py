@@ -341,12 +341,6 @@ def mul(F: Field, a, b) -> np.ndarray:
     return _array(core, core.mul(_load(core, a), _load(core, b)))
 
 
-def divmod_(F: Field, a, b):
-    core = _core(F)
-    q, r = _divmod(core, _load(core, a), _load(core, b))
-    return _array(core, q), _array(core, r)
-
-
 def mod(F: Field, a, b) -> np.ndarray:
     core = _core(F)
     return _array(core, _divmod(core, _load(core, a), _load(core, b))[1])

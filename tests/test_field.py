@@ -287,15 +287,42 @@ def test_element_order_divides_group_order():
         assert F.pow(a, o) == 1
 
 
+def encode(F, coeffs) -> int:
+    """The encoding sum(c_i p^i) of the element with coefficients coeffs."""
+    coeffs = list(coeffs)
+    assert len(coeffs) <= F.e
+    return sum((int(c) % F.p) * F.p**i for i, c in enumerate(coeffs))
+
+
 def test_encode_digits_roundtrip():
     F = field(3, 2)
     for a in range(F.q):
-        assert F.encode(F.digits[a]) == a
+        assert encode(F, F.digits[a]) == a == F.digits[a] @ F.digit_weights
+        assert encode(F, F.coeffs(a)) == a
 
 
 def test_field_identity_cached():
     assert field(2, 2) is field(2, 2)
     assert field(2) is not field(3)
+
+
+def test_field_interned_however_the_modulus_is_spelled():
+    """A modulus the field would store anyway builds no second copy."""
+    assert field(2, 1, (1, 1)) is field(2) is field(2, 1, [0, 1])
+    assert field(3, 1, (2, 1)) is field(3, 1, (5, 4)) is field(3)
+    assert field(2, 2, default_modulus(2, 2)) is field(2, 2) is field(2, 2, (3, 1, 1))
+    assert field(3, 2, (1, 0, 1)) is field(3, 2)
+    other = field(2, 3, (1, 1, 0, 1))  # x^3 + x + 1, not the default
+    assert other is field(2, 3, (3, 1, 2, 1)) and other is not field(2, 3) and other != field(2, 3)
+    for args, message in [
+        ((3, 1, (1, 2)), "modulus must be monic of degree 1"),
+        ((2, 1, (1, 1, 1)), "modulus must be monic of degree 1"),
+        ((2, 2, (1, 0, 1)), "is reducible over GF\\(2\\)"),
+        ((6, 1, (0, 1)), "p = 6 is not prime"),
+        ((2, 13, (1,) * 14), "field size 8192 exceeds"),
+    ]:
+        with pytest.raises(BadInput, match=message):
+            field(*args)
 
 
 def test_embedding_gf2_to_gf8():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalcd import cli, formats, poly
+from sigmalcd import cli, codes, formats, poly
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim
 from sigmalcd.errors import BadInput
 from sigmalcd.field import field
@@ -290,6 +290,39 @@ def test_cli_abelian(files):
     assert rc == 0 and "idempotent_found: true" in out
     rc, out = run_cli("abelian", "idempotent", "--group", "3", "--code", str(files / "z3.code"))
     assert rc == 0 and "coeffs: 0 1 1" in out
+
+
+CERTIFIED = [
+    ("lcd", "check", "--code", "@ham.code", "--sigma", "reversal"),
+    ("lcd", "hull", "--code", "@ham.code", "--sigma", "reversal"),
+    ("lcd", "make", "--code", "@ham.code"),
+    ("gqc", "check", "@ham.gqc", "--a", "-1"),
+    ("gqc", "onegen", "@qr7.gqc"),
+    ("abelian", "check", "--group", "3", "--code", "@z3.code"),
+    ("repro", "golay23"),
+    ("repro", "qr-idempotent-7"),
+    ("repro", "theorem1-binary"),
+]
+
+
+@pytest.mark.parametrize("argv", CERTIFIED, ids=lambda argv: "-".join(argv[:2]))
+def test_cli_forged_hull_certificate_is_a_disagreement(files, monkeypatch, capsys, argv):
+    """Every hull these commands report passes the oracle's certificate
+    check; a forged one (the whole code claimed as hull, with an empty
+    rank witness) exits 2 with one disagreement line and no traceback."""
+
+    def forged(code, sigma=None):
+        k = code.k
+        return k, ([], np.zeros((0, k), dtype=np.int16), np.zeros((0, k), dtype=np.int16))
+
+    argv = [str(files / a[1:]) if a.startswith("@") else a for a in argv]
+    rc, out = run_cli("--format", "machine", *argv)
+    assert rc in (0, 1) and kv(out)["verification"] == "agree"
+    capsys.readouterr()
+    monkeypatch.setattr(codes, "hull_certificate", forged)
+    rc, out = run_cli("--format", "machine", *argv)
+    assert rc == 2 and capsys.readouterr().err == ""
+    assert [line for line in out.splitlines() if "disagree" in line] == ["verification=disagree (certificate rejected)"]
 
 
 def test_cli_oracle(files):

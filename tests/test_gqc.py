@@ -491,6 +491,14 @@ def test_product_random_components():
 
 
 
+def _quotient(F, a, b):
+    """a / b by the packed core's division, for b dividing a."""
+    core = poly._core(F)
+    q, r = poly._divmod(core, poly._load(core, a), poly._load(core, b))
+    assert not r
+    return poly._array(core, q)
+
+
 def _product_reference(base, components):
     """The product through H_j = (x^{m_j} - 1)/M_zeta, entry by entry: gamma
     becomes H_j r(x) with r(zeta) = gamma/eta, eta = H_j(zeta), r solved over
@@ -508,8 +516,7 @@ def _product_reference(base, components):
             continue
         mhat = m // mj
         zeta = ctx.eval_point(mhat)
-        Hj, rem = poly.divmod_(base, poly.xm1(base, mj), ctx.minimal_poly(mhat))
-        assert poly.is_zero(rem)
+        Hj = _quotient(base, poly.xm1(base, mj), ctx.minimal_poly(mhat))
         eta = int(gqc._evaluate(ctx, (mj,), gqc._flat_gens(base, (mj,), [(Hj,)]), [mhat])[0, 0, 0])
         zs, wu = ctx.xi_pows[mhat * np.arange(tj) % m], ctx.emb(base.p ** np.arange(base.e))
         Bmat = ext.digits[ext.mul(zs[:, None], wu)].reshape(tj * base.e, ext.e).T.astype(np.int16)
@@ -521,7 +528,7 @@ def _product_reference(base, components):
                     if gamma:
                         target = ext.digits[ext.div(ext.mul(gamma, ext.pow(zeta, s)), eta)].astype(np.int16)
                         z = solve_right(pf, Bmat, target)
-                        r = poly.from_seq([base.encode(z[u * base.e : (u + 1) * base.e]) for u in range(tj)])
+                        r = poly.from_seq([int(z[u * base.e : (u + 1) * base.e] @ base.digit_weights) for u in range(tj)])
                         f = poly.mod_xm1(base, poly.mul(base, Hj, r), mj)
                         flat[off + c * mj : off + c * mj + f.size] = f
                 rows.append(flat)

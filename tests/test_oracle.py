@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmalcd import oracle
-from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim, make_lcd_sigma
+from sigmalcd.codes import LinearCode, SemiLinearMap, hull_certificate, hull_dim, make_lcd_sigma
 from sigmalcd.errors import BadInput, BudgetExceeded
 from sigmalcd.field import field
 
@@ -16,6 +16,7 @@ from linalg_reference import intersect_dim
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F9 = field(3, 2)
 
 
 def C(F, n, *rows):
@@ -187,6 +188,126 @@ def test_hull_agrees_with_formula():
             diag = rng.integers(1, F.q, size=n).astype(np.int16)
             sg = SemiLinearMap(F, perm=perm, diag=diag, frob=int(rng.integers(0, F.e)))
             assert oracle.brute_hull_dim(c, sg) == hull_dim(c, sg)
+
+
+# ------------------------------------------------------ hull certificates
+
+
+def _maps(F, n, rng):
+    """The identity, a monomial map and a semilinear one of length n."""
+    perm, diag = rng.permutation(n).astype(np.int32), rng.integers(1, F.q, size=n).astype(np.int16)
+    return [None, SemiLinearMap(F, perm=perm, diag=diag), SemiLinearMap(F, perm=perm, diag=diag, frob=1)]
+
+
+def _cert_cases(seed):
+    """(code, sigma) over GF(2), GF(3), GF(4) and GF(9): k = 0, k = n, a
+    random code and a self-orthogonal one, under every kind of map."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for F in (F2, F3, F4, F9):
+        n = 6
+        mid = LinearCode(F, n, rng.integers(0, F.q, size=(3, n)).astype(np.int16))
+        so = C(F, n, [1] * F.p + [0] * (n - F.p))  # <v, v> = p = 0
+        for c in (C(F, n), mid, so, LinearCode(F, n, np.eye(n, dtype=np.int16))):
+            cases += [(c, s) for s in _maps(F, n, rng)]
+    return cases
+
+
+def test_certified_hull_matches_brute_oracle():
+    cases = _cert_cases(27)
+    assert {c.k for c, _ in cases} >= {0, 3, 6}
+    for c, s in cases:
+        h, cert = hull_certificate(c, s)
+        assert h == oracle.brute_hull_dim(c, s)
+        assert oracle.check_hull_certificate(c, s, h, cert)
+
+
+def test_certificate_check_calls_no_linalg():
+    from sigmalcd import linalg
+
+    proofs = [(c, s, *hull_certificate(c, s)) for c, s in _cert_cases(28)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate check called linalg")
+
+    names = [n for n, f in vars(linalg).items() if inspect.isfunction(f) and f.__module__ == linalg.__name__]
+    with mock.patch.multiple(linalg, **{n: refuse for n in names}):
+        assert all(oracle.check_hull_certificate(*proof) for proof in proofs)
+
+
+def test_certificate_check_refuses_malformed_parts():
+    c = LinearCode(F3, 4, [[1, 0, 1, 0], [0, 1, 1, 1]])
+    h, (cols, Y, N) = hull_certificate(c, None)
+    assert h == 0 and oracle.check_hull_certificate(c, None, h, (cols, Y, N))
+    bad = [
+        (h, ([cols[0]] * len(cols), Y, N)),  # repeated column
+        (h, ([-1] + cols[1:], Y, N)),  # column out of range
+        (h, (np.array(cols, dtype=float), Y, N)),
+        (h, (cols, Y[:, :-1], N)),
+        (h, (cols, Y, N + 3)),  # encodings outside GF(3)
+        (-1, (cols, Y, N)),
+        (c.k + 1, (cols, Y, N)),
+    ]
+    for claim, cert in bad:
+        assert not oracle.check_hull_certificate(c, None, claim, cert)
+    # G must carry the identity at the pivots the code records.  With a
+    # repeated row, M = G G^T = [[2, 2], [2, 2]] has rank 1, which this
+    # certificate proves, but the code it spans is LCD: hull 0, not 1
+    forged = LinearCode(F3, 4, [[1, 0, 1, 0], [0, 1, 1, 1]])
+    forged.gen = np.array([[1, 0, 1, 0], [1, 0, 1, 0]], dtype=np.int16)
+    assert not oracle.check_hull_certificate(forged, None, 1, ([0], np.array([[1, 1]]), np.array([[2, 0]])))
+
+
+CERT_FIELDS = (F2, F3, F4, F9)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_tampered_certificate_is_rejected_or_still_true(data):
+    """One changed entry of h, c, Y or N: the check rejects it, or the
+    claim it then proves is still the true hull dimension.  A changed h
+    with the rest untouched is always rejected, and so is a wrong h with a
+    certificate reshaped to fit it."""
+    F = data.draw(st.sampled_from(CERT_FIELDS), label="field")
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c = LinearCode(F, n, rng.integers(0, F.q, size=(k, n)).astype(np.int16))
+    sigma = _maps(F, n, rng)[data.draw(st.integers(0, 2), label="map")]
+    h, (cols, Y, N) = hull_certificate(c, sigma)
+    truth = oracle.brute_hull_dim(c, sigma)
+    assert h == truth and oracle.check_hull_certificate(c, sigma, h, (cols, Y, N))
+
+    other = data.draw(st.integers(-1, c.k + 1).filter(lambda v: v != h), label="changed h")
+    assert not oracle.check_hull_certificate(c, sigma, other, (cols, Y, N))
+    # a claim one off with every shape to match: one pivot dropped, or one
+    # more column with a drawn row of Y and of N
+    r = len(cols)
+    if r:
+        i = data.draw(st.integers(0, r - 1), label="dropped")
+        keep = [t for t in range(r) if t != i]
+        assert not oracle.check_hull_certificate(c, sigma, h + 1, ([cols[t] for t in keep], Y[keep], N[keep]))
+    if h:
+        j = data.draw(st.sampled_from([t for t in range(c.k) if t not in cols]), label="added")
+        y = np.array(data.draw(st.lists(st.integers(0, F.q - 1), min_size=c.k, max_size=c.k), label="y"))
+        y[cols], y[j] = 0, 1
+        longer_Y = np.vstack([np.where(np.arange(c.k) == j, 0, Y), y]).astype(np.int16)
+        z = data.draw(st.lists(st.integers(0, F.q - 1), min_size=c.k, max_size=c.k), label="z")
+        longer_N = np.vstack([N, z]).astype(np.int16)
+        assert not oracle.check_hull_certificate(c, sigma, h - 1, ([*cols, j], longer_Y, longer_N))
+
+    part = data.draw(st.sampled_from(["h", "c", "Y", "N"] if cols else ["h"]), label="part")
+    claim, cols, Y, N = h, list(cols), Y.copy(), N.copy()
+    if part == "h":
+        claim = other
+    elif part == "c":
+        i = data.draw(st.integers(0, len(cols) - 1), label="i")
+        cols[i] = data.draw(st.integers(-1, c.k).filter(lambda v: v != cols[i]), label="column")
+    else:
+        M = Y if part == "Y" else N
+        i, j = data.draw(st.integers(0, M.shape[0] - 1), label="i"), data.draw(st.integers(0, M.shape[1] - 1), label="j")
+        M[i, j] = data.draw(st.integers(0, F.q).filter(lambda v: v != M[i, j]), label="entry")
+    assert not oracle.check_hull_certificate(c, sigma, claim, (cols, Y, N)) or claim == truth
 
 
 # ------------------------------------------------------ sigma family search
