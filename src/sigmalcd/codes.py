@@ -253,9 +253,7 @@ def normalize_hull(code: LinearCode):
     h = hull.shape[0]
     if h == 0:
         return SemiLinearMap.identity(F, n), code.gen.copy(), 0
-    _, piv = linalg.rref(F, hull)
-    others = [c for c in range(n) if c not in piv]
-    cols_order = list(piv) + others
+    cols_order = linalg.pivots_first(n, linalg.rref(F, hull)[1])
     perm = np.empty(n, dtype=np.int32)
     perm[cols_order] = np.arange(n)
     pi = SemiLinearMap.permutation(F, perm)
@@ -313,12 +311,9 @@ class LcpPair:
 def _aligned_perm(c1: LinearCode, c2: LinearCode):
     """Stable permutation sending pivot columns of c2 onto pivot columns of
     c1 and non-pivots onto non-pivots, preserving order; and c2's pivots."""
-    n, piv1, piv2 = c1.n, c1.pivots, c2.pivots
-    non1 = [c for c in range(n) if c not in piv1]
-    non2 = [c for c in range(n) if c not in piv2]
+    n, piv2 = c1.n, c2.pivots
     perm = np.empty(n, dtype=np.int32)
-    for src, dst in zip(list(piv2) + non2, list(piv1) + non1):
-        perm[src] = dst
+    perm[linalg.pivots_first(n, piv2)] = linalg.pivots_first(n, c1.pivots)
     return perm, piv2
 
 

@@ -17,9 +17,11 @@ Tables built once per field drive everything:
   no reduction mod q - 1, and log[0] points past it into a zero tail, so
   a * b is the single gather exp[log[a] + log[b]] for every a and b.
   Division, inversion and powering are single gathers too;
-- the regular representation: regular[a] is the e x e matrix over GF(p)
-  with digits(a * b) = regular[a] @ digits(b), which lets linalg.mat_mul
-  run as one integer-exact matrix product over GF(p);
+- the digits: digits[a] holds the e base-p digits of a.  linalg.mat_mul
+  packs g of them into one float64 word and multiplies words (Kronecker
+  substitution), so a matrix product costs ceil(e / g)^2 times a GF(p)
+  one, not e^2.  One word (g = e) serves every GF(p) and GF(p^2), p <= 13,
+  and GF(8); GF(2^4) takes two, GF(2^12) and GF(3^7) four;
 - negation, and for odd p with e > 1 a q x q addition table.
 """
 
@@ -33,8 +35,8 @@ import numpy as np
 from .errors import BadInput, DivisionByZero
 
 MAX_EXTENSION_DEGREE = 16
-# tables are O(q), the regular representation O(q e^2), and only the
-# addition table of an odd-p extension field is q*q
+# tables are O(q) or O(q e), and only the addition table of an odd-p
+# extension field is q*q
 MAX_FIELD_SIZE = 4096
 
 _INT = (int, np.integer)
@@ -164,15 +166,6 @@ class Field:
                 qk = p**k
                 table = (base[:, None, :, None] * np.int16(qk) + table[None, :, None, :]).reshape(p * qk, p * qk)
             self._add_table = table
-
-    @functools.cached_property
-    def regular(self) -> np.ndarray:
-        """regular[a] is the e x e GF(p) matrix with digits(a * b) =
-        regular[a] @ digits(b); column j is digits(a * x^j).  Built on first
-        use, as q x e x e small ints."""
-        a = np.arange(self.q, dtype=np.int16)
-        cols = [self.digits[self.mul(a, int(w))] for w in self.digit_weights]
-        return np.stack(cols, axis=2).astype(np.int8 if self.p < 128 else np.int16)
 
     def _smul(self, a: int, b: int) -> int:
         """Build-time product of two encodings, through their digits; the

@@ -4,29 +4,46 @@ Matrices are 2-D numpy int16 arrays of field encodings; every function takes
 the Field first.
 
 rref is Gauss-Jordan with one whole-slice update per pivot, R[:, c:] -=
-f (x) R[r, c:] over every row, f the pivot column with f[r] = 0.  Over GF(p),
-p odd, it is a plain integer subtract, and only what is read (the pivot
-column, the pivot row, f) is reduced mod p, the rest once at the end.  A
-pivot moves an entry by at most (p - 1)^2, so |entry| < p + min(m, n)
-(p - 1)^2: int32 below 2^31, else int64, enough for GF(4093) at any size.
-GF(2) is `^= f & row` on uint8; GF(2^e) XORs in products gathered from the
-q multiples of the pivot row when q <= m, else one log/exp product.  The
-RREF is unique, so the pivot row chosen does not show.  `oracle` keeps the
-plain per-column loop as its own kernel.
+f (x) R[r, c:] over every row, f the pivot column with f[r] = 0.  Row r
+stays the pivot row when its entry is nonzero.  Over GF(p), p odd, it is a
+plain integer subtract, and only what is read (the pivot column, the pivot
+row, f) is reduced mod p, the rest once at the end; the pivot row is
+reduced before it is scaled.  A pivot moves an entry by at most (p - 1)^2,
+so |entry| < p + min(m, n) (p - 1)^2, and R is the narrowest of int16,
+int32 and int64 that holds that: int16 for GF(3) up to 8191 pivots, for
+GF(13) up to 227.  GF(2) is `^= f & row` on uint8.  GF(2^e) XORs in
+products: for q <= min(m, 256), the q multiples of the pivot row and its
+normalisation are gathers from a cached q x q product table, else one
+log/exp product.  The RREF is unique, so the pivot row chosen does not
+show.  `oracle` keeps the plain per-column loop as its own kernel.
 
-mat_mul works over GF(p) through the field's regular representation: each
-entry a of the left factor becomes its e x e matrix over GF(p), each entry
-of the right factor its e digits, and one float64 matrix product of those
-small integers, reduced mod p, gives the digits of the result.  A float64
-sum of products is exact while it stays below 2^53, so the inner dimension
-is split into pieces of at most (2^53 - p) / (p - 1)^2 terms, each reduced
-mod p before the next is added.
+mat_mul is Kronecker substitution on float64 words (Dumas, Fousse and
+Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
+ceil(e / g) groups of g, each packed into one word as sum d_s 2^(w s).  The
+product of two words is a polynomial in 2^w whose 2g - 1 fields are digit
+convolutions; a field sums at most g (p - 1)^2 per term, so with the inner
+dimension cut into chunks of at most (2^w - p) / (g (p - 1)^2) terms every
+field stays below 2^w, and (2g - 1) w <= 53 keeps the word exact.  Each
+chunk is one float64 matrix product holding every pair of digit groups.
+The fields are peeled off with floor and multiply, x^t for t >= e is folded
+by the modulus, and the digits are taken mod p.  g is fixed per field, the
+fewest groups whose chunk holds at least MIN_CHUNK terms:
+
+- g = 1, one word: every GF(p).  Its field is the whole 53-bit word, so
+  each chunk's sum is reduced mod p before the next is added;
+- one word: GF(p^2) for p <= 13 (g = 2), GF(8) (g = 3);
+- two words: GF(2^4), GF(p^3) and GF(p^4) for 3 <= p <= 13 (g = 2),
+  GF(2^5) and GF(2^6) (g = 3), GF(p^2) for 17 <= p <= 61 (g = 1);
+- three words: GF(3^5), GF(3^6), GF(5^5) (g = 2), GF(2^7) to GF(2^9)
+  (g = 3); four words: GF(3^7) (g = 2), GF(2^10) to GF(2^12) (g = 3).
 
 No subspace intersection lives here: `codes` reads every meet of a code
 with a dual off the kernel of a small Gram product.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -58,20 +75,52 @@ def as_matrix(rows, n: int | None = None) -> np.ndarray:
 
 
 # a float64 sum of integer products is exact below this
-EXACT_LIMIT = 2**53
+EXACT_BITS = 53
+EXACT_LIMIT = 2**EXACT_BITS
+# g > 1 digits per word only if a chunk of the inner dimension then sums
+# at least this many terms
+MIN_CHUNK = 256
 
 
-def _exact_terms(p: int) -> int:
-    """Most products of two GF(p) digits that can be summed onto a sum
-    already reduced mod p and stay below EXACT_LIMIT."""
-    return (EXACT_LIMIT - p) // (p - 1) ** 2
+@functools.lru_cache(maxsize=None)
+def _packing(F: Field):
+    """How mat_mul packs F: (g, w, tables, scales, fold, weights).
+
+    The e digits of an entry split into groups = ceil(e / g) groups of g,
+    and tables[c, a] packs group a of c into one word, sum d_s 2^(w s).  g
+    is chosen for the fewest groups, then the widest fields.  scales[u] is
+    2^(-w u).  Column (u, a, b) of fold holds the digits of x^(g (a + b) +
+    u), the power that field u of the product of group a by group b
+    multiplies, and weights are the digit weights p^i as floats."""
+    p, e = F.p, F.e
+    best = None
+    for g in range(1, e + 1):
+        w = EXACT_BITS // (2 * g - 1)
+        groups = -(-e // g)
+        if (g == 1 or (2**w - p) // (g * (p - 1) ** 2) >= MIN_CHUNK) and (best is None or groups < best[0]):
+            best = groups, g, w
+    groups, g, w = best
+    spread = np.zeros((F.q, groups * g))
+    spread[:, :e] = F.digits
+    tables = spread.reshape(F.q, groups, g) @ (2.0 ** (w * np.arange(g)))
+    x = F.p % F.q  # the class of x; 0 in GF(p), whose modulus is x
+    powers = F.digits[[F.pow(x, t) for t in range(2 * g * groups - 1)]]
+    a = g * np.arange(groups)
+    fold = powers[np.arange(2 * g - 1)[:, None, None] + np.add.outer(a, a)]
+    scales = 2.0 ** (-w * np.arange(2 * g - 1)).reshape(-1, 1, 1, 1, 1)
+    fold = fold.reshape(-1, e).T.astype(np.float64)
+    return g, w, tables, scales, fold, F.digit_weights.astype(np.float64)
 
 
 def _reduce(acc: np.ndarray, p: int) -> np.ndarray:
     """acc mod p in place, for float64 integers 0 <= acc < 2^53: acc / p is
     at least 1/p below the next integer, more than its rounding error
-    acc / (p 2^53), so its floor is the exact quotient."""
-    acc -= p * np.floor(acc / p)
+    acc / (p 2^53), so its floor is the exact quotient.  One scratch array:
+    each fresh one costs page faults on the first touch."""
+    quot = acc / p
+    np.floor(quot, out=quot)
+    quot *= p
+    acc -= quot
     return acc
 
 
@@ -80,21 +129,53 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=np.int16)
     if A.shape[1] != B.shape[0]:
         raise BadInput(f"cannot multiply {A.shape} by {B.shape}")
-    (k, n), m, p, e = A.shape, B.shape[1], F.p, F.e
-    # block (i, t) of the (k e) x (n e) left factor is regular[A[i, t]]
-    left = F.regular[A].transpose(0, 2, 1, 3).reshape(k * e, n * e).astype(np.float64)
-    # row t e + s of the (n e) x m right factor is digit s of row t of B
-    right = F.digits[B].transpose(0, 2, 1).reshape(n * e, m).astype(np.float64)
-    step = _exact_terms(p)
-    acc = np.zeros((k * e, m))
-    for lo in range(0, n * e, step):
-        acc += left[:, lo : lo + step] @ right[lo : lo + step]
-        _reduce(acc, p)
-    return (F.digit_weights @ acc.reshape(k, e, m)).astype(np.int16)
+    (k, n), m, p = A.shape, B.shape[1], F.p
+    g, w, tables, scales, fold, weights = _packing(F)
+    groups, fields = tables.shape[1], len(scales)
+    left = tables.T[:, A].reshape(groups * k, n)
+    right = tables[B].reshape(n, m * groups)
+    # a field sums at most g (p - 1)^2 per term and must stay below 2^w,
+    # which is EXACT_LIMIT when g = 1; a lower EXACT_LIMIT cuts every chunk
+    step = (min(2**w, EXACT_LIMIT) - p) // (g * (p - 1) ** 2)
+    for lo in range(0, n or 1, step):
+        # one product holds every block (a, b): group a of A by group b of B
+        word = left[:, lo : lo + step] @ right[lo : lo + step]
+        word = word.reshape(groups, k, m, groups).transpose(0, 3, 1, 2)
+        if fields > 1:  # top[u] = floor(word / 2^(w u)); field u = top[u] - 2^w top[u + 1]
+            word = np.multiply(word, scales)
+            np.floor(word, out=word)
+            word[:-1] -= word[1:] * 2.0**w
+        if lo:
+            word += acc
+        # a g = 1 field is the whole word: it is reduced before the next
+        # chunk adds to it.  Narrower fields stay below 2^w per chunk.
+        acc = _reduce(word, p) if g == 1 else word
+    acc = acc.reshape(fields * groups * groups, k * m)
+    if F.e > 1:  # fold x^t, t >= e, by the modulus, then pack the digits
+        acc = weights @ _reduce(fold @ acc, p)
+    return acc.reshape(k, m).astype(np.int16)
 
 
 def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(F, A, np.asarray(v, dtype=np.int16).reshape(-1, 1))[:, 0]
+
+
+# rref reads the multiples of a pivot row over GF(2^e), q at most this
+# and at most the row count, from one gather of the cached q x q products
+SMALL_TABLE = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _products(F: Field) -> np.ndarray:
+    a = np.arange(F.q, dtype=np.int16)
+    return F.mul(a[:, None], a)
+
+
+def _lazy_dtype(p: int, m: int, n: int):
+    """The narrowest integer type holding p + min(m, n) (p - 1)^2: each
+    pivot moves an unreduced entry by at most (p - 1)^2."""
+    bound = p + min(m, n) * (p - 1) ** 2
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
 def rref(F: Field, M: np.ndarray):
@@ -102,24 +183,35 @@ def rref(F: Field, M: np.ndarray):
     p, q = F.p, F.q
     lazy = F.e == 1 and p > 2
     m, n = np.shape(M)
-    wide = np.int32 if p + min(m, n) * (p - 1) ** 2 < 2**31 else np.int64
-    R = np.array(M, dtype=wide if lazy else np.uint8 if q == 2 else np.int16)
+    table = _products(F) if p == 2 and 2 < q <= min(m, SMALL_TABLE) else None
+    R = np.array(M, dtype=_lazy_dtype(p, m, n) if lazy else np.uint8 if q == 2 else np.int16)
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
         f = R[:, c] % p if lazy else R[:, c].copy()
-        pr = r + int(f[r:].argmax())  # any nonzero entry will do
+        # row r stays the pivot when it can: a swap moves two whole rows
+        pr = r if f[r] else r + int(f[r:].argmax())
         pv = int(f[pr])
         if pv == 0:
             continue
         if pr != r:  # rows r.. are 0 mod p left of column c
             R[r, c:], R[pr, c:] = R[pr, c:], R[r, c:].copy()
             f[pr] = f[r]
-        row = R[r, c:] % p if lazy else R[r, c:]
-        if pv != 1:
-            row = row * F.inv(pv) % p if lazy else F.mul(F.inv(pv), row)
+        inv = F.inv(pv)
+        if table is not None:
+            # multiples[a] = a * R[r, c:]; the update for factor x is
+            # multiples[x / pv] and the pivot row is multiples[1 / pv]
+            multiples = table[:, R[r, c:]]
+            row = multiples[inv]
+            f = table[inv][f]
+        else:
+            # reduced before it is scaled: an unreduced entry times inv may
+            # overflow the lazy dtype
+            row = R[r, c:] % p if lazy else R[r, c:]
+            if pv != 1:
+                row = row * inv % p if lazy else F.mul(inv, row)
         R[r, c:] = row
         f[r] = 0
         pivots.append(c)
@@ -131,8 +223,10 @@ def rref(F: Field, M: np.ndarray):
             R[:, c:] -= np.multiply.outer(f, row)
         elif q == 2:
             R[:, c:] ^= np.bitwise_and.outer(f, row)
+        elif table is not None:
+            R[:, c:] ^= multiples[f]
         elif p == 2:
-            R[:, c:] ^= np.take(F.mul(np.arange(q)[:, None], row), f, axis=0) if q <= m else F.mul(f[:, None], row)
+            R[:, c:] ^= F.mul(f[:, None], row)
         else:
             R[:, c:] = F.sub(R[:, c:], F.mul(f[:, None], row))
     if lazy:
@@ -150,18 +244,24 @@ def row_space(F: Field, M: np.ndarray) -> np.ndarray:
     return R[: len(piv)]
 
 
+def pivots_first(n: int, pivots) -> np.ndarray:
+    """Columns 0..n-1 with the pivots first; the free columns follow in
+    order, read off a boolean mask rather than an O(n r) scan of pivots."""
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    return np.concatenate([np.asarray(pivots, dtype=np.intp), np.flatnonzero(free)])
+
+
 def nullspace(F: Field, M: np.ndarray) -> np.ndarray:
     """Basis of the right kernel {v : M v^T = 0}, one row per free column."""
     M = np.asarray(M, dtype=np.int16)
     n = M.shape[1]
     R, piv = rref(F, M)
     r = len(piv)
-    free = [c for c in range(n) if c not in piv]
-    B = np.zeros((len(free), n), dtype=np.int16)
-    if free:
-        B[np.arange(len(free)), free] = 1
-        if piv:
-            B[:, piv] = F.neg(R[:r][:, free].T)
+    free = pivots_first(n, piv)[r:]
+    B = np.zeros((free.size, n), dtype=np.int16)
+    B[np.arange(free.size), free] = 1
+    B[:, piv] = F.neg(R[:r][:, free].T)
     return B
 
 

@@ -180,9 +180,11 @@ def _gauss_jordan(F, M: np.ndarray):
 def _dual(F, M: np.ndarray) -> np.ndarray:
     """Basis of {v : M v^T = 0}, one row per free column of M's RREF."""
     R, piv = _gauss_jordan(F, M)
-    free = [c for c in range(M.shape[1]) if c not in piv]
-    B = np.zeros((len(free), M.shape[1]), dtype=np.int16)
-    B[np.arange(len(free)), free] = 1
+    free = np.ones(M.shape[1], dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    B = np.zeros((free.size, M.shape[1]), dtype=np.int16)
+    B[np.arange(free.size), free] = 1
     B[:, piv] = F.neg(R[: len(piv)][:, free].T)
     return B
 

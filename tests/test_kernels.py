@@ -18,6 +18,8 @@ from sigmalcd.field import field
 from sigmalcd.oracle import _gauss_jordan
 
 FIELDS = [field(2), field(3), field(2, 2), field(2, 3), field(3, 2), field(2, 4), field(131)]
+# mat_mul packs g < e digits per word on the first three and one on GF(61^2)
+PRODUCT_FIELDS = FIELDS + [field(2, 8), field(2, 12), field(3, 7), field(61, 2)]
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
@@ -121,7 +123,7 @@ def matrix(draw, F, rows, cols):
 @st.composite
 def product_operands(draw, max_dim=5):
     """A field and int16 matrices A (k x n), B (n x m), any size 0 included."""
-    F = draw(fields)
+    F = draw(st.sampled_from(PRODUCT_FIELDS))
     k, n, m = (draw(st.integers(0, max_dim)) for _ in range(3))
     A = np.array(draw(matrix(F, k, n)), dtype=np.int16).reshape(k, n)
     B = np.array(draw(matrix(F, n, m)), dtype=np.int16).reshape(n, m)
@@ -202,12 +204,16 @@ def test_array_ops_match_scalar_ops(case):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_regular_representation(F):
-    assert F.regular.shape == (F.q, F.e, F.e) and F.regular.dtype.itemsize <= 2
-    a = np.repeat(np.arange(F.q), min(F.q, 16))
-    b = np.tile(np.arange(min(F.q, 16)), F.q)
-    lhs = F.digits[F.mul(a, b)]
-    rhs = np.einsum("nij,nj->ni", F.regular[a].astype(np.int64), F.digits[b]) % F.p
-    assert np.array_equal(lhs, rhs)
+    """Multiplication by a is the e x e GF(p) matrix whose row j holds the
+    digits of a x^j, built here from the schoolbook product.  mat_mul's
+    packed words must reproduce it for every a against a sample of b."""
+    a = np.arange(F.q, dtype=np.int16)
+    b = np.arange(min(F.q, 16), dtype=np.int16)
+    regular = np.array([[ref_digits(F, ref_mul(F, int(x), F.p**j)) for j in range(F.e)] for x in a])
+    b_digits = np.array([ref_digits(F, int(y)) for y in b])
+    want = np.einsum("xje,bj->xbe", regular, b_digits) % F.p
+    got = linalg.mat_mul(F, a[:, None], b[None, :])
+    assert got.tolist() == [[ref_encode(F, d) for d in row] for row in want.tolist()]
 
 
 # ---------------------------------------------------------------- linalg
@@ -222,22 +228,65 @@ def test_mat_mul_matches_reference(case):
     assert got.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
 
 
+def chunk(F):
+    """The longest inner-dimension chunk mat_mul sums before peeling."""
+    g, w = linalg._packing(F)[:2]
+    return (2**w - F.p) // (g * (F.p - 1) ** 2)
+
+
 @pytest.mark.parametrize("p", [2, 3, 131, 4093])
 def test_exactness_bound(p):
-    """A piece of the inner dimension plus a reduced partial sum stays
-    below 2^53, and the piece is as long as that allows."""
-    t = linalg._exact_terms(p)
-    assert t * (p - 1) ** 2 + (p - 1) < 2**53 <= (t + 1) * (p - 1) ** 2 + (p - 1)
+    """The packing invariant on every field of characteristic p: a product
+    word holds 2g - 1 fields of w bits within float64's 53, a field sums
+    at most g (p - 1)^2 per term, and a chunk is the longest whose field
+    stays below 2^w with p to spare (the reduced sum it is added to when
+    g = 1).  g > 1 only with a chunk of MIN_CHUNK terms or more, and g
+    gives the fewest digit groups that allow."""
+    e = 1
+    while p**e <= 4096:
+        F = field(p, e)
+        g, w, tables, _, fold, _ = linalg._packing(F)
+        t, bound = chunk(F), g * (p - 1) ** 2
+        assert (2 * g - 1) * w <= 53
+        assert t * bound + p <= 2**w < (t + 1) * bound + p
+        assert g == 1 or t >= linalg.MIN_CHUNK
+        assert tables.shape == (F.q, -(-e // g)) and fold.shape == (e, (2 * g - 1) * tables.shape[1] ** 2)
+        for h in range(1, e + 1):
+            v = 53 // (2 * h - 1)
+            if -(-e // h) < tables.shape[1]:
+                assert h > 1 and (2**v - p) // (h * (p - 1) ** 2) < linalg.MIN_CHUNK
+        e += 1
+
+
+@pytest.mark.parametrize("F, g", [(field(2), 1), (field(3), 1), (field(2, 2), 2), (field(2, 3), 3), (field(3, 2), 2)], ids=repr)
+def test_small_fields_pack_one_word(F, g):
+    """GF(2), GF(3), GF(4), GF(8) and GF(9) take one word per entry, so one
+    product per chunk."""
+    assert linalg._packing(F)[0] == g and linalg._packing(F)[2].shape == (F.q, 1)
+
+
+@pytest.mark.parametrize("F", PRODUCT_FIELDS, ids=repr)
+def test_mat_mul_top_entries_at_the_longest_chunk(F):
+    """All-(q - 1) operands drive every field of a packed product to its
+    bound: n terms sum to n (q - 1)^2.  n is one chunk and one past it
+    where a chunk is short enough to build, else 4096."""
+    top, t = F.q - 1, chunk(F)
+    square = ref_mul(F, top, top)
+    for n in (t, t + 1) if t < 70_000 else (4096,):
+        A = np.full((2, n), top, dtype=np.int16)
+        B = np.full((n, 3), top, dtype=np.int16)
+        assert linalg.mat_mul(F, A, B).tolist() == [[ref_mul(F, n % F.p, square)] * 3] * 2
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(product_operands(max_dim=7))
 def test_mat_mul_split_inner_dimension(case):
     """With the exactness limit lowered, the inner dimension is summed in
-    pieces of three terms; the result must not change."""
+    chunks of three terms; the result must not change."""
     F, A, B = case
+    g = linalg._packing(F)[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "EXACT_LIMIT", 3 * (F.p - 1) ** 2 + F.p)
+        mp.setattr(linalg, "EXACT_LIMIT", 3 * g * (F.p - 1) ** 2 + F.p)
         got = linalg.mat_mul(F, A, B)
     assert got.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
 
@@ -298,11 +347,33 @@ def test_rref_dense_gf4093():
     assert_rref_is_gauss_jordan(F, M)
 
 
+@pytest.mark.parametrize("size", [227, 228])
+def test_rref_dense_gf13_at_the_int16_edge(size):
+    """13 + 227 * 12^2 < 2^15 <= 13 + 228 * 12^2: the lazy GF(13) run is in
+    int16 at 227 x 227 and in int32 at 228 x 228."""
+    F = field(13)
+    assert linalg._lazy_dtype(13, size, size) == (np.int16 if size == 227 else np.int32)
+    M = np.random.default_rng(size).integers(0, F.q, size=(size, size)).astype(np.int16)
+    assert_rref_is_gauss_jordan(F, M)
+
+
+def test_rref_reduces_the_pivot_row_before_scaling():
+    """At 3 x 5, GF(4093) runs lazily in int32.  After two pivots a row
+    holds entries up to 2 * 4092^2, and scaling it by 1 / pv before
+    reducing it would wrap int32."""
+    F = field(4093)
+    assert linalg._lazy_dtype(4093, 3, 5) == np.int32
+    rng = np.random.default_rng(4093)
+    for _ in range(20):
+        assert_rref_is_gauss_jordan(F, rng.integers(1, F.q, size=(3, 5)).astype(np.int16))
+
+
 @pytest.mark.parametrize("p", [2, 3, 131, 4093])
 def test_reduce_is_exact_at_the_top_of_a_piece(p):
-    """The values just below the most a piece can reach, and the multiples
-    of p there with their neighbours, reduce to their exact residues."""
-    top = (p - 1) + linalg._exact_terms(p) * (p - 1) ** 2
+    """The values just below the most a GF(p) chunk can reach on top of a
+    reduced sum, and the multiples of p there with their neighbours, reduce
+    to their exact residues."""
+    top = (p - 1) + chunk(field(p)) * (p - 1) ** 2
     assert top < 2**53
     base = top - top % p
     near = {base - j * p + d for j in range(3000) for d in (-1, 0, 1)}

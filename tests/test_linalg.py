@@ -47,6 +47,13 @@ def test_rref_idempotent_and_rank_transpose():
             assert linalg.rank(F, M) == linalg.rank(F, M.T)
 
 
+def test_pivots_first():
+    assert linalg.pivots_first(6, [1, 4]).tolist() == [1, 4, 0, 2, 3, 5]
+    assert linalg.pivots_first(3, []).tolist() == [0, 1, 2]
+    assert linalg.pivots_first(2, [0, 1]).tolist() == [0, 1]
+    assert linalg.pivots_first(0, []).tolist() == []
+
+
 def test_nullspace_dimensions():
     N = linalg.nullspace(F2, [[1, 1, 1]])
     assert N.shape[0] == 2
