@@ -3,19 +3,21 @@
 Matrices are 2-D numpy int16 arrays of field encodings; every function takes
 the Field first.
 
-rref is Gauss-Jordan with one whole-slice update per pivot, R[:, c:] -=
-f (x) R[r, c:] over every row, f the pivot column with f[r] = 0.  Row r
-stays the pivot row when its entry is nonzero.  Over GF(p), p odd, it is a
-plain integer subtract, and only what is read (the pivot column, the pivot
-row, f) is reduced mod p, the rest once at the end; the pivot row is
-reduced before it is scaled.  A pivot moves an entry by at most (p - 1)^2,
-so |entry| < p + min(m, n) (p - 1)^2, and R is the narrowest of int16,
-int32 and int64 that holds that: int16 for GF(3) up to 8191 pivots, for
-GF(13) up to 227.  GF(2) is `^= f & row` on uint8.  GF(2^e) XORs in
-products: for q <= min(m, 256), the q multiples of the pivot row and its
-normalisation are gathers from a cached q x q product table, else one
-log/exp product.  The RREF is unique, so the pivot row chosen does not
-show.  `oracle` keeps the plain per-column loop as its own kernel.
+rref and rank share one elimination loop with one whole-slice update per
+pivot, R[first:, c:] -= f (x) R[r, c:], f the pivot column.  rref is
+Gauss-Jordan: first = 0 and f[r] = 0.  rank is forward elimination, the
+echelon form without back-substitution: first = r + 1.  Row r stays the
+pivot row when its entry is nonzero, and is written back only if scaled.
+Over GF(p), p odd, the update is a plain integer subtract, and only what is
+read (the pivot column, the pivot row, f) is reduced mod p, the rest once at
+the end of rref; the pivot row is reduced before it is scaled.  A pivot
+moves an entry by at most (p - 1)^2, so |entry| < p + min(m, n) (p - 1)^2,
+and R is the narrowest of int16, int32 and int64 that holds that: int16 for
+GF(3) up to 8191 pivots, for GF(13) up to 227.  GF(2) is `^= f & row` on
+uint8.  GF(2^e) XORs in products: for q <= min(m, 256), the q multiples of
+the pivot row and its normalisation are gathers from a cached q x q product
+table, else one log/exp product.  The RREF is unique, so the pivot row
+chosen does not show.  `oracle` keeps the plain per-column loop as its own.
 
 mat_mul is Kronecker substitution on float64 words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
@@ -27,15 +29,10 @@ field stays below 2^w, and (2g - 1) w <= 53 keeps the word exact.  Each
 chunk is one float64 matrix product holding every pair of digit groups.
 The fields are peeled off with floor and multiply, x^t for t >= e is folded
 by the modulus, and the digits are taken mod p.  g is fixed per field, the
-fewest groups whose chunk holds at least MIN_CHUNK terms:
-
-- g = 1, one word: every GF(p).  Its field is the whole 53-bit word, so
-  each chunk's sum is reduced mod p before the next is added;
-- one word: GF(p^2) for p <= 13 (g = 2), GF(8) (g = 3);
-- two words: GF(2^4), GF(p^3) and GF(p^4) for 3 <= p <= 13 (g = 2),
-  GF(2^5) and GF(2^6) (g = 3), GF(p^2) for 17 <= p <= 61 (g = 1);
-- three words: GF(3^5), GF(3^6), GF(5^5) (g = 2), GF(2^7) to GF(2^9)
-  (g = 3); four words: GF(3^7) (g = 2), GF(2^10) to GF(2^12) (g = 3).
+fewest groups whose chunk holds at least MIN_CHUNK terms.  Every GF(p) takes
+g = 1, one word whose field is the whole word, so each chunk's sum is
+reduced mod p before the next is added.  GF(p^2) for p <= 13 and GF(8) take
+one word, GF(2^4) and GF(p^3) for 3 <= p <= 13 two, GF(2^12) and GF(3^7) four.
 
 No subspace intersection lives here: `codes` reads every meet of a code
 with a dual off the kernel of a small Gram product.
@@ -178,8 +175,8 @@ def _lazy_dtype(p: int, m: int, n: int):
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def rref(F: Field, M: np.ndarray):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+def _eliminate(F: Field, M: np.ndarray, reduced: bool):
+    """(R, pivots), R an RREF when reduced, else an echelon form; a lazy R is unreduced."""
     p, q = F.p, F.q
     lazy = F.e == 1 and p > 2
     m, n = np.shape(M)
@@ -199,43 +196,49 @@ def rref(F: Field, M: np.ndarray):
         if pr != r:  # rows r.. are 0 mod p left of column c
             R[r, c:], R[pr, c:] = R[pr, c:], R[r, c:].copy()
             f[pr] = f[r]
-        inv = F.inv(pv)
-        if table is not None:
-            # multiples[a] = a * R[r, c:]; the update for factor x is
-            # multiples[x / pv] and the pivot row is multiples[1 / pv]
-            multiples = table[:, R[r, c:]]
-            row = multiples[inv]
-            f = table[inv][f]
-        else:
-            # reduced before it is scaled: an unreduced entry times inv may
-            # overflow the lazy dtype
-            row = R[r, c:] % p if lazy else R[r, c:]
-            if pv != 1:
+        # reduced before it is scaled: an unreduced entry times 1 / pv may
+        # overflow the lazy dtype.  An unscaled row stays as it is in R.
+        row = R[r, c:] % p if lazy else R[r, c:]
+        # multiples[a] = a * row; the update for factor x is multiples[x / pv]
+        # and the pivot row is multiples[1 / pv]
+        multiples = None if table is None else table[:, row]
+        if pv != 1:
+            inv = F.inv(pv)
+            if table is not None:
+                row, f = multiples[inv], table[inv][f]
+            else:
                 row = row * inv % p if lazy else F.mul(inv, row)
-        R[r, c:] = row
-        f[r] = 0
+            R[r, c:] = row
         pivots.append(c)
         r += 1
-        if not f.any():
-            continue
-        # row r is zero left of column c, so only columns c.. change
-        if lazy:
-            R[:, c:] -= np.multiply.outer(f, row)
-        elif q == 2:
-            R[:, c:] ^= np.bitwise_and.outer(f, row)
-        elif table is not None:
-            R[:, c:] ^= multiples[f]
-        elif p == 2:
-            R[:, c:] ^= F.mul(f[:, None], row)
+        if reduced:  # every row but the pivot row
+            first, f[r - 1] = 0, 0
         else:
-            R[:, c:] = F.sub(R[:, c:], F.mul(f[:, None], row))
-    if lazy:
-        R %= p
-    return R.astype(np.int16), pivots
+            first, f = r, f[r:]
+        if not np.count_nonzero(f):
+            continue
+        # the rows are zero left of column c, so only columns c.. change
+        if lazy:
+            R[first:, c:] -= np.multiply.outer(f, row)
+        elif q == 2:
+            R[first:, c:] ^= np.bitwise_and.outer(f, row)
+        elif table is not None:
+            R[first:, c:] ^= multiples[f]
+        elif p == 2:
+            R[first:, c:] ^= F.mul(f[:, None], row)
+        else:
+            R[first:, c:] = F.sub(R[first:, c:], F.mul(f[:, None], row))
+    return R, pivots
+
+
+def rref(F: Field, M: np.ndarray):
+    """Reduced row echelon form; returns (R, pivot_columns)."""
+    R, pivots = _eliminate(F, M, reduced=True)
+    return (R % F.p if F.e == 1 and F.p > 2 else R).astype(np.int16, copy=False), pivots
 
 
 def rank(F: Field, M: np.ndarray) -> int:
-    return len(rref(F, M)[1])
+    return len(_eliminate(F, M, reduced=False)[1])
 
 
 def row_space(F: Field, M: np.ndarray) -> np.ndarray:

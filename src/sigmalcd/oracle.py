@@ -21,7 +21,7 @@ SemiLinearMap.apply, and build no LinearCode for sigma(C) or its dual.
 alone, no elimination: G carries the identity at the code's pivots, so the
 hull has dimension k - rank M, M = G sigma(G)^T, and a certificate (c, Y,
 N) with M = M[:, c] Y and N M[:, c] = I proves rank M = |c|.  Its products
-are its own: int64 products reduced mod p, never linalg's float64 ones.
+are its own: float64 products of residues mod p, never linalg's packed ones.
 """
 
 from __future__ import annotations
@@ -216,20 +216,37 @@ def brute_hull_dim(code: LinearCode, sigma: SemiLinearMap | None = None) -> int:
     return _intersection_dim(code.field, code.gen, _dual(code.field, image))
 
 
+_EXACT = 2**53  # a float64 sum of integer products is exact below this
+
+
+def _dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A B mod p in int64 for float64 residue matrices, summed over chunks of
+    at most (_EXACT - p) / (p - 1)^2 terms of the inner dimension, so exact."""
+    step = (_EXACT - p) // (p - 1) ** 2
+    if A.shape[1] <= step:
+        return (A @ B).astype(np.int64) % p
+    acc = (A[:, :step] @ B[:step]).astype(np.int64) % p
+    for lo in range(step, A.shape[1], step):
+        acc = (acc + A[:, lo : lo + step] @ B[lo : lo + step]).astype(np.int64) % p
+    return acc
+
+
 def _product(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B over F from int64 products, exact while e n (p - 1)^2 < 2^63:
-    one reduced mod p over GF(p); over GF(p^e) the e^2 products of digit
-    planes, plane i of A times plane j of B adding to the coefficient of
-    x^(i+j), recombined by the field's own multiply and add."""
+    """A B over F from float64 products of residues mod p.  Over GF(p^e),
+    x^s's coefficient sums digit plane i of A times plane s - i of B: one
+    product per s, A's planes side by side and B's stacked in reverse.  The
+    digits of x^s, from the field's own power, fold it into e digits."""
     p, e = F.p, F.e
+    (k, n), m = A.shape, B.shape[1]
     if e == 1:
-        return (A.astype(np.int64) @ B.astype(np.int64) % p).astype(np.int16)
-    planes = [np.ascontiguousarray(np.moveaxis(F.digits[X], -1, 0), dtype=np.int64) for X in (A, B)]
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
-    for s in range(2 * e - 1):
-        acc = sum(planes[0][i] @ planes[1][s - i] for i in range(max(0, s - e + 1), min(s, e - 1) + 1))
-        out = F.add(out, F.mul((acc % p).astype(np.int16), F.pow(p, s)))
-    return out
+        return _dot(A.astype(np.float64), B.astype(np.float64), p).astype(np.int16)
+    left = F.digits[A].transpose(0, 2, 1).reshape(k, e * n).astype(np.float64)
+    # B's planes in reverse, so x^(e - 1 + u) pairs e - |u| planes of each
+    right = F.digits[B][:, :, ::-1].transpose(2, 0, 1).reshape(e * n, m).astype(np.float64)
+    windows = [(max(u, 0) * n, max(-u, 0) * n, (e - abs(u)) * n) for u in range(1 - e, e)]
+    coeffs = np.stack([_dot(left[:, a : a + w], right[b : b + w], p) for a, b, w in windows], axis=-1)
+    powers = F.digits[[F.pow(p, s) for s in range(2 * e - 1)]]
+    return (coeffs @ powers % p @ F.digit_weights).astype(np.int16)
 
 
 def _is_matrix(X: np.ndarray, shape, q: int) -> bool:

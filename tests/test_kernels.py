@@ -1,5 +1,5 @@
-"""The table-driven field kernel, linalg.mat_mul and linalg.rref against
-slow references.
+"""The table-driven field kernel, linalg.mat_mul, linalg.rref, linalg.rank
+and the oracle's own product against slow references.
 
 The schoolbook reference knows only p, e and the modulus: an element is its
 digit polynomial, a product is the polynomial product reduced by the
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalcd import linalg
+from sigmalcd import linalg, oracle
 from sigmalcd.errors import DivisionByZero
 from sigmalcd.field import field
 from sigmalcd.oracle import _gauss_jordan
@@ -20,6 +20,9 @@ from sigmalcd.oracle import _gauss_jordan
 FIELDS = [field(2), field(3), field(2, 2), field(2, 3), field(3, 2), field(2, 4), field(131)]
 # mat_mul packs g < e digits per word on the first three and one on GF(61^2)
 PRODUCT_FIELDS = FIELDS + [field(2, 8), field(2, 12), field(3, 7), field(61, 2)]
+# the certificate check's products: the CLI's fields, a large prime and two
+# extension fields with more digit planes
+ORACLE_PRODUCT_FIELDS = [field(2), field(3), field(2, 2), field(3, 2), field(4093), field(61, 2), field(3, 7)]
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
@@ -121,9 +124,9 @@ def matrix(draw, F, rows, cols):
 
 
 @st.composite
-def product_operands(draw, max_dim=5):
+def product_operands(draw, max_dim=5, fields=PRODUCT_FIELDS):
     """A field and int16 matrices A (k x n), B (n x m), any size 0 included."""
-    F = draw(st.sampled_from(PRODUCT_FIELDS))
+    F = draw(st.sampled_from(fields))
     k, n, m = (draw(st.integers(0, max_dim)) for _ in range(3))
     A = np.array(draw(matrix(F, k, n)), dtype=np.int16).reshape(k, n)
     B = np.array(draw(matrix(F, n, m)), dtype=np.int16).reshape(n, m)
@@ -322,11 +325,14 @@ def elimination_case(draw, max_rows=24, max_cols=30):
 
 
 def assert_rref_is_gauss_jordan(F, M):
+    """rref byte-identical to the oracle's Gauss-Jordan, and rank its
+    pivot count."""
     R, piv = linalg.rref(F, M)
     want_R, want_piv = _gauss_jordan(F, M)
     assert piv == want_piv
     assert R.dtype == want_R.dtype == np.int16 and R.shape == want_R.shape
     assert R.tobytes() == want_R.tobytes()
+    assert linalg.rank(F, M) == len(want_piv)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -336,6 +342,36 @@ def test_rref_matches_gauss_jordan(case):
     log/exp products on GF(2^e), lazy runs on GF(p), rank-deficient rows,
     zero columns, one row and empty shapes."""
     assert_rref_is_gauss_jordan(*case)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(elimination_case())
+def test_rank_is_forward_elimination(case):
+    """rank counts the pivots of the oracle's Gauss-Jordan.  The forward
+    pass behind it leaves, once reduced mod p, an echelon form of M's row
+    space: a 1 at each pivot with zeros left of it, and zero rows below the
+    rank."""
+    F, M = case
+    want_R, want_piv = _gauss_jordan(F, M)
+    assert linalg.rank(F, M) == len(want_piv)
+    E, piv = linalg._eliminate(F, M, reduced=False)
+    E = (E % F.p if F.e == 1 else E).astype(np.int16)
+    assert piv == want_piv and not E[len(piv) :].any()
+    for i, c in enumerate(piv):
+        assert E[i, c] == 1 and not E[i, :c].any()
+    assert _gauss_jordan(F, E)[0].tobytes() == want_R.tobytes()
+
+
+@pytest.mark.parametrize("F", [field(2), field(3), field(2, 2)], ids=repr)
+def test_rank_of_the_transpose(F):
+    """Row rank is column rank on 137 x 137 matrices, the uint8, lazy and
+    table paths: one random, one a product through 100 dimensions."""
+    rng = np.random.default_rng(137)
+    thin = [rng.integers(0, F.q, size=shape).astype(np.int16) for shape in ((137, 100), (100, 137))]
+    for M in (rng.integers(0, F.q, size=(137, 137)).astype(np.int16), linalg.mat_mul(F, *thin)):
+        r = linalg.rank(F, M)
+        assert r == linalg.rank(F, M.T) == len(_gauss_jordan(F, M)[1])
+    assert r <= 100
 
 
 def test_rref_dense_gf4093():
@@ -366,6 +402,53 @@ def test_rref_reduces_the_pivot_row_before_scaling():
     rng = np.random.default_rng(4093)
     for _ in range(20):
         assert_rref_is_gauss_jordan(F, rng.integers(1, F.q, size=(3, 5)).astype(np.int16))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(product_operands(max_dim=7, fields=ORACLE_PRODUCT_FIELDS))
+def test_oracle_product_matches_reference(case):
+    F, A, B = case
+    got = oracle._product(F, A, B)
+    assert got.dtype == np.int16
+    assert got.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(product_operands(max_dim=7, fields=ORACLE_PRODUCT_FIELDS))
+def test_oracle_product_split_inner_dimension(case):
+    """With the exactness limit lowered, the oracle sums three terms per
+    chunk, over the stacked digit planes too; the result must not change."""
+    F, A, B = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_EXACT", 3 * (F.p - 1) ** 2 + F.p)
+        got = oracle._product(F, A, B)
+    assert got.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
+
+
+class InnerDims(np.ndarray):
+    """An array that records the inner dimension of each product it makes."""
+
+    seen: list = []
+
+    def __matmul__(self, other):
+        InnerDims.seen.append(self.shape[1])
+        return np.asarray(self) @ np.asarray(other)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4093])
+def test_oracle_chunks_are_the_longest_exact_ones(p):
+    """A chunk of t terms sums to at most t (p - 1)^2 on top of a reduced
+    sum below p, so with the limit at 3 (p - 1)^2 + p every product takes
+    three terms, the last one what is left."""
+    rng = np.random.default_rng(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_EXACT", 3 * (p - 1) ** 2 + p)
+        for n in range(11):
+            A, B = rng.integers(0, p, size=(2, n)), rng.integers(0, p, size=(n, 3))
+            InnerDims.seen = []
+            got = oracle._dot(A.astype(np.float64).view(InnerDims), B.astype(np.float64), p)
+            assert InnerDims.seen == [min(3, n - lo) for lo in range(0, max(n, 1), 3)]
+            assert np.array_equal(got, A @ B % p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 131, 4093])

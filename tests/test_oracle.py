@@ -214,8 +214,14 @@ def _cert_cases(seed):
 
 
 def test_certified_hull_matches_brute_oracle():
+    """The small cases, and a [256, 128] code under reversal per field, whose
+    Gram products are long enough for BLAS and for several elimination paths."""
     cases = _cert_cases(27)
     assert {c.k for c, _ in cases} >= {0, 3, 6}
+    rng = np.random.default_rng(256)
+    for F in (F2, F3, F4, F9):
+        big = LinearCode(F, 256, rng.integers(0, F.q, size=(128, 256)).astype(np.int16))
+        cases.append((big, SemiLinearMap.reversal(F, 256)))
     for c, s in cases:
         h, cert = hull_certificate(c, s)
         assert h == oracle.brute_hull_dim(c, s)
