@@ -3,14 +3,15 @@
 Matrices are 2-D numpy int16 arrays of field encodings; every function takes
 the Field first.
 
-rref and rank share one elimination loop with one whole-slice update per
-pivot, R[first:, c:] -= f (x) R[r, c:], f the pivot column.  rref is
-Gauss-Jordan: first = 0 and f[r] = 0.  rank is forward elimination, the
-echelon form without back-substitution: first = r + 1.  Row r stays the
-pivot row when its entry is nonzero, and is written back only if scaled.
-Over GF(p), p odd, the update is a plain integer subtract, and only what is
-read (the pivot column, the pivot row, f) is reduced mod p, the rest once at
-the end of rref; the pivot row is reduced before it is scaled.  A pivot
+rref is one elimination loop with one whole-slice update per pivot,
+R[first:, c:] -= f (x) R[r, c:], f the pivot column.  The RREF is
+Gauss-Jordan: first = 0 and f[r] = 0.  rank takes rref's reduced=False,
+forward elimination, the echelon form without back-substitution: first =
+r + 1.  Row r stays the pivot row when its entry is nonzero, and is written
+back only if scaled.  Over GF(p), p odd, the update is a plain integer
+subtract, and only what is read (the pivot column, the pivot row, f) is
+reduced mod p, the rest once at the end; the pivot row is reduced before
+it is scaled.  A pivot
 moves an entry by at most (p - 1)^2, so |entry| < p + min(m, n) (p - 1)^2,
 and R is the narrowest of int16, int32 and int64 that holds that: int16 for
 GF(3) up to 8191 pivots, for GF(13) up to 227.  GF(2) is `^= f & row` on
@@ -175,8 +176,10 @@ def _lazy_dtype(p: int, m: int, n: int):
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _eliminate(F: Field, M: np.ndarray, reduced: bool):
-    """(R, pivots), R an RREF when reduced, else an echelon form; a lazy R is unreduced."""
+def rref(F: Field, M: np.ndarray, reduced: bool = True):
+    """Reduced row echelon form; returns (R, pivot_columns).  With reduced
+    False, R is the row echelon form of forward elimination: each pivot
+    clears only the rows below it, the pivot rows' entries above are kept."""
     p, q = F.p, F.q
     lazy = F.e == 1 and p > 2
     m, n = np.shape(M)
@@ -228,17 +231,13 @@ def _eliminate(F: Field, M: np.ndarray, reduced: bool):
             R[first:, c:] ^= F.mul(f[:, None], row)
         else:
             R[first:, c:] = F.sub(R[first:, c:], F.mul(f[:, None], row))
-    return R, pivots
-
-
-def rref(F: Field, M: np.ndarray):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R, pivots = _eliminate(F, M, reduced=True)
-    return (R % F.p if F.e == 1 and F.p > 2 else R).astype(np.int16, copy=False), pivots
+    if lazy:
+        R %= p
+    return R.astype(np.int16, copy=False), pivots
 
 
 def rank(F: Field, M: np.ndarray) -> int:
-    return len(_eliminate(F, M, reduced=False)[1])
+    return len(rref(F, M, reduced=False)[1])
 
 
 def row_space(F: Field, M: np.ndarray) -> np.ndarray:

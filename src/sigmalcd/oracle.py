@@ -225,8 +225,8 @@ def _dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     step = (_EXACT - p) // (p - 1) ** 2
     if A.shape[1] <= step:
         return (A @ B).astype(np.int64) % p
-    acc = (A[:, :step] @ B[:step]).astype(np.int64) % p
-    for lo in range(step, A.shape[1], step):
+    acc = 0
+    for lo in range(0, A.shape[1], step):
         acc = (acc + A[:, lo : lo + step] @ B[lo : lo + step]).astype(np.int64) % p
     return acc
 

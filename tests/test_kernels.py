@@ -348,14 +348,13 @@ def test_rref_matches_gauss_jordan(case):
 @given(elimination_case())
 def test_rank_is_forward_elimination(case):
     """rank counts the pivots of the oracle's Gauss-Jordan.  The forward
-    pass behind it leaves, once reduced mod p, an echelon form of M's row
-    space: a 1 at each pivot with zeros left of it, and zero rows below the
-    rank."""
+    pass behind it leaves an echelon form of M's row space: a 1 at each
+    pivot with zeros left of it, and zero rows below the rank."""
     F, M = case
     want_R, want_piv = _gauss_jordan(F, M)
     assert linalg.rank(F, M) == len(want_piv)
-    E, piv = linalg._eliminate(F, M, reduced=False)
-    E = (E % F.p if F.e == 1 else E).astype(np.int16)
+    E, piv = linalg.rref(F, M, reduced=False)
+    assert E.dtype == np.int16 and E.shape == M.shape and ((0 <= E) & (E < F.q)).all()
     assert piv == want_piv and not E[len(piv) :].any()
     for i, c in enumerate(piv):
         assert E[i, c] == 1 and not E[i, :c].any()
