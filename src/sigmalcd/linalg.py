@@ -11,14 +11,14 @@ r + 1.  Row r stays the pivot row when its entry is nonzero, and is written
 back only if scaled.  Over GF(p), p odd, the update is a plain integer
 subtract, and only what is read (the pivot column, the pivot row, f) is
 reduced mod p, the rest once at the end; the pivot row is reduced before
-it is scaled.  A pivot
-moves an entry by at most (p - 1)^2, so |entry| < p + min(m, n) (p - 1)^2,
-and R is the narrowest of int16, int32 and int64 that holds that: int16 for
-GF(3) up to 8191 pivots, for GF(13) up to 227.  GF(2) is `^= f & row` on
-uint8.  GF(2^e) XORs in products: for q <= min(m, 256), the q multiples of
-the pivot row and its normalisation are gathers from a cached q x q product
-table, else one log/exp product.  The RREF is unique, so the pivot row
-chosen does not show.  `oracle` keeps the plain per-column loop as its own.
+it is scaled.  A pivot moves an entry by at most (p - 1)^2, so |entry| <
+p + min(m, n) (p - 1)^2, and R is the narrowest of int16, int32 and int64
+that holds that: int16 for GF(3) up to 8191 pivots, for GF(13) up to 227.
+GF(2) is `^= f & row` on uint8.  GF(2^e) XORs in products: for q <=
+min(m, 256), the q multiples of the pivot row and its normalisation are
+gathers from a cached q x q product table, else one log/exp product.  The
+RREF is unique, so the pivot row chosen does not show.  `oracle` keeps the
+plain per-column loop as its own kernel.
 
 mat_mul is Kronecker substitution on float64 words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
@@ -233,7 +233,7 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
             R[first:, c:] = F.sub(R[first:, c:], F.mul(f[:, None], row))
     if lazy:
         R %= p
-    return R.astype(np.int16, copy=False), pivots
+    return R.astype(np.int16), pivots
 
 
 def rank(F: Field, M: np.ndarray) -> int:
