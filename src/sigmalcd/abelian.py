@@ -42,9 +42,12 @@ class AbelianGroup:
 
     @cached_property
     def op(self) -> np.ndarray:
-        """op[i, j] = index of g_i * g_j."""
-        summed = (self.digits[:, None, :] + self.digits[None, :, :]) % np.array(self.factors)
-        return (summed * self._weights).sum(axis=2).astype(np.int64)
+        """op[i, j] = index of g_i * g_j, summed one digit at a time so that
+        every temporary is the size of the table, not r times it."""
+        out = np.zeros((self.order, self.order), dtype=np.int64)
+        for d, f, w in zip(self.digits.T, self.factors, self._weights):
+            out += (d[:, None] + d) % f * w
+        return out
 
     @cached_property
     def inv(self) -> np.ndarray:

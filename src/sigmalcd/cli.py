@@ -268,12 +268,13 @@ def _group_and_code(args, report: RunReport):
 
 
 def _cmd_abelian_check(args, report: RunReport) -> int:
+    """The certified hull gives the verdict; the idempotent, found exactly for
+    an LCD ideal, cross-checks it, and its route refuses a non-ideal first."""
     group, code = _group_and_code(args, report)
-    verdict = abelian.is_abelian_mu1_lcd(code, group)
-    lcd = _hull(report, code, abelian.mu_sigma(code.field, group)) == 0
     e = abelian.find_idempotent_generator(code, group)
     report.result["idempotent_found"] = e is not None
-    return _settle(report, lcd == verdict == (e is not None), verdict)
+    verdict = _hull(report, code, abelian.mu_sigma(code.field, group)) == 0
+    return _settle(report, verdict == (e is not None), verdict)
 
 
 def _cmd_abelian_idempotent(args, report: RunReport) -> int:

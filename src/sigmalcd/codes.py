@@ -200,10 +200,11 @@ def _image_rows(code: LinearCode, sigma: SemiLinearMap | None) -> np.ndarray:
     return sigma.apply(code.gen)
 
 
-def _meet_dual(F: Field, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+def _meet_dual(F: Field, G: np.ndarray, H: np.ndarray):
     """Canonical basis of rowspace(G) cap rowspace(H)^perp, G of full row
-    rank: the words y G with y (G H^T) = 0."""
-    return linalg.row_space(F, linalg.mat_mul(F, linalg.nullspace(F, linalg.mat_mul(F, H, G.T)), G))
+    rank: the words y G with y (G H^T) = 0, in RREF, and its pivots."""
+    R, piv = linalg.rref(F, linalg.mat_mul(F, linalg.nullspace(F, linalg.mat_mul(F, H, G.T)), G))
+    return R[: len(piv)], piv
 
 
 def gram(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:
@@ -229,7 +230,7 @@ def hull_certificate(code: LinearCode, sigma: SemiLinearMap | None = None):
 
 
 def hull_basis(code: LinearCode, sigma: SemiLinearMap | None = None) -> np.ndarray:
-    return _meet_dual(code.field, code.gen, _image_rows(code, sigma))
+    return _meet_dual(code.field, code.gen, _image_rows(code, sigma))[0]
 
 
 def is_sigma_lcd(code: LinearCode, sigma: SemiLinearMap | None = None) -> bool:
@@ -249,11 +250,11 @@ def normalize_hull(code: LinearCode):
     hull spanned by the first h rows, and h itself."""
     F = code.field
     n = code.n
-    hull = hull_basis(code, None)
+    hull, piv = _meet_dual(F, code.gen, code.gen)
     h = hull.shape[0]
     if h == 0:
         return SemiLinearMap.identity(F, n), code.gen.copy(), 0
-    cols_order = linalg.pivots_first(n, linalg.rref(F, hull)[1])
+    cols_order = linalg.pivots_first(n, piv)
     perm = np.empty(n, dtype=np.int32)
     perm[cols_order] = np.arange(n)
     pi = SemiLinearMap.permutation(F, perm)
@@ -281,7 +282,7 @@ def make_lcd_sigma(code: LinearCode):
     F = code.field
     if F.q > 2:
         diag = np.ones(code.n, dtype=np.int16)
-        diag[linalg.rref(F, hull_basis(code, None))[1]] = 2
+        diag[_meet_dual(F, code.gen, code.gen)[1]] = 2
         sigma, out = SemiLinearMap.diagonal(F, diag), code
     else:
         (sigma,) = _lcp_candidates_binary(F, code, code)

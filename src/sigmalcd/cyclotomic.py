@@ -6,6 +6,13 @@ modulus), the embedding of the base field into it, the least-encoding
 primitive m-th root xi, the q-cyclotomic cosets of Z_m, and minimal
 polynomials M_i = prod_{j in coset(i)} (x - xi^j) pulled back to the base
 field.
+
+All but the minimal polynomials are read off the splitting field's log
+table.  F*_{q^t} is cyclic of order N = q^t - 1, generated by the g its
+table is built on, so the elements of order m are g^((N/m) j) with
+gcd(j, m) = 1: xi is the least of those phi(m) entries, and its powers are
+the one gather exp[(log xi) i mod N].  Row i of the m x t table of
+i q^s mod m is the coset of i, and the row's minimum is its leader.
 """
 
 from __future__ import annotations
@@ -52,39 +59,16 @@ class CyclotomicContext:
         self.emb = embedding(base, self.ext)
 
         ext, N = self.ext, self.ext.q - 1
-        if m == 1:
-            xi = 1
-        else:
-            idx = np.arange(N, dtype=np.int64)
-            orders = N // np.gcd(N, idx)
-            cand = ext._exp[idx[orders == m]]
-            assert cand.size, "splitting field must contain an order-m element"
-            xi = int(cand.min())
-        self.xi = xi
-        pows = np.empty(m, dtype=np.int16)
-        x = 1
-        for i in range(m):
-            pows[i] = x
-            x = ext.mul(x, xi)
-        assert x == 1, "xi must have order exactly m"
-        self.xi_pows = pows
+        j = np.arange(m)
+        logs = (N // m) * j[np.gcd(j, m) == 1]
+        log_xi = int(logs[ext._exp[logs].argmin()])
+        self.xi = int(ext._exp[log_xi])
+        self.xi_pows = ext._exp[log_xi * j % N]
 
-        leader_of = np.full(m, -1, dtype=np.int64)
-        cosets: dict[int, tuple[int, ...]] = {}
-        q = base.q
-        for i in range(m):
-            if leader_of[i] >= 0:
-                continue
-            orbit = []
-            j = i
-            while leader_of[j] < 0:
-                leader_of[j] = i
-                orbit.append(j)
-                j = (j * q) % m
-            cosets[i] = tuple(sorted(orbit))
-        self.leader_of = leader_of
-        self.cosets = cosets
-        self.leaders = sorted(cosets)
+        orbits = j[:, None] * np.array([pow(base.q, s, m) for s in range(self.t)]) % m
+        self.leader_of = orbits.min(axis=1)
+        self.cosets = {int(i): tuple(sorted(set(orbits[i].tolist()))) for i in np.flatnonzero(self.leader_of == j)}
+        self.leaders = sorted(self.cosets)
         self._minpolys: dict[int, np.ndarray] = {}
 
     def coset(self, i: int) -> tuple[int, ...]:

@@ -298,11 +298,6 @@ class Field:
 
     # -- identity/equality --------------------------------------------------
 
-    @property
-    def gen(self) -> int:
-        """Encoding of the class of x (extension fields only)."""
-        return self.p if self.e > 1 else None
-
     def __eq__(self, other):
         if not isinstance(other, Field):
             return NotImplemented
@@ -335,12 +330,11 @@ def field(p: int, e: int = 1, modulus=None) -> Field:
 
 
 class Embedding:
-    """Field homomorphism GF(p^a) -> GF(p^b) for a | b.
-
-    The class of x in the small field is sent to the root of the small
-    modulus with least integer encoding in the big field; prime fields embed
-    as constants.  `table` maps small encodings to big ones, `lift` inverts
-    on the image.
+    """Field homomorphism GF(p^a) -> GF(p^b) for a | b, by one rule: x goes
+    to `root`, the least-encoding root of the small modulus in the big
+    field, so table[sum d_i p^i] = sum d_i root^i.  Into itself root is x,
+    and for a prime field, whose modulus is x, it is 0: both tables are the
+    identity.  `lift` inverts `table` on the image.
     """
 
     def __init__(self, small: Field, big: Field):
@@ -350,27 +344,17 @@ class Embedding:
             raise BadInput(f"no embedding {small} -> {big}: {small.e} does not divide {big.e}")
         self.small = small
         self.big = big
-        if small == big:
-            table = np.arange(small.q, dtype=np.int16)
-            self.root = small.gen
-        elif small.e == 1:
-            table = np.arange(small.q, dtype=np.int16)
-            self.root = None
-        else:
-            z = np.arange(big.q, dtype=np.int16)
-            acc = np.full(big.q, small.modulus[-1], dtype=np.int16)
-            for c in reversed(small.modulus[:-1]):
-                acc = big.add(big.mul(acc, z), int(c))
-            roots = np.where(np.asarray(acc) == 0)[0]
-            if roots.size == 0:
-                raise BadInput(f"{small} modulus has no root in {big}")
-            self.root = int(roots.min())
-            acc = np.zeros(small.q, dtype=np.int16)
-            pw = 1
-            for i in range(small.e):
-                acc = big.add(acc, big.mul(small.digits[:, i].astype(np.int16), pw))
-                pw = big.mul(pw, self.root)
-            table = np.asarray(acc, dtype=np.int16)
+        # the small modulus, monic and split in the big field, by Horner
+        z = np.arange(big.q, dtype=np.int16)
+        acc = np.ones(big.q, dtype=np.int16)
+        for c in reversed(small.modulus[:-1]):
+            acc = big.add(big.mul(acc, z), c)
+        self.root = int(np.flatnonzero(acc == 0)[0])
+        table = np.zeros(small.q, dtype=np.int16)
+        pw = 1
+        for i in range(small.e):
+            table = big.add(table, big.mul(small.digits[:, i], pw))
+            pw = big.mul(pw, self.root)
         self.table = table
         inverse = np.full(big.q, -1, dtype=np.int32)
         inverse[table] = np.arange(small.q)

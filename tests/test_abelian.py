@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -358,3 +360,19 @@ def test_lcd_agrees_with_oracle_intersection():
 
         inter = oracle.brute_intersection_dim(c, sigma_dual(c, sig))
         assert abelian.is_abelian_mu1_lcd(c, G) == (inter == 0)
+
+
+def test_group_table_peak_memory_is_a_few_tables():
+    """op sums one digit at a time, so no temporary is r times the table:
+    the (2,)*10 table is 8 MB, and summing a 10-digit cube peaked at 21x."""
+    G = abelian.AbelianGroup((2,) * 10)
+    G.digits  # built before the trace starts
+    tracemalloc.start()
+    try:
+        table = G.op
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1024, 1024) and table.dtype == np.int64
+    assert np.array_equal(table, np.bitwise_xor.outer(np.arange(1024), np.arange(1024)))
+    assert peak <= 4 * table.nbytes, f"peak {peak / table.nbytes:.1f}x the table"

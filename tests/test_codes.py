@@ -240,7 +240,8 @@ def _oracle_meet_dual(F, G, H):
 @given(st.data())
 def test_meet_dual_matches_oracle(data):
     """hull_basis and _meet_dual give the oracle's canonical basis byte for
-    byte, the zero code and the whole space included."""
+    byte, the zero code and the whole space included, and _meet_dual's
+    pivots are the basis's own."""
     F = data.draw(st.sampled_from([F2, F3, F4, field(3, 2)]), label="field")
     n = data.draw(st.integers(1, 8), label="n")
     k = data.draw(st.integers(0, n), label="k")
@@ -250,13 +251,16 @@ def test_meet_dual_matches_oracle(data):
     cases = [
         (hull_basis(c, None), c.gen, c.gen),
         (hull_basis(c, sg), c.gen, sg.apply(c.gen)),
-        (codes._meet_dual(F, c.gen, d.gen), c.gen, d.gen),
-        (codes._meet_dual(F, d.gen, c.gen), d.gen, c.gen),
+        (codes._meet_dual(F, c.gen, d.gen)[0], c.gen, d.gen),
+        (codes._meet_dual(F, d.gen, c.gen)[0], d.gen, c.gen),
     ]
     for got, G, H in cases:
         want = _oracle_meet_dual(F, G, H)
         assert got.dtype == want.dtype == np.int16
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for G, H in ((c.gen, d.gen), (d.gen, c.gen)):
+        B, piv = codes._meet_dual(F, G, H)
+        assert piv == linalg.rref(F, B)[1]
 
 
 @pytest.mark.parametrize("Fc,Fs", [(F4, F2), (F2, F4), (F3, field(3, 2)), (field(3, 2), F3)])

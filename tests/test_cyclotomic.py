@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,75 @@ def test_context_cache_identity():
     a = CyclotomicContext(F2, 7)
     b = CyclotomicContext(F2, 7)
     assert a.leaders == b.leaders and a.xi == b.xi
+
+
+def _reference_context(ctx):
+    """The order scan and orbit walk the log-table reads replaced: xi is the
+    least element of order m found among all N = q^t - 1, its powers are
+    taken one product at a time, and each coset is walked from its least
+    member."""
+    ext, m, q, N = ctx.ext, ctx.m, ctx.base.q, ctx.ext.q - 1
+    if m == 1:
+        xi = 1
+    else:
+        idx = np.arange(N, dtype=np.int64)
+        xi = int(ext._exp[idx[N // np.gcd(N, idx) == m]].min())
+    pows = np.empty(m, dtype=np.int16)
+    x = 1
+    for i in range(m):
+        pows[i] = x
+        x = ext.mul(x, xi)
+    assert x == 1
+    leader_of = np.full(m, -1, dtype=np.int64)
+    cosets = {}
+    for i in range(m):
+        if leader_of[i] >= 0:
+            continue
+        orbit, j = [], i
+        while leader_of[j] < 0:
+            leader_of[j] = i
+            orbit.append(j)
+            j = (j * q) % m
+        cosets[i] = tuple(sorted(orbit))
+    return xi, pows, leader_of, cosets
+
+
+def _admissible(F, m):
+    """gcd(q, m) = 1 and the splitting field GF(q^ord_m(q)) has a table."""
+    return any(pow(F.q, t, m) == 1 % m for t in range(1, 13) if F.q**t <= MAX_FIELD_SIZE)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_context_matches_order_scan_reference(p, e):
+    """xi, xi_pows, leader_of, leaders and cosets agree with the reference in
+    values, numpy dtypes and Python int types, for every admissible m < 512
+    and for m = 4095; every other m is refused."""
+    F = field(p, e)
+    for m in [*range(1, 512), 4095]:
+        if not _admissible(F, m):
+            with pytest.raises(BadInput):
+                CyclotomicContext(F, m)
+            continue
+        ctx = CyclotomicContext(F, m)
+        xi, pows, leader_of, cosets = _reference_context(ctx)
+        assert type(ctx.xi) is int and ctx.xi == xi
+        assert ctx.ext.element_order(ctx.xi) == m
+        assert ctx.xi_pows.dtype == np.int16 and ctx.xi_pows.tobytes() == pows.tobytes()
+        assert ctx.leader_of.dtype == np.int64 and ctx.leader_of.tobytes() == leader_of.tobytes()
+        assert list(ctx.cosets.items()) == list(cosets.items()) and ctx.leaders == sorted(cosets)
+        assert all(type(i) is int for i in ctx.leaders)
+        assert all(type(j) is int for c in ctx.cosets.values() for j in c)
+
+
+def _necklaces(t):
+    """Binary necklaces of length t: (1/t) sum_{d | t} phi(d) 2^(t/d)."""
+    phi = lambda d: sum(math.gcd(k, d) == 1 for k in range(1, d + 1))  # noqa: E731
+    return sum(phi(d) * 2 ** (t // d) for d in range(1, t + 1) if t % d == 0) // t
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_binary_coset_count_is_necklaces_minus_one(t):
+    """Over GF(2) with m = 2^t - 1, i -> 2i rotates the t bits of i, so the
+    cosets are the binary necklaces of length t, except that the all-zero
+    and all-one words are the same residue 0: 352 - 1 = 351 at t = 12."""
+    assert len(CyclotomicContext(F2, 2**t - 1).leaders) == _necklaces(t) - 1

@@ -375,3 +375,47 @@ def test_primes_above_int8(p):
     assert F.add(p - 1, 2) == 1 and F.neg(1) == p - 1 and F.sub(0, 1) == p - 1
     assert F.pow(F.generator, (p - 1) // 2) == p - 1
     assert F.div(1, 2) == (p + 1) // 2
+
+
+def _reference_embedding_table(small, big):
+    """The three-branch construction the one rule replaced: the identity
+    into itself and from a prime field, else sum d_i root^i with root the
+    least root of the small modulus."""
+    if small == big or small.e == 1:
+        return np.arange(small.q, dtype=np.int16)
+    z = np.arange(big.q, dtype=np.int16)
+    acc = np.full(big.q, small.modulus[-1], dtype=np.int16)
+    for c in reversed(small.modulus[:-1]):
+        acc = big.add(big.mul(acc, z), int(c))
+    root = int(np.where(np.asarray(acc) == 0)[0].min())
+    acc = np.zeros(small.q, dtype=np.int16)
+    pw = 1
+    for i in range(small.e):
+        acc = big.add(acc, big.mul(small.digits[:, i].astype(np.int16), pw))
+        pw = big.mul(pw, root)
+    return np.asarray(acc, dtype=np.int16)
+
+
+EMBEDDING_PAIRS = [
+    (p, a, b)
+    for p, top in [(2, 4096), (3, 2401), (5, 2401), (7, 2401)]
+    for b in range(1, 13)
+    if p**b <= top
+    for a in range(1, b + 1)
+    if b % a == 0
+]
+
+
+@pytest.mark.parametrize("p,a,b", EMBEDDING_PAIRS)
+def test_embedding_matches_three_branch_reference(p, a, b):
+    """table and lift agree with the reference on every subfield pair; root
+    is the image of x, and 0 for a prime field, whose modulus is x."""
+    small, big = field(p, a), field(p, b)
+    emb, want = embedding(small, big), _reference_embedding_table(small, big)
+    assert emb.table.dtype == np.int16 and emb.table.tobytes() == want.tobytes()
+    assert np.array_equal(emb.lift(want), np.arange(small.q))
+    outside = np.setdiff1d(np.arange(big.q), want)
+    if outside.size:
+        with pytest.raises(BadInput, match="outside the embedded subfield"):
+            emb.lift(outside[:1])
+    assert emb.root == (0 if a == 1 else int(emb.table[p]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalcd import cli, codes, formats, poly
+from sigmalcd import cli, codes, formats, linalg, poly
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim
 from sigmalcd.errors import BadInput
 from sigmalcd.field import field
@@ -290,6 +290,41 @@ def test_cli_abelian(files):
     assert rc == 0 and "idempotent_found: true" in out
     rc, out = run_cli("abelian", "idempotent", "--group", "3", "--code", str(files / "z3.code"))
     assert rc == 0 and "coeffs: 0 1 1" in out
+
+
+def _eliminations(monkeypatch, argv):
+    """rref and rank calls of one dispatch, a rank's own pass through rref
+    counted as the rank."""
+    calls = []
+    rref, rank = linalg.rref, linalg.rank
+
+    def counted_rank(F, M):
+        calls.append("rank")
+        n = len(calls)
+        r = rank(F, M)
+        del calls[n:]
+        return r
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "rref", lambda *a, **kw: calls.append("rref") or rref(*a, **kw))
+        m.setattr(linalg, "rank", counted_rank)
+        rc, out = run_cli(*argv)
+    assert "verification: agree" in out
+    return rc, sorted(calls)
+
+
+def test_cli_eliminations_per_command(tmp_path, monkeypatch):
+    """`abelian check` settles on the certified hull: the parse, the
+    certificate and the idempotent solve, with no rank of its own.  `lcd
+    make` reads the hull's pivots off the RREF that builds it: the parse,
+    the nullspace, the hull basis, the output's rank and its certificate."""
+    ideal = LinearCode(F2, 9, np.hstack([np.eye(8, dtype=np.int16), np.ones((8, 1), dtype=np.int16)]))
+    code = LinearCode(F3, 20, np.random.default_rng(0).integers(0, 3, size=(10, 20)))
+    assert ideal.k == 8 and code.k == 10 and hull_dim(code) > 0
+    argv = ("abelian", "check", "--group", "3,3", "--code", _write(tmp_path, "aug.code", formats.dump_code(ideal)))
+    assert _eliminations(monkeypatch, argv) == (0, ["rref"] * 3)
+    argv = ("lcd", "make", "--code", _write(tmp_path, "g3.code", formats.dump_code(code)))
+    assert _eliminations(monkeypatch, argv) == (0, ["rank"] + ["rref"] * 4)
 
 
 CERTIFIED = [
