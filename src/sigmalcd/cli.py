@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import abelian, codes, gqc, linalg, oracle, poly
+from . import abelian, codes, gqc, oracle, poly
 from .cyclotomic import CyclotomicContext, gamma_partition
 from .errors import BadInput, SigmaLcdError
 from .field import field as make_field
@@ -159,9 +159,9 @@ def _cmd_lcp_build(args, report: RunReport) -> int:
     report.result["d1"] = "unknown" if pair.d1 is None else pair.d1
     report.result["d2"] = "unknown" if pair.d2 is None else pair.d2
     _put_sigma(report, pair.sigma, ("perm", "diag"))
+    # a zero intersection whose dimensions sum to n is a direct sum, F_q^n
     inter = oracle.brute_intersection_dim(pair.c1, pair.c2)
-    s = linalg.sum_dim(pair.c1.field, pair.c1.gen, pair.c2.gen)
-    return _settle(report, inter == 0 and s == pair.n)
+    return _settle(report, inter == 0 and pair.c1.k + pair.c2.k == pair.n)
 
 
 def _cyclotomic(args, report: RunReport) -> CyclotomicContext:
@@ -320,6 +320,8 @@ def _cmd_oracle_search(args, report: RunReport) -> int:
 # g(x) = 1 + x + x^5 + x^6 + x^7 + x^9 + x^11, the divisor of x^23 - 1 of
 # degree 11 with the least coefficient encoding: the binary Golay code
 _GOLAY_GEN = (1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1)
+# 1 + the sum of x^i over the squares mod 7, and over the non-squares
+_QR7 = ((1, 1, 1, 0, 1), (1, 0, 0, 1, 0, 1, 1))
 
 
 def _repro_golay23(report: RunReport) -> int:
@@ -341,17 +343,7 @@ def _repro_golay23(report: RunReport) -> int:
 def _repro_qr7(report: RunReport) -> int:
     F2 = make_field(2)
     ctx = CyclotomicContext(F2, 7)
-    residues = sorted({(i * i) % 7 for i in range(1, 7)})
-    c1 = np.zeros(7, dtype=np.int16)
-    c1[0] = 1
-    for i in residues:
-        c1[i] = F2.add(int(c1[i]), 1)
-    c2 = np.zeros(7, dtype=np.int16)
-    c2[0] = 1
-    for i in range(1, 7):
-        if i not in residues:
-            c2[i] = 1
-    cvec = (poly.trim(c1), poly.trim(c2))
+    cvec = tuple(poly.from_seq(c) for c in _QR7)
     blocks = (7, 7)
     disjoint = gqc.disjoint_support_lcd(ctx, blocks, cvec)
     report.result["disjoint_support"] = disjoint

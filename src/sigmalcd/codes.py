@@ -187,9 +187,7 @@ def apply_sigma(sigma: SemiLinearMap, code: LinearCode) -> LinearCode:
 
 def sigma_dual(code: LinearCode, sigma: SemiLinearMap | None = None) -> LinearCode:
     """(sigma(C))^perp; Euclidean dual when sigma is None."""
-    if sigma is None:
-        return code.dual()
-    return apply_sigma(sigma, code).dual()
+    return LinearCode(code.field, code.n, linalg.nullspace(code.field, _image_rows(code, sigma)))
 
 
 def _image_rows(code: LinearCode, sigma: SemiLinearMap | None) -> np.ndarray:

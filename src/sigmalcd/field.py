@@ -6,10 +6,10 @@ irreducible modulus.  Operations accept plain ints or numpy integer arrays
 and vectorize elementwise.
 
 The default modulus is the least monic irreducible in constant-major order,
-found by Ben-Or's test, and the table builder multiplies digit vectors as
-polynomials: both run on `poly` over the prime field, which builds from
-plain integer arithmetic mod p.  A degree-1 modulus changes no table, so
-every GF(p) stores the modulus x.
+found by Ben-Or's test, which needs a gcd and is this module's one use of
+`poly`.  The tables come from the companion matrix of the modulus: the least
+generator is found by squaring matrices, and exp by doubling.  A degree-1
+modulus changes no table, so every GF(p) stores the modulus x.
 
 Tables built once per field drive everything:
 
@@ -91,6 +91,17 @@ def _is_irreducible(f, p: int) -> bool:
     return True
 
 
+def _row0_pow(M, k: int, p: int):
+    """Row 0 of M^k mod p by squaring: the digits of c^k if M is c's matrix."""
+    r = np.eye(len(M), dtype=np.int64)[0]
+    while k:
+        if k & 1:
+            r = r @ M % p
+        M = M @ M % p
+        k >>= 1
+    return r
+
+
 @functools.lru_cache(maxsize=None)
 def default_modulus(p: int, e: int) -> tuple:
     """Least monic irreducible of degree e, ordered by coefficient tuple
@@ -127,14 +138,27 @@ class Field:
         self.digit_weights = np.array([p**i for i in range(e)], dtype=np.int64)
         self.digits = np.stack([(arr // w) % p for w in self.digit_weights], axis=1).astype(np.int16)
 
-        # discrete logs to a deterministic least generator
-        if q == 2:
-            g, exp = 1, [1]
+        # least generator: row i of the companion matrix C is x^(i+1), so y -> c*y
+        # is sum_j c_j C^j; each product sums e terms below p^2 before its mod p
+        C = np.eye(e, k=1, dtype=np.int64)
+        C[-1] = [-c % p for c in modulus[:-1]]
+        X = [np.eye(e, dtype=np.int64)]
+        for _ in range(1, e):
+            X.append(X[-1] @ C % p)
+        X = np.stack(X)
+        prims = prime_factors(N)
+        for g in range(2, q):
+            M = np.tensordot(self.digits[g], X, 1) % p
+            if all((_row0_pow(M, N // ell, p) != X[0, 0]).any() for ell in prims):
+                break
         else:
-            prims = prime_factors(N)
-            g = next(c for c in range(2, q) if all(self._spow(c, N // ell) != 1 for ell in prims))
-            exp = self._powers(g, N)
-            assert self._smul(exp[-1], g) == 1, "generator must have order q - 1"
+            g, M = 1, X[0]  # GF(2): N = 1 has no prime factors
+        # block [2^j, 2^(j+1)) of exp is block [0, 2^j) times g^(2^j)
+        digits = X[0, :1]
+        while len(digits) < N:
+            digits = np.concatenate([digits, digits @ M % p])
+            M = M @ M % p
+        exp = (digits[:N] @ self.digit_weights).tolist()
         self.generator = g
 
         # zero-aware tables: log[0] points past the doubled exp table into a
@@ -144,6 +168,7 @@ class Field:
         log = [2 * N] * q
         for i, x in enumerate(exp):
             log[x] = i
+        assert log.count(2 * N) == 1, "generator must have order q - 1"
         self._exp_s = exp + exp + [0] * (2 * N + 1)
         self._log_s = log
         self._inv_s = [0] + [exp[-log[a] % N] for a in range(1, q)]
@@ -166,41 +191,6 @@ class Field:
                 qk = p**k
                 table = (base[:, None, :, None] * np.int16(qk) + table[None, :, None, :]).reshape(p * qk, p * qk)
             self._add_table = table
-
-    def _smul(self, a: int, b: int) -> int:
-        """Build-time product of two encodings, through their digits; the
-        prime field builds without itself."""
-        if self.e == 1:
-            return a * b % self.p
-        from . import poly
-
-        Fp = field(self.p)
-        r = poly.mod(Fp, poly.mul(Fp, self.digits[a], self.digits[b]), self.modulus)
-        return int(r @ self.digit_weights[: r.size])
-
-    def _powers(self, g: int, count: int) -> list[int]:
-        """[g^0, ..., g^(count-1)] by doubling: with c = g^(2^j), block
-        [2^j, 2^(j+1)) is block [0, 2^j) times c, one product of digit rows
-        with the e x e GF(p) matrix of x -> c * x, reduced mod p."""
-        p, e = self.p, self.e
-        digits = np.zeros((1, e), dtype=np.int64)
-        digits[0, 0] = 1
-        c = g
-        while len(digits) < count:
-            times_c = self.digits[[self._smul(c, p**i) for i in range(e)]].astype(np.int64)
-            digits = np.concatenate([digits, digits @ times_c % p])
-            c = self._smul(c, c)
-        return (digits[:count] @ self.digit_weights).tolist()
-
-    def _spow(self, a: int, k: int) -> int:
-        out = 1
-        base = a
-        while k:
-            if k & 1:
-                out = self._smul(out, base)
-            base = self._smul(base, base)
-            k >>= 1
-        return out
 
     # -- elementwise ops ----------------------------------------------------
     # Plain ints and numpy integer scalars give a Python int; anything else

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -253,18 +254,45 @@ TABLE_FIELDS = (
 
 @pytest.mark.parametrize("p,e", TABLE_FIELDS)
 def test_doubled_tables_match_stepwise_build(p, e):
-    # exp, log and inv as the one-_smul-per-element walk from the generator builds them
+    # exp, log and inv as a walk of schoolbook products by the generator builds them
     F = field(p, e)
     N = F.q - 1
     exp = [1]
     for _ in range(N - 1):
-        exp.append(F._smul(exp[-1], F.generator))
+        exp.append(int(_times_generator(F, [exp[-1]])[0]))
     log = [2 * N] * F.q
     for i, x in enumerate(exp):
         log[x] = i
     assert F._exp_s[:N] == exp and F._exp_s[N : 2 * N] == exp
     assert F._log_s == log
     assert F._inv_s == [0] + [exp[-log[a] % N] for a in range(1, F.q)]
+
+
+def test_extension_fields_build_without_polynomial_products(monkeypatch):
+    # the generator and exp come from the companion matrix of the modulus
+    from sigmalcd import poly
+
+    def refuse(*args):
+        raise AssertionError("poly.mul called while building a field")
+
+    monkeypatch.setattr(poly, "mul", refuse)
+    for p, e in [(2, 12), (3, 7), (7, 4), (61, 2)]:
+        F = Field(p, e)
+        assert (F.modulus, F.generator) == PINNED[p, e]
+
+
+def test_tables_of_every_field_pinned():
+    # generator, modulus and exp/log/inv/neg, as lists and as int16 arrays, of
+    # all 604 fields with q <= 4096, prime fields included
+    orders = [(p, e) for p in _primes_below(4097) for e in range(1, 13) if p**e <= 4096]
+    assert len(orders) == 604
+    h = hashlib.sha256()
+    for p, e in orders:
+        F = Field(p, e)
+        h.update(repr((p, e, F.generator, F.modulus, F._exp_s, F._log_s, F._inv_s, F._neg_s)).encode())
+        for table in (F._exp, F._log, F._inv, F._neg):
+            h.update(table.tobytes())
+    assert h.hexdigest() == "b347e9c4b305da650079c71087ddb203f0a71bda669c4f07f6cc687daae4951b"
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 7)])

@@ -317,13 +317,21 @@ def test_cli_eliminations_per_command(tmp_path, monkeypatch):
     """`abelian check` settles on the certified hull: the parse, the
     certificate and the idempotent solve, with no rank of its own.  `lcd
     make` reads the hull's pivots off the RREF that builds it: the parse,
-    the nullspace, the hull basis, the output's rank and its certificate."""
+    the nullspace, the hull basis, the output's rank and its certificate.
+    `lcp build` ranks its pair once, in `build_lcp`, beside the two parses
+    and the kernel of sigma(G2) with its canonical form."""
     ideal = LinearCode(F2, 9, np.hstack([np.eye(8, dtype=np.int16), np.ones((8, 1), dtype=np.int16)]))
     code = LinearCode(F3, 20, np.random.default_rng(0).integers(0, 3, size=(10, 20)))
     assert ideal.k == 8 and code.k == 10 and hull_dim(code) > 0
     argv = ("abelian", "check", "--group", "3,3", "--code", _write(tmp_path, "aug.code", formats.dump_code(ideal)))
     assert _eliminations(monkeypatch, argv) == (0, ["rref"] * 3)
     argv = ("lcd", "make", "--code", _write(tmp_path, "g3.code", formats.dump_code(code)))
+    assert _eliminations(monkeypatch, argv) == (0, ["rank"] + ["rref"] * 4)
+    rng = np.random.default_rng(1)
+    c1, c2 = (LinearCode(F3, 8, rng.integers(0, 3, size=(4, 8))) for _ in range(2))
+    assert c1.k == c2.k == 4
+    argv = ("lcp", "build", "--code1", _write(tmp_path, "c1.code", formats.dump_code(c1)),
+            "--code2", _write(tmp_path, "c2.code", formats.dump_code(c2)))
     assert _eliminations(monkeypatch, argv) == (0, ["rank"] + ["rref"] * 4)
 
 
