@@ -161,7 +161,7 @@ def is_ideal(code: LinearCode, group: AbelianGroup) -> bool:
     """Closure under the cyclic generators suffices: they generate G."""
     if code.n != group.order:
         raise BadInput(f"code length {code.n} != |G| = {group.order}")
-    return all(code.contains_rows(code.gen[:, np.argsort(group.op[g])]) for g in group.generators)
+    return all(code.contains_rows(code.gen[:, group.op[group.inv[g]]]) for g in group.generators)
 
 
 def _require_ideal(code: LinearCode, group: AbelianGroup):

@@ -22,7 +22,8 @@ Tables built once per field drive everything:
   substitution), so a matrix product costs ceil(e / g)^2 times a GF(p)
   one, not e^2.  One word (g = e) serves every GF(p) and GF(p^2), p <= 13,
   and GF(8); GF(2^4) takes two, GF(2^12) and GF(3^7) four;
-- negation, and for odd p with e > 1 a q x q addition table.
+- negation, and for odd p with e > 1 a carry-free addition: a's digits
+  spread in base 2p - 1, and an unspread table of (2p - 1)^e < 2^e q entries.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from .errors import BadInput, DivisionByZero
 
 MAX_EXTENSION_DEGREE = 16
-# tables are O(q) or O(q e), and only the addition table of an odd-p
-# extension field is q*q
+# tables are O(q) or O(q e), and an odd-p extension field's unspread table
+# has (2p - 1)^e < 2^e q entries
 MAX_FIELD_SIZE = 4096
 
 _INT = (int, np.integer)
@@ -122,15 +123,14 @@ class Field:
         self.e = e
         self.q = p**e
         if modulus is None:
-            modulus = default_modulus(p, e)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise BadInput(f"modulus must be monic of degree {e}, got {modulus}")
-        if e == 1:
-            modulus = (0, 1)  # changes no table, so GF(p) has one identity
-        elif not _is_irreducible(modulus, p):
-            raise BadInput(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
+            modulus = default_modulus(p, e)  # found irreducible, so not tested again
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise BadInput(f"modulus must be monic of degree {e}, got {modulus}")
+            if e > 1 and not _is_irreducible(modulus, p):
+                raise BadInput(f"modulus {modulus} is reducible over GF({p})")
+        self.modulus = modulus if e > 1 else (0, 1)  # x changes no table of GF(p)
 
         q, N = self.q, max(self.q - 1, 1)
         self._order = N
@@ -179,18 +179,15 @@ class Field:
 
         self._neg = (((p - self.digits) % p) @ self.digit_weights).astype(np.int16)
         self._neg_s = self._neg.tolist()
-        # odd-p extension fields add through a q x q table, grown from the
-        # p x p table of GF(p) one digit at a time: the table of the low k + 1
-        # digits is [d, low] + [d', low'] = (d + d') p^k + (low + low'), one
-        # broadcast that writes each entry once
-        self._add_table = None
+        # odd-p extension fields add carry-free: spread[a] holds a's digits in base
+        # r = 2p - 1, so no digit of a sum of two passes 2p - 2, and unspread takes
+        # each back mod p; the narrowest dtype that holds r^e gathers fastest
         if p > 2 and e > 1:
-            base = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(np.int16)
-            table = base
+            r = 2 * p - 1
+            self._spread = (self.digits @ r ** np.arange(e)).astype(np.min_scalar_type(-(r**e)))
+            self._unspread = base = np.arange(r, dtype=np.int16) % p
             for k in range(1, e):
-                qk = p**k
-                table = (base[:, None, :, None] * np.int16(qk) + table[None, :, None, :]).reshape(p * qk, p * qk)
-            self._add_table = table
+                self._unspread = (base[:, None] * np.int16(p**k) + self._unspread).reshape(-1)
 
     # -- elementwise ops ----------------------------------------------------
     # Plain ints and numpy integer scalars give a Python int; anything else
@@ -203,12 +200,12 @@ class Field:
                 return int(a) ^ int(b)
             if self.e == 1:
                 return (int(a) + int(b)) % p
-            return int(self._add_table[a, b])
+            return int(self._unspread[self._spread[a] + self._spread[b]])
         if p == 2:
             return np.bitwise_xor(a, b, dtype=np.int16)
         if self.e == 1:
             return np.add(a, b, dtype=np.int16) % np.int16(p)
-        return self._add_table[a, b]
+        return self._unspread.take(self._spread.take(a) + self._spread.take(b))
 
     def neg(self, a):
         if isinstance(a, _INT):

@@ -163,8 +163,6 @@ class _Core:
             self.pack = [sum(d << (k * w) for k, d in enumerate(ds)) for ds in F.digits.tolist()]
             self.enc = {v: x for x, v in enumerate(self.pack)}
             self.plog = {v: self.log[x] for x, v in enumerate(self.pack)}
-        pack, enc, add = self.pack, self.enc, self.adder(1)[0]
-        self.sadd = add if pack is enc else lambda x, y: enc[add(pack[x], pack[y])]
 
     def value(self, coeffs: list) -> int:
         return _slots_from_list(coeffs if self.pack is self.enc else [self.pack[c] for c in coeffs], self.ew)
@@ -386,12 +384,11 @@ def mod_xm1(F: Field, a, m: int) -> np.ndarray:
 def subst_power_mod(F: Field, a, k: int, m: int) -> np.ndarray:
     """a(x^k) reduced modulo x^m - 1, folding exponents into a dict."""
     _check_m(m)
-    core, out = _core(F), {}
-    sadd = core.sadd
-    for i, c in enumerate(_coeffs(core, a)):
+    out = {}
+    for i, c in enumerate(_coeffs(_core(F), a)):
         if c:
             j = i * k % m
-            out[j] = sadd(out[j], c) if j in out else c
+            out[j] = F.add(out[j], c) if j in out else c
     arr = [0] * (max(out, default=-1) + 1)
     for j, c in out.items():
         arr[j] = c

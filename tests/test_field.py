@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -296,15 +297,55 @@ def test_tables_of_every_field_pinned():
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 7)])
-def test_add_table_matches_digit_pass_build(p, e):
-    # the table as e digit passes over q x q temporaries build it
+def test_add_matches_digit_pass_sum(p, e):
+    # every pair as arrays, and 200 as Python ints, against the sum as e
+    # digit passes over q x q temporaries
     F = field(p, e)
     ref = np.zeros((F.q, F.q), dtype=np.int16)
     for i, w in enumerate(F.digit_weights):
         d = F.digits[:, i]
         ref += ((d[:, None] + d[None, :]) % p) * np.int16(w)
-    assert F._add_table.dtype == np.int16
-    assert np.array_equal(F._add_table, ref)
+    a = np.arange(F.q, dtype=np.int16)
+    total = F.add(a[:, None], a[None, :])
+    assert total.dtype == np.int16
+    assert np.array_equal(total, ref)
+    for x, y in np.random.default_rng(F.q).integers(0, F.q, size=(200, 2)).tolist():
+        s = F.add(x, y)
+        assert type(s) is int and s == ref[x, y]
+
+
+def test_no_table_of_any_field_is_quadratic():
+    # an odd-p extension field adds through (2p - 1)^e < 2^e q entries, not a
+    # q x q table; a prime field's doubled exp with its zero tail has 4q - 3
+    orders = [(p, e) for p in _primes_below(4097) for e in range(1, 13) if p**e <= 4096]
+    assert len(orders) == 604
+    for p, e in orders:
+        F = Field(p, e)
+        for name, table in vars(F).items():
+            if isinstance(table, np.ndarray):
+                assert table.size <= max(2**e, 4) * F.q, (p, e, name)
+
+
+def test_only_a_named_modulus_is_tested_for_irreducibility(monkeypatch):
+    # default_modulus proves its own result, so Field runs Ben-Or only on a
+    # modulus the caller names, reducible or not
+    field_module = sys.modules[Field.__module__]  # the package's `field` is the factory
+    orders = [(3, 7), (61, 2), (2, 12)]
+    for p, e in orders:
+        default_modulus(p, e)
+    real, tested = field_module._is_irreducible, []
+
+    def refuse(f, p):
+        raise AssertionError("Ben-Or run on the default modulus")
+
+    monkeypatch.setattr(field_module, "_is_irreducible", refuse)
+    for p, e in orders:
+        assert Field(p, e).modulus == PINNED[p, e][0]
+    monkeypatch.setattr(field_module, "_is_irreducible", lambda f, p: tested.append(f) or real(f, p))
+    assert Field(3, 2, (2, 1, 1)).modulus == (2, 1, 1)  # x^2 + x + 2, not the default x^2 + 1
+    assert tested == [(2, 1, 1)]
+    with pytest.raises(BadInput, match="is reducible over GF"):
+        Field(3, 2, (0, 0, 1))
 
 
 def test_element_order_divides_group_order():
