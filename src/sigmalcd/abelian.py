@@ -1,6 +1,8 @@
 """Group algebras F_q[G] for finite abelian G, ideals as codes, the
 inversion involution, and the idempotent-generator test for the
-complementary-dual property."""
+complementary-dual property: on a semisimple F_q[G] whose splitting field
+is in range, every ideal is complementary-dual and its idempotent is the sum
+of the orbit idempotents it contains; otherwise one Gram solve finds it."""
 
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ import numpy as np
 
 from . import linalg
 from .codes import LinearCode, SemiLinearMap, gram, hull_dim
+from .cyclotomic import CyclotomicContext, mult_order
 from .errors import BadInput
-from .field import Field
+from .field import MAX_FIELD_SIZE, Field
 
 
 class AbelianGroup:
@@ -169,28 +172,61 @@ def _require_ideal(code: LinearCode, group: AbelianGroup):
         raise BadInput("code is not closed under the group action")
 
 
+def orbit_idempotents(field: Field, group: AbelianGroup):
+    """The primitive idempotents of a semisimple F_q[G], one row per q-orbit
+    O of u -> q u on G, in the order of the orbits' least elements, or None
+    when gcd(q, |G|) != 1 or x^L - 1 does not split in range.  With xi the
+    context's primitive L-th root and <u, g> = sum_t u_t g_t (L / f_t) mod L,
+    e_O(g) = |G|^-1 sum_{s < |O|} xi^(-q^s <u0, g>) for the least u0 in O."""
+    n, q, L = group.order, field.q, math.lcm(*group.factors)
+    if n % field.p == 0 or L >= MAX_FIELD_SIZE or q ** mult_order(q, L) > MAX_FIELD_SIZE:
+        return None
+    ctx = CyclotomicContext(field, L)
+    ext, idx, f = ctx.ext, np.arange(n), np.array(group.factors)
+    step = (group.digits * q % f) @ group._weights  # the index of q u
+    orbit, lead, size = idx, idx, np.zeros(n, dtype=np.int64)
+    for s in range(1, ctx.t + 1):
+        orbit = step[orbit]
+        lead = np.minimum(lead, orbit)
+        size[(size == 0) & (orbit == idx)] = s
+    leaders = np.flatnonzero(lead == idx)
+    pairing = group.digits[leaders] * (L // f) @ group.digits.T % L
+    acc = np.zeros(pairing.shape, dtype=np.int16)
+    for s in range(ctx.t):
+        live = s < size[leaders, None]
+        acc = ext.add(acc, np.where(live, ctx.xi_pows.take(-pow(q, s, L) * pairing % L), 0))
+    return ctx.emb.lift(ext.mul(acc, ext.inv(n % field.p)))
+
+
 def find_idempotent_generator(code: LinearCode, group: AbelianGroup):
     """Idempotent e with C = F_q[G] e, or None when C is not
-    complementary-dual for the inversion map: split 1 = e + f along
-    C (+) (mu_{-1} C)^perp and verify e.  e = y G with M^T y^T = G[:, 0]
-    for M = G mu(G)^T, invertible iff C is complementary-dual: one
-    elimination of [M^T | G[:, 0]] decides and solves.  No other: C being
-    an ideal holding e, g e = g for every row g of G exactly when e is
-    idempotent and F_q[G] e = C.  G is in RREF, so v lies in C exactly when
-    v = v[pivots] G, and two words of C agree once they agree at the
-    pivots, where G is the identity: one product (G T(e))[:, pivots] = I,
-    T(e) the translate matrix, checks both properties."""
+    complementary-dual for the inversion map.  On a semisimple algebra
+    whose splitting field is in range, e is the sum of the orbit idempotents
+    e_O in C: G is in RREF, so v lies in C exactly when v = v[pivots] G, and
+    one product of the stacked e_O against G picks them.  Otherwise split
+    1 = e + f along C (+) (mu_{-1} C)^perp: e = y G with M^T y^T = G[:, 0]
+    for M = G mu(G)^T, invertible iff C is complementary-dual, so one
+    elimination of [M^T | G[:, 0]] decides and solves.  Either way one
+    product checks e: C being an ideal holding e, g e = g for every row g
+    of G exactly when e is idempotent and F_q[G] e = C, and two words of C
+    agree once they agree at the pivots, where G is the identity, so
+    (G T(e))[:, pivots] = I, T(e) the translate matrix, checks both."""
     _require_ideal(code, group)
     F, n, k = code.field, code.n, code.k
     if k == n:
         return ga_one(F, group)
     if k == 0:
         return GroupAlgebraElement(F, group, np.zeros(n, dtype=np.int16))
-    M = gram(code, mu_sigma(F, group))
-    R, piv = linalg.rref(F, np.hstack([M.T, code.gen[:, :1]]))
-    if piv != list(range(k)):
-        return None
-    e = GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, R[:k, k]))
+    V = orbit_idempotents(F, group)
+    if V is not None:
+        inside = (linalg.mat_mul(F, V[:, code.pivots], code.gen) == V).all(axis=1)
+        e = GroupAlgebraElement(F, group, F.sum(V[inside], axis=0))
+    else:
+        M = gram(code, mu_sigma(F, group))
+        R, piv = linalg.rref(F, np.hstack([M.T, code.gen[:, :1]]))
+        if piv != list(range(k)):
+            return None
+        e = GroupAlgebraElement(F, group, linalg.mat_vec(F, code.gen.T, R[:k, k]))
     if not np.array_equal(linalg.mat_mul(F, code.gen, translate_matrix(e)[:, code.pivots]), np.eye(k)):
         return None
     return e

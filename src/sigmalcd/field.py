@@ -191,7 +191,7 @@ class Field:
 
     # -- elementwise ops ----------------------------------------------------
     # Plain ints and numpy integer scalars give a Python int; anything else
-    # is indexed into the tables as an array and gives an int16 array.
+    # is gathered from the tables as an array and gives an int16 array.
 
     def add(self, a, b):
         p = self.p
@@ -210,7 +210,7 @@ class Field:
     def neg(self, a):
         if isinstance(a, _INT):
             return self._neg_s[a]
-        return self._neg[a]
+        return self._neg.take(a)
 
     def sub(self, a, b):
         return self.add(a, b if self.p == 2 else self.neg(b))
@@ -218,7 +218,7 @@ class Field:
     def mul(self, a, b):
         if isinstance(a, _INT) and isinstance(b, _INT):
             return self._exp_s[self._log_s[a] + self._log_s[b]]
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def inv(self, a):
         if isinstance(a, _INT):
@@ -227,7 +227,7 @@ class Field:
             return self._inv_s[a]
         if not np.all(a):
             raise DivisionByZero("inverse of zero")
-        return self._inv[a]
+        return self._inv.take(a)
 
     def div(self, a, b):
         if isinstance(a, _INT) and isinstance(b, _INT):
@@ -236,7 +236,7 @@ class Field:
             return self._exp_s[self._log_s[a] + self._log_s[self._inv_s[b]]]
         if not np.all(b):
             raise DivisionByZero("inverse of zero")
-        return self._exp[self._log[a] + self._ilog[b]]
+        return self._exp.take(self._log.take(a) + self._ilog.take(b))
 
     def pow(self, a, k: int):
         """a**k with 0**0 = 1; negative k inverts (errors on zero base)."""

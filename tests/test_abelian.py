@@ -326,21 +326,24 @@ def test_find_idempotent_generator_matches_two_check_route(p, e, factors):
 
 def test_idempotent_route_eliminates_once_and_is_ideal_never(monkeypatch):
     """find_idempotent_generator runs one elimination (the Gram solve) on a
-    proper ideal and none on {0} or F_q[G]; is_ideal runs none."""
+    proper ideal of a modular algebra, none on one of a semisimple algebra
+    (the orbit idempotents) and none on {0} or F_q[G]; is_ideal runs none."""
     calls = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda F, M: calls.append(1) or rref(F, M))
     outcomes = set()
-    for F, factors in [(F2, (7,)), (F3, (3,)), (F2, (2, 2)), (F3, (4,))]:
+    for F, factors, modular in [(F2, (7,), False), (F3, (3,), True), (F2, (2, 2), True), (F3, (4,), False),
+                                (F2, (6,), True)]:
         G = abelian.AbelianGroup(factors)
         for c in abelian.enumerate_ideals(F, G):
             calls.clear()
             assert abelian.is_ideal(c, G) and not calls
             proper = 0 < c.k < c.n
             found = abelian.find_idempotent_generator(c, G) is not None
-            assert len(calls) == proper
-            outcomes.add((proper, found))
-    assert outcomes == {(False, True), (True, True), (True, False)}
+            assert len(calls) == (proper and modular)
+            outcomes.add((proper, modular, found))
+    assert outcomes == {(False, False, True), (False, True, True), (True, False, True),
+                        (True, True, True), (True, True, False)}
 
 
 def test_semisimple_every_ideal_lcd():
@@ -350,6 +353,128 @@ def test_semisimple_every_ideal_lcd():
         G = abelian.AbelianGroup(factors)
         for c in abelian.enumerate_ideals(F, G):
             assert abelian.is_abelian_mu1_lcd(c, G)
+
+
+SEMISIMPLE = [((2, 2), (3, 5), 9), ((3, 1), (2, 4), 6), ((3, 2), (4,), 4), ((2, 1), (117,), 12)]
+
+
+def _q_orbits(q, group):
+    """Reference: the orbits of u -> q u on G, one element at a time."""
+    seen, orbits = set(), []
+    for u in range(group.order):
+        if u in seen:
+            continue
+        orbit, v = [], group.tuple_of(u)
+        while group.index(v) not in orbit:
+            orbit.append(group.index(v))
+            v = tuple(q * x for x in v)
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("pe,factors,count", SEMISIMPLE)
+def test_orbit_idempotents_are_a_complete_orthogonal_set(pe, factors, count):
+    """Pairwise orthogonal nonzero idempotents summing to 1, one per q-orbit:
+    the primitive idempotents, since F_q[G] has one minimal ideal per orbit."""
+    F, G = field(*pe), abelian.AbelianGroup(factors)
+    V = abelian.orbit_idempotents(F, G)
+    assert len(V) == len(_q_orbits(F.q, G)) == count
+    assert V.any(axis=1).all()
+    assert np.array_equal(F.sum(V, axis=0), abelian.ga_one(F, G).coeffs)
+    for j, e in enumerate(V):
+        products = linalg.mat_mul(F, V, abelian.translate_matrix(elem(F, G, e)))
+        want = np.zeros_like(V)
+        want[j] = e
+        assert np.array_equal(products, want)
+
+
+@pytest.mark.parametrize("pe,factors,count", SEMISIMPLE)
+def test_orbit_route_matches_two_check_split_on_random_ideals(pe, factors, count):
+    """Random ideals F_q[G] a e_S, e_S a random sum of orbit idempotents:
+    the orbit route returns the Gram route's element byte for byte."""
+    F, G = field(*pe), abelian.AbelianGroup(factors)
+    V, rng = abelian.orbit_idempotents(F, G), np.random.default_rng(count)
+    dims = set()
+    for _ in range(12):
+        e_S = elem(F, G, F.sum(V[rng.random(len(V)) < 0.5], axis=0))
+        c = abelian.ideal_from_generator(abelian.ga_mul(elem(F, G, rng.integers(0, F.q, size=G.order)), e_S))
+        got, want = abelian.find_idempotent_generator(c, G), _two_check_split(c, G)
+        assert got is not None and np.array_equal(got.coeffs, want.coeffs)
+        dims.add(c.k)
+    assert len(dims) > 2
+
+
+def _subset_sum(F, rows, S):
+    """The sum of the rows whose bits are set in S."""
+    return F.sum(rows[[S >> i & 1 == 1 for i in range(len(rows))]], axis=0)
+
+
+def test_every_ideal_of_gf4_c3xc5_is_lcd_with_its_orbit_idempotent():
+    """The paper's semisimple theorem on all 2^9 ideals of GF(4)[C_3 x C_5],
+    whose 4^15 generators no enumeration reaches: each ideal is F_q[G] e for
+    a sum e of orbit idempotents, has no mu_{-1}-hull, and e is what
+    find_idempotent_generator returns."""
+    F, G = field(2, 2), abelian.AbelianGroup((3, 5))
+    V, sig = abelian.orbit_idempotents(F, G), abelian.mu_sigma(F, G)
+    seen = set()
+    for S in range(2 ** len(V)):
+        e = elem(F, G, _subset_sum(F, V, S))
+        c = abelian.ideal_from_generator(e)
+        assert hull_dim(c, sig) == 0
+        assert np.array_equal(abelian.find_idempotent_generator(c, G).coeffs, e.coeffs)
+        seen.add(c.gen.tobytes())
+    assert len(seen) == 512
+
+
+def _qr_ideals_of_c47():
+    """The 8 ideals of F_2[C_47], one per sum of 1, e_Q and e_N: 2 is a
+    quadratic residue mod 47, so x -> x^2 fixes e_Q = sum_{r in Q} x^r and
+    e_N alike, and every F_2-combination of them is idempotent."""
+    G = abelian.cyclic_group(47)
+    Q = sorted({r * r % 47 for r in range(1, 47)})
+    basis = np.zeros((3, 47), dtype=np.int16)
+    basis[0, 0] = 1
+    basis[1, Q] = 1
+    basis[2, [i for i in range(1, 47) if i not in Q]] = 1
+    return G, [abelian.ideal_from_generator(elem(F2, G, _subset_sum(F2, basis, S))) for S in range(8)]
+
+
+def test_gram_fallback_out_of_range_and_modular(monkeypatch):
+    """F_2[C_47], whose splitting field GF(2^23) is out of range, and the
+    modular F_2[C_6] take the Gram solve, one elimination per proper ideal,
+    agree with hull_dim and with the two-check route, and raise nothing."""
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda F, M, **kw: calls.append(1) or rref(F, M, **kw))
+    G47, ideals47 = _qr_ideals_of_c47()
+    G6 = abelian.cyclic_group(6)
+    cases = [(G47, ideals47), (G6, abelian.enumerate_ideals(F2, G6))]
+    assert len({c.gen.tobytes() for c in ideals47}) == 8
+    for G, ideals in cases:
+        assert abelian.orbit_idempotents(F2, G) is None
+        for c in ideals:
+            want, hull = _two_check_split(c, G), hull_dim(c, abelian.mu_sigma(F2, G))
+            calls.clear()
+            got = abelian.find_idempotent_generator(c, G)
+            assert len(calls) == (0 < c.k < c.n)
+            assert (got is None) == (want is None) == (hull > 0)
+            assert got is None or np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_orbit_idempotents_peak_memory_within_the_group_table():
+    """F_2[C_3^5] has 122 orbits of 243 elements: the (orbits x |G|) pairing
+    and its products stay within twice the |G| x |G| group table."""
+    F, G = F2, abelian.AbelianGroup((3,) * 5)
+    abelian.orbit_idempotents(F, G)  # interns the splitting field and its embedding
+    tracemalloc.start()
+    try:
+        V = abelian.orbit_idempotents(F, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.shape == (122, 243)
+    assert peak <= 2 * G.op.nbytes, f"peak {peak / G.op.nbytes:.1f}x the table"
 
 
 def test_lcd_agrees_with_oracle_intersection():

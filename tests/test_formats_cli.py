@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalcd import cli, codes, formats, linalg, poly
+from sigmalcd import abelian, cli, codes, formats, linalg, poly
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim
 from sigmalcd.errors import BadInput
 from sigmalcd.field import field
@@ -292,6 +292,20 @@ def test_cli_abelian(files):
     assert rc == 0 and "coeffs: 0 1 1" in out
 
 
+def test_cli_abelian_check_splitting_field_out_of_range(tmp_path):
+    """F_2[C_47] splits only in GF(2^23), past every field: `abelian check`
+    on its quadratic-residue ideal takes the Gram solve, finds the
+    idempotent of this complementary-dual ideal, and the oracle agrees."""
+    G = abelian.cyclic_group(47)
+    e = np.zeros(47, dtype=np.int16)
+    e[sorted({r * r % 47 for r in range(1, 47)})] = 1
+    code = abelian.ideal_from_generator(abelian.ga_element(F2, G, e))
+    path = _write(tmp_path, "qr47.code", formats.dump_code(code))
+    rc, out = run_cli("--format", "machine", "abelian", "check", "--group", "47", "--code", path)
+    assert rc in (0, 1) and kv(out)["verification"] == "agree"
+    assert kv(out)["idempotent_found"] == kv(out)["verdict"] == "true"
+
+
 def _eliminations(monkeypatch, argv):
     """rref and rank calls of one dispatch, a rank's own pass through rref
     counted as the rank."""
@@ -314,8 +328,9 @@ def _eliminations(monkeypatch, argv):
 
 
 def test_cli_eliminations_per_command(tmp_path, monkeypatch):
-    """`abelian check` settles on the certified hull: the parse, the
-    certificate and the idempotent solve, with no rank of its own.  `lcd
+    """`abelian check` settles on the certified hull: the parse and the
+    certificate, with no rank of its own, and the idempotent cross-check of
+    the semisimple F_2[C_3 x C_3] sums orbit idempotents, with no solve.  `lcd
     make` reads the hull's pivots off the RREF that builds it: the parse,
     the nullspace, the hull basis, the output's rank and its certificate.
     `lcp build` ranks its pair once, in `build_lcp`, beside the two parses
@@ -324,7 +339,7 @@ def test_cli_eliminations_per_command(tmp_path, monkeypatch):
     code = LinearCode(F3, 20, np.random.default_rng(0).integers(0, 3, size=(10, 20)))
     assert ideal.k == 8 and code.k == 10 and hull_dim(code) > 0
     argv = ("abelian", "check", "--group", "3,3", "--code", _write(tmp_path, "aug.code", formats.dump_code(ideal)))
-    assert _eliminations(monkeypatch, argv) == (0, ["rref"] * 3)
+    assert _eliminations(monkeypatch, argv) == (0, ["rref"] * 2)
     argv = ("lcd", "make", "--code", _write(tmp_path, "g3.code", formats.dump_code(code)))
     assert _eliminations(monkeypatch, argv) == (0, ["rank"] + ["rref"] * 4)
     rng = np.random.default_rng(1)
