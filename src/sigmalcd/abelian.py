@@ -6,6 +6,7 @@ of the orbit idempotents it contains; otherwise one Gram solve finds it."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -13,10 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode, SemiLinearMap, gram, hull_dim
+from .codes import DEFAULT_MAX_WORDS, LinearCode, SemiLinearMap, gram, hull_dim
 from .cyclotomic import CyclotomicContext, mult_order
-from .errors import BadInput
+from .errors import BadInput, BudgetExceeded
 from .field import MAX_FIELD_SIZE, Field
+
+MAX_GROUP_ORDER = 4096  # the largest |G| whose |G| x |G| int64 table is built: 128 MiB
 
 
 class AbelianGroup:
@@ -47,6 +50,8 @@ class AbelianGroup:
     def op(self) -> np.ndarray:
         """op[i, j] = index of g_i * g_j, summed one digit at a time so that
         every temporary is the size of the table, not r times it."""
+        if self.order > MAX_GROUP_ORDER:
+            raise BadInput(f"group order {self.order} exceeds table-backed limit {MAX_GROUP_ORDER}")
         out = np.zeros((self.order, self.order), dtype=np.int64)
         for d, f, w in zip(self.digits.T, self.factors, self._weights):
             out += (d[:, None] + d) % f * w
@@ -237,31 +242,47 @@ def is_abelian_mu1_lcd(code: LinearCode, group: AbelianGroup) -> bool:
     return hull_dim(code, mu_sigma(code.field, group)) == 0
 
 
-def enumerate_ideals(field: Field, group: AbelianGroup) -> list[LinearCode]:
-    """Every ideal of F_q[G]: principal ideals from all q^n generators,
-    then pairwise sums to closure (each ideal is a finite sum of principal
-    ones, so this terminates with the complete lattice)."""
-    from .oracle import enumerate_codewords
+def _socle(field: Field, group: AbelianGroup, sylow: list[int], I: LinearCode) -> np.ndarray:
+    """soc(F_q[G]/I) = {w : (h - 1) w in I for h in sylow}, reduced modulo I
+    (zero at I's pivots) and in RREF.  For I's parity checks H,
+    H (h w) = H[:, op[h]] w, so it is the kernel of every H[:, op[h]] - H."""
+    H = linalg.nullspace(field, I.gen)
+    checks = field.sub(H[:, group.op[sylow]], H[:, None]).reshape(-1, group.order)
+    W = linalg.nullspace(field, checks)
+    return linalg.row_space(field, field.sub(W, linalg.mat_mul(field, W[:, I.pivots], I.gen)))
 
-    n = group.order
-    full = LinearCode(field, n, np.eye(n, dtype=np.int16))
-    seen: dict[bytes, LinearCode] = {}
-    for w in enumerate_codewords(full):
-        code = ideal_from_generator(GroupAlgebraElement(field, group, w.copy()))
-        seen.setdefault(code.gen.tobytes(), code)
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        items = list(seen.values())
-        for a in frontier:
-            for b in items:
-                s_gen = linalg.row_space(field, linalg.stack(a.gen, b.gen))
-                key = s_gen.tobytes()
-                if key not in seen:
-                    code = LinearCode(field, n, s_gen)
-                    seen[key] = code
-                    fresh.append(code)
-        frontier = fresh
+
+def enumerate_ideals(field: Field, group: AbelianGroup) -> list[LinearCode]:
+    """Every ideal of F_q[G], by (k, generator bytes), walking up from {0}
+    through steps I -> I + F_q[G] w, w in soc(F_q[G]/I): every ideal tops a
+    series of them.  rad F_q[G] is (h - 1 : h generating the Sylow
+    p-subgroup) (Passman 1977), so the socle is one kernel against I's
+    parity checks.  A semisimple algebra's ideals are all one step up, and
+    with orbit idempotents the 2^s sums of them are the only w needed.
+    DEFAULT_MAX_WORDS bounds the words the walk draws from (the 2^s sums,
+    else F_q^n) before anything is built."""
+    n, q, p = group.order, field.q, field.p
+    # the sums need q^t <= MAX_FIELD_SIZE, and orbits of at most t points
+    # give q^n <= (q^t)^s: past MAX_FIELD_SIZE^(budget's bit length), 2^s is over it
+    fits = q**n <= MAX_FIELD_SIZE ** DEFAULT_MAX_WORDS.bit_length()
+    V = orbit_idempotents(field, group) if fits else None
+    pool = q**n if V is None else 2 ** len(V)
+    if pool > DEFAULT_MAX_WORDS:
+        raise BudgetExceeded(f"{pool} generators exceed budget {DEFAULT_MAX_WORDS}")
+    # h = g_t^(f_t / p^v) for each cyclic factor f_t = p^v m, p | f_t
+    sylow = [f // math.gcd(f, p**f.bit_length()) * w for f, w in zip(group.factors, group._weights) if f % p == 0]
+    T = group.op[group.inv]  # w[T] is the translate matrix of w
+    todo = [LinearCode(field, n)]
+    seen = {todo[0].gen.tobytes(): todo[0]}
+    for I in todo if sylow else todo[:1]:  # todo grows as ideals are found
+        B, b = (V, 2) if V is not None else (_socle(field, group, sylow, I), q)  # V: 0/1 sums only
+        for c in itertools.product(range(b), repeat=len(B)):
+            if next((x for x in c if x), 0) != 1:  # one word per line: its lead digit is 1
+                continue
+            w = linalg.mat_vec(field, B.T, c)
+            J = LinearCode(field, n, linalg.stack(I.gen, w[T]))
+            if seen.setdefault(J.gen.tobytes(), J) is J:
+                todo.append(J)
     return sorted(seen.values(), key=lambda c: (c.k, c.gen.tobytes()))
 
 

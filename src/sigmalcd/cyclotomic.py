@@ -85,10 +85,6 @@ class CyclotomicContext:
         """1 when xi^(i*block_len) = 1, else 0."""
         return 1 if (i * block_len) % self.m == 0 else 0
 
-    def conj(self, x: int, k: int = 1) -> int:
-        """x -> x^(q^k), the base-field-fixing conjugation."""
-        return self.ext.pow(int(x), pow(self.base.q, k, max(self.ext.q - 1, 1)))
-
     def minimal_poly(self, i: int) -> np.ndarray:
         """M_i over the base field (little-endian encodings)."""
         lead = self.leader(i)

@@ -315,11 +315,6 @@ def reversal_sigma_lcd(code: GqcCode) -> bool:
     return is_sigma_lcd(code.flat, SemiLinearMap.reversal(code.field, code.n))
 
 
-def block_projection(code: GqcCode, j: int) -> GqcCode:
-    off, mj = code.offsets[j], code.block_lengths[j]
-    return GqcCode(code.field, (mj,), code.flat.gen[:, off : off + mj], _trusted=True)
-
-
 def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
     """For pairwise coprime block lengths: mu_a complementary-dual iff every
     block projection is and the joint constituent at i = 0 is

@@ -1,3 +1,6 @@
+import hashlib
+import inspect
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 
 from sigmalcd import abelian, linalg, oracle
 from sigmalcd.codes import LinearCode, gram, hull_dim
-from sigmalcd.errors import BadInput
+from sigmalcd.errors import BadInput, BudgetExceeded
 from sigmalcd.field import field
 
 from linalg_reference import solve_right
@@ -40,6 +43,15 @@ def test_group_inverse_table():
 def test_op_table_is_abelian():
     G = abelian.AbelianGroup((2, 3))
     assert np.array_equal(G.op, G.op.T)
+
+
+def test_op_table_refused_beyond_the_limit():
+    """|G| = 4097 would take a 128 MiB int64 table; it is refused before
+    any of it is allocated, while the order and the inverses stay cheap."""
+    G = abelian.AbelianGroup((17, 241))
+    assert G.order == abelian.MAX_GROUP_ORDER + 1 and G.inv.shape == (G.order,)
+    with pytest.raises(BadInput, match="group order 4097 exceeds table-backed limit 4096"):
+        G.op
 
 
 def test_parse_group():
@@ -217,6 +229,118 @@ def test_ideals_are_group_invariant():
     G = abelian.AbelianGroup((4,))
     for c in abelian.enumerate_ideals(F3, G):
         assert abelian.is_ideal(c, G)
+
+
+def _closure_ideals(F, G):
+    """Reference: the principal ideals of all q^n generators, then pairwise
+    sums to closure (each ideal is a finite sum of principal ones)."""
+    n = G.order
+    seen = {}
+    for w in oracle.enumerate_codewords(LinearCode(F, n, np.eye(n, dtype=np.int16))):
+        code = abelian.ideal_from_generator(abelian.GroupAlgebraElement(F, G, w.copy()))
+        seen.setdefault(code.gen.tobytes(), code)
+    frontier = list(seen.values())
+    while frontier:
+        fresh = []
+        items = list(seen.values())
+        for a in frontier:
+            for b in items:
+                s_gen = linalg.row_space(F, linalg.stack(a.gen, b.gen))
+                if s_gen.tobytes() not in seen:
+                    code = LinearCode(F, n, s_gen)
+                    seen[s_gen.tobytes()] = code
+                    fresh.append(code)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda c: (c.k, c.gen.tobytes()))
+
+
+def _factorizations(n, least=2):
+    """Every way to write n as a product of factors >= least, ascending."""
+    if n == 1:
+        yield ()
+    for f in range(least, n + 1):
+        if n % f == 0:
+            yield from ((f,) + rest for rest in _factorizations(n // f, f))
+
+
+def _lattice(ideals):
+    return [(c.k, c.gen.tobytes()) for c in ideals]
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_enumerate_ideals_matches_closure(pe):
+    """Every algebra F_q[G] with q^n <= 2^12, G written as every product of
+    cyclic factors (C_2 x C_3 and C_6 both): the orbit sums and the socle
+    walk return the closure's lattice byte for byte."""
+    F = field(*pe)
+    algebras = [(1,)] + [f for n in range(2, 13) if F.q**n <= 2**12 for f in _factorizations(n)]
+    for factors in algebras:
+        G = abelian.AbelianGroup(factors)
+        assert _lattice(abelian.enumerate_ideals(F, G)) == _lattice(_closure_ideals(F, G)), factors
+
+
+@pytest.mark.parametrize("pe,factors", [((2, 1), (7,)), ((2, 1), (3, 3)), ((3, 1), (4,)), ((2, 2), (5,)),
+                                         ((5, 1), (2, 2)), ((3, 1), (5,))])
+def test_walk_matches_orbit_sums_on_semisimple_algebras(monkeypatch, pe, factors):
+    """With the orbit idempotents withheld, as when the splitting field is
+    out of range, the walk takes its one step from {0} and returns the
+    orbit sums' lattice."""
+    F, G = field(*pe), abelian.AbelianGroup(factors)
+    want = _lattice(abelian.enumerate_ideals(F, G))
+    monkeypatch.setattr(abelian, "orbit_idempotents", lambda F, G: None)
+    assert _lattice(abelian.enumerate_ideals(F, G)) == want
+
+
+def test_enumerate_ideals_pinned():
+    """One sha256 over the lattices of five algebras, each ideal's k and
+    RREF bytes in order, taken from the closure over all q^n generators."""
+    h = hashlib.sha256()
+    for pe, factors in [((3, 1), (3, 3)), ((3, 1), (9,)), ((2, 1), (3, 5)), ((2, 1), (16,)), ((2, 1), (4, 4))]:
+        for c in abelian.enumerate_ideals(field(*pe), abelian.AbelianGroup(factors)):
+            h.update(c.k.to_bytes(2, "little") + c.gen.tobytes())
+    assert h.hexdigest() == "ae826dcc9f346c0f338e48b7bb18946d2ec57c4d7e2fa7415dc3333f471e92bc"
+
+
+def test_enumerate_ideals_of_gf4_c3xc5_have_no_hull():
+    """The paper's semisimple theorem on the lattice itself: GF(4)[C_3 x C_5],
+    whose 4^15 generators no search reaches, has 2^9 ideals, none with a
+    mu_{-1}-hull."""
+    F, G = field(2, 2), abelian.AbelianGroup((3, 5))
+    ideals, sig = abelian.enumerate_ideals(F, G), abelian.mu_sigma(F, G)
+    assert len(ideals) == 512 and len({c.gen.tobytes() for c in ideals}) == 512
+    assert all(hull_dim(c, sig) == 0 for c in ideals)
+
+
+@pytest.mark.parametrize("q,factors,count", [
+    (2, (47,), 2**47), (2, (3,) * 5, 2**122), (2, (2,) * 5, 2**32), (3, (3,) * 3, 3**27), (2, (3,) * 8, 2**6561),
+], ids=["C47", "C3^5", "C2^5", "F3-C3^3", "C3^8"])
+def test_enumerate_ideals_over_budget_raises_at_once(q, factors, count):
+    """Refused before any ideal is built, in little time and memory:
+    F_2[C_47] (splitting field out of range: 2^47 words), F_2[C_3^5]
+    (2^122 orbit sums), the modular F_2[C_2^5] and F_3[C_3^3] (2^32 and
+    3^27 words; every subspace of rad^2 / rad^3 of F_2[C_2^5], of
+    dimension 10, lifts to an ideal, over 2 * 10^8 of them), and F_2[C_3^8],
+    whose 3281 orbit idempotents are known to be over budget unbuilt."""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^{count} generators exceed budget 4194304$"):
+            abelian.enumerate_ideals(field(q), abelian.AbelianGroup(factors))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2 and peak < 2**21, peak
+
+
+def test_enumerate_ideals_needs_no_oracle(monkeypatch):
+    """The lattice is built without the oracle: with every oracle function
+    raising, F_3[C_3 x C_3] still gives its 64 ideals."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    for name, _ in inspect.getmembers(oracle, inspect.isfunction):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert len(abelian.enumerate_ideals(F3, abelian.AbelianGroup((3, 3)))) == 64
 
 
 # ------------------------------------------------------------ LCD characterization

@@ -152,15 +152,6 @@ def test_delta_indicator():
     assert not ctx.delta(1, 1)
 
 
-def test_conj_is_field_conjugation():
-    """conj fixes the base field and permutes the roots of each minimal poly."""
-    ctx = CyclotomicContext(F3, 13)
-    # conj of xi^i is xi^(3i)
-    for i in range(13):
-        assert ctx.conj(ctx.eval_point(i)) == ctx.eval_point((3 * i) % 13)
-    assert ctx.conj(1) == 1
-
-
 def test_context_cache_identity():
     a = CyclotomicContext(F2, 7)
     b = CyclotomicContext(F2, 7)

@@ -540,6 +540,26 @@ def test_cli_group_order_checked_before_its_tables(files, group, order):
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("command", ["check", "idempotent"])
+@pytest.mark.parametrize("group", ["30000", "100,300"])
+def test_cli_group_beyond_the_table_limit_exits_2(tmp_path, command, group):
+    """A [30000,1] repetition code matches |G| = 30000, so the group table
+    itself is refused: 7.2 GB of int64 used to end in a MemoryError and
+    exit 1.  It exits 2 with one `error:` line and allocates little."""
+    path = _write(tmp_path, "rep.code", "2 30000 1\n" + " ".join(["1"] * 30000) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.cmd_dispatch(["abelian", command, "--group", group, "--code", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().splitlines() == ["error: group order 30000 exceeds table-backed limit 4096"]
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("argv", [
     "lcd check --code {d}/ham.code --jobs 2",
     "lcd hull --code {d}/ham.code --budget 10",

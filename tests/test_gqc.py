@@ -85,13 +85,6 @@ def test_mu_involution():
     assert code.mu(-1).mu(-1) == code
 
 
-def test_block_projection():
-    rng = np.random.default_rng(3)
-    code = rand_gqc(F2, (3, 5), rng)
-    p0 = gqc.block_projection(code, 0)
-    assert p0.block_lengths == (3,) and p0.flat.n == 3
-
-
 # ------------------------------------------------------------ constituents
 
 
