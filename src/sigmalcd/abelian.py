@@ -9,13 +9,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
 from .codes import DEFAULT_MAX_WORDS, LinearCode, SemiLinearMap, gram, hull_dim
-from .cyclotomic import CyclotomicContext, mult_order
+from .cyclotomic import context, mult_order
 from .errors import BadInput, BudgetExceeded
 from .field import MAX_FIELD_SIZE, Field
 
@@ -182,11 +182,24 @@ def orbit_idempotents(field: Field, group: AbelianGroup):
     O of u -> q u on G, in the order of the orbits' least elements, or None
     when gcd(q, |G|) != 1 or x^L - 1 does not split in range.  With xi the
     context's primitive L-th root and <u, g> = sum_t u_t g_t (L / f_t) mod L,
-    e_O(g) = |G|^-1 sum_{s < |O|} xi^(-q^s <u0, g>) for the least u0 in O."""
-    n, q, L = group.order, field.q, math.lcm(*group.factors)
-    if n % field.p == 0 or L >= MAX_FIELD_SIZE or q ** mult_order(q, L) > MAX_FIELD_SIZE:
+    e_O(g) = |G|^-1 sum_{s < |O|} xi^(-q^s <u0, g>) for the least u0 in O.
+    The last _CACHED_ALGEBRAS results are kept, read-only and shared."""
+    q, L = field.q, math.lcm(*group.factors)
+    if group.order % field.p == 0 or L >= MAX_FIELD_SIZE or q ** mult_order(q, L) > MAX_FIELD_SIZE:
         return None
-    ctx = CyclotomicContext(field, L)
+    return _orbit_idempotents(field, group.factors)
+
+
+# algebras whose orbit idempotents are kept; keyed by the group's factors,
+# so no cached result holds a group's |G| x |G| table
+_CACHED_ALGEBRAS = 32
+
+
+@lru_cache(maxsize=_CACHED_ALGEBRAS)
+def _orbit_idempotents(field: Field, factors: tuple[int, ...]) -> np.ndarray:
+    group = AbelianGroup(factors)
+    n, q, L = group.order, field.q, math.lcm(*group.factors)
+    ctx = context(field, L)
     ext, idx, f = ctx.ext, np.arange(n), np.array(group.factors)
     step = (group.digits * q % f) @ group._weights  # the index of q u
     orbit, lead, size = idx, idx, np.zeros(n, dtype=np.int64)
@@ -200,7 +213,9 @@ def orbit_idempotents(field: Field, group: AbelianGroup):
     for s in range(ctx.t):
         live = s < size[leaders, None]
         acc = ext.add(acc, np.where(live, ctx.xi_pows.take(-pow(q, s, L) * pairing % L), 0))
-    return ctx.emb.lift(ext.mul(acc, ext.inv(n % field.p)))
+    V = ctx.emb.lift(ext.mul(acc, ext.inv(n % field.p)))
+    V.flags.writeable = False
+    return V
 
 
 def find_idempotent_generator(code: LinearCode, group: AbelianGroup):

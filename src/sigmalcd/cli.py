@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import abelian, codes, gqc, oracle, poly
-from .cyclotomic import CyclotomicContext, gamma_partition
+from .cyclotomic import CyclotomicContext, context, gamma_partition
 from .errors import BadInput, SigmaLcdError
 from .field import field as make_field
 from .formats import (
@@ -166,7 +166,7 @@ def _cmd_lcp_build(args, report: RunReport) -> int:
 
 def _cyclotomic(args, report: RunReport) -> CyclotomicContext:
     F = parse_field(args.q)
-    ctx = CyclotomicContext(F, args.m)
+    ctx = context(F, args.m)
     report.inputs["q"] = field_str(F)
     report.inputs["m"] = args.m
     return ctx
@@ -195,7 +195,7 @@ def _load_gqc(report: RunReport, path: str):
     lcm(blocks) rows each."""
     F, blocks, gens = parse_gqc_raw(_read(path))
     report.inputs["file"] = path
-    return F, blocks, gens, CyclotomicContext(F, gqc.lcm_of(blocks))
+    return F, blocks, gens, context(F, gqc.lcm_of(blocks))
 
 
 def _cmd_gqc_constituents(args, report: RunReport) -> int:
@@ -342,7 +342,7 @@ def _repro_golay23(report: RunReport) -> int:
 
 def _repro_qr7(report: RunReport) -> int:
     F2 = make_field(2)
-    ctx = CyclotomicContext(F2, 7)
+    ctx = context(F2, 7)
     cvec = tuple(poly.from_seq(c) for c in _QR7)
     blocks = (7, 7)
     disjoint = gqc.disjoint_support_lcd(ctx, blocks, cvec)

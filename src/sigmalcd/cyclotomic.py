@@ -12,11 +12,17 @@ table.  F*_{q^t} is cyclic of order N = q^t - 1, generated by the g its
 table is built on, so the elements of order m are g^((N/m) j) with
 gcd(j, m) = 1: xi is the least of those phi(m) entries, and its powers are
 the one gather exp[(log xi) i mod N].  Row i of the m x t table of
-i q^s mod m is the coset of i, and the row's minimum is its leader.
+i q^s mod m is the coset of i, and the row's minimum is its leader; the
+cosets themselves are read off on first use.
+
+`context(base, m)` interns one context per (base, m), as `field()` and
+`embedding()` intern theirs, and every construction in the package goes
+through it.  Its arrays are shared, so they are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,11 +71,20 @@ class CyclotomicContext:
         self.xi = int(ext._exp[log_xi])
         self.xi_pows = ext._exp[log_xi * j % N]
 
-        orbits = j[:, None] * np.array([pow(base.q, s, m) for s in range(self.t)]) % m
-        self.leader_of = orbits.min(axis=1)
-        self.cosets = {int(i): tuple(sorted(set(orbits[i].tolist()))) for i in np.flatnonzero(self.leader_of == j)}
-        self.leaders = sorted(self.cosets)
+        self._qpows = np.array([pow(base.q, s, m) for s in range(self.t)])
+        self.leader_of = (j[:, None] * self._qpows % m).min(axis=1)
+        self.xi_pows.flags.writeable = self.leader_of.flags.writeable = False
         self._minpolys: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def cosets(self) -> dict[int, tuple[int, ...]]:
+        lead = np.flatnonzero(self.leader_of == np.arange(self.m))
+        orbits = lead[:, None] * self._qpows % self.m
+        return {i: tuple(sorted(set(row))) for i, row in zip(lead.tolist(), orbits.tolist())}
+
+    @functools.cached_property
+    def leaders(self) -> list[int]:
+        return sorted(self.cosets)
 
     def coset(self, i: int) -> tuple[int, ...]:
         return self.cosets[int(self.leader_of[i % self.m])]
@@ -93,11 +108,21 @@ class CyclotomicContext:
             f = poly.from_seq([1])
             for j in self.cosets[lead]:
                 f = poly.mul(ext, f, poly.from_seq([ext.neg(self.eval_point(j)), 1]))
-            self._minpolys[lead] = np.asarray(self.emb.lift(f), dtype=np.int16)
+            M = np.asarray(self.emb.lift(f), dtype=np.int16)
+            M.flags.writeable = False
+            self._minpolys[lead] = M
         return self._minpolys[lead]
 
     def __repr__(self):
         return f"CyclotomicContext({self.base}, m={self.m}, ext={self.ext})"
+
+
+@functools.lru_cache(maxsize=None)
+def context(base: Field, m: int) -> CyclotomicContext:
+    """The interned context of x^m - 1 over base.  Unbounded, like field():
+    only m dividing q^t - 1 with q^t <= MAX_FIELD_SIZE has a context, and
+    its O(m) values are fewer than its splitting field's tables."""
+    return CyclotomicContext(base, m)
 
 
 @dataclass(frozen=True)

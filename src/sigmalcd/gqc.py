@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg, poly
 from .codes import LinearCode, SemiLinearMap, hull_dim, is_sigma_lcd
-from .cyclotomic import CyclotomicContext, mult_order
+from .cyclotomic import CyclotomicContext, context, mult_order
 from .errors import BadInput, SigmaLcdError
 from .field import Field, embedding, field as make_field
 
@@ -129,7 +129,7 @@ class GqcCode:
 
 
 def context_for(code: GqcCode) -> CyclotomicContext:
-    return CyclotomicContext(code.field, lcm_of(code.block_lengths))
+    return context(code.field, lcm_of(code.block_lengths))
 
 
 def _check_ctx(ctx: CyclotomicContext, block_lengths, field: Field | None = None):
@@ -326,7 +326,7 @@ def cross_block_lcd(code: GqcCode, ctx: CyclotomicContext, a: int = -1) -> bool:
         if math.gcd(x, y) != 1:
             raise BadInput(f"blocks {x} and {y} share a factor")
     for off, mj in zip(code.offsets, bl):
-        if not _lcd(CyclotomicContext(code.field, mj), (mj,), code.generators[:, off : off + mj], a):
+        if not _lcd(context(code.field, mj), (mj,), code.generators[:, off : off + mj], a):
             return False
     return _lcd(ctx, bl, code.generators, a, [0])
 
@@ -358,41 +358,54 @@ def _qc_m(block_lengths) -> int:
     return next(iter(ms))
 
 
-def _qc_reduced(F: Field, block_lengths, cvec, a: int):
-    """m, the generator's blocks reduced mod x^m - 1, and a as a unit mod m."""
-    m = _qc_m(block_lengths)
-    return m, [poly.mod_xm1(F, poly.from_seq(c), m) for c in cvec], _norm_a(m, a)
+def _qc_blocks(F: Field, block_lengths, cvec, a: int):
+    """F's packed core, m, a as a unit mod m, and each block c_j and its
+    twist c_j(x^-a) reduced mod x^m - 1 as core values: -a is a unit mod m,
+    so the twist moves coefficient i to -a i mod m."""
+    m, core = _qc_m(block_lengths), poly._core(F)
+    blocks = [poly._coeffs(core, c) for c in cvec]
+    a = _norm_a(m, a)
+    to, cs, twists = (-a * np.arange(m) % m).tolist(), [], []
+    for coeffs in blocks:
+        if len(coeffs) > m:
+            coeffs = core.coeffs(core.mod_xm1(core.value(coeffs), m))
+        twisted = [0] * m
+        for i, x in zip(to, coeffs):
+            twisted[i] = x
+        cs.append(core.value(coeffs))
+        twists.append(core.value(twisted))
+    return core, m, a, cs, twists
 
 
-def _qc_sum_poly(F: Field, m: int, cs, a: int) -> np.ndarray:
-    s = poly.ZERO
-    for c in cs:
-        twisted = poly.subst_power_mod(F, c, (-a) % m, m)
-        s = poly.add(F, s, poly.mul_mod_xm1(F, c, twisted, m))
-    return s
+def _qc_sum(core, m: int, cs, twists) -> int:
+    """sum_j c_j(x) c_j(x^-a) mod x^m - 1."""
+    add, s = core.adder(2 * m)[0], 0
+    for c, t in zip(cs, twists):
+        s = add(s, core.mul(c, t))
+    return core.mod_xm1(s, m)
 
 
-def _module_gcd(F: Field, m: int, cs) -> np.ndarray:
-    """gcd(c_1, ..., c_l, x^m - 1)."""
-    return functools.reduce(lambda g, c: g if poly.is_zero(c) else poly.gcd(F, g, c), cs, poly.xm1(F, m))
-
-
-def _lcd_gcd(F: Field, m: int, cs, a: int, module_gcd: np.ndarray) -> bool:
-    xm = poly.xm1(F, m)
-    s = _qc_sum_poly(F, m, cs, a)
-    return poly.equal(xm if poly.is_zero(s) else poly.gcd(F, s, xm), module_gcd)
+def _qc_gcds(core, m: int, cs, twists) -> tuple[int, int, bool]:
+    """x^m - 1, g = gcd(c_1, ..., c_l, x^m - 1), and whether g equals
+    h = gcd(sum_j c_j(x) c_j(x^-a), x^m - 1), the criterion.  g divides the
+    sum, so g | h | x^m - 1 and g = gcd(h, c_1, ..., c_l): one full-degree
+    gcd gives both.  Monic gcds are unique, so they compare as ints."""
+    xm = core.value([core.neg[1]] + [0] * (m - 1) + [1])
+    h = core.gcd(_qc_sum(core, m, cs, twists), xm)
+    g = functools.reduce(core.gcd, cs, h)
+    return xm, g, g == h
 
 
 def one_gen_lcd_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
     """Quasi-cyclic form of the criterion:
     gcd(sum_j c_j(x) c_j(x^{-a}), x^m - 1) = gcd(c_1, ..., c_l, x^m - 1)."""
-    m, cs, a = _qc_reduced(F, block_lengths, cvec, a)
-    return _lcd_gcd(F, m, cs, a, _module_gcd(F, m, cs))
+    core, m, _, cs, twists = _qc_blocks(F, block_lengths, cvec, a)
+    return _qc_gcds(core, m, cs, twists)[2]
 
 
 def one_gen_self_orthogonal_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
-    m, cs, a = _qc_reduced(F, block_lengths, cvec, a)
-    return poly.is_zero(_qc_sum_poly(F, m, cs, a))
+    core, m, _, cs, twists = _qc_blocks(F, block_lengths, cvec, a)
+    return not _qc_sum(core, m, cs, twists)
 
 
 def support_sets(ctx: CyclotomicContext, block_lengths, cvec) -> list[set[int]]:
@@ -424,17 +437,16 @@ def maximal_one_gen_check(F: Field, block_lengths, cvec, a: int = -1) -> Maximal
     canonical generator c1 (c1+c2)^{-1} of a maximal complementary-dual
     code.  The canonical form is a theorem about a = -1 only: for any other
     a, c1 + c2 may be a zero divisor, and canonical is None."""
-    m, cs, a = _qc_reduced(F, block_lengths, cvec, a)
-    g = _module_gcd(F, m, cs)
-    maximal = poly.degree(g) == 0
-    lcd = _lcd_gcd(F, m, cs, a, g)
+    core, m, a, cs, twists = _qc_blocks(F, block_lengths, cvec, a)
+    xm, g, lcd = _qc_gcds(core, m, cs, twists)
+    maximal = core.deg(g) == 0
     canonical = None
     if (a + 1) % m == 0 and F.p == 2 and len(cs) == 2 and m % 2 == 1 and maximal and lcd:
-        u = poly.add(F, cs[0], cs[1])
-        inv = None if poly.is_zero(u) else poly.inverse_mod(F, u, poly.xm1(F, m))
-        if inv is None:
+        u = cs[0] ^ cs[1]  # c1 + c2 in characteristic 2
+        h, inv, _ = poly._egcd(core, u, xm)
+        if core.deg(h) != 0:
             raise SigmaLcdError("c1 + c2 is not invertible modulo x^m - 1")
-        canonical = poly.mul_mod_xm1(F, cs[0], inv, m)
+        canonical = poly._array(core, core.mod_xm1(core.mul(cs[0], inv), m))
     return MaximalCheck(lcd=lcd, maximal=maximal, canonical=canonical)
 
 
@@ -481,7 +493,7 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
         raise BadInput(f"component block lengths must be distinct, got {mjs}")
     # a component of length 0 adds no block, so its m_j stays out of m
     m = lcm_of(mj for mj, rj, _ in comps if rj)
-    ctx = CyclotomicContext(base, m)
+    ctx = context(base, m)
 
     block_lengths: list[int] = []
     comp_dims: list[int] = []

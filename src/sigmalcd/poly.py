@@ -20,6 +20,10 @@ decides only how values add:
   so sums are integer sums, and a reducer then takes every digit back
   mod p with a few big-int operations per halving of the digit bound.
 
+gcd runs Euclid on remainders alone (`_Core.rem`): it builds no quotient,
+and each divisor gets one table of the multiples that cancel a leading
+coefficient; over GF(2) a step is one XOR of a shifted divisor.
+
 The public add, sub, neg and monic stay single vectorised numpy
 operations.
 """
@@ -268,6 +272,33 @@ class _Core:
             a = add(a, times(neg[c]) << s)
             q |= pack[c] << s
 
+    def rem(self, a: int, b: int) -> int:
+        """a mod b for b != 0, with no quotient: each step adds to a the
+        multiple of b that cancels a's leading coefficient, from b's table of
+        multiples; over GF(2) that multiple is b itself."""
+        if self.q == 2:
+            nb = b.bit_length()
+            while (s := a.bit_length() - nb) >= 0:
+                a ^= b << s
+            return a
+        ew = self.ew
+        db = (b.bit_length() - 1) // ew
+        lb = self.log[self.inv[self.enc[b >> (db * ew)]]]
+        add, reduce = self.adder((a.bit_length() - 1) // ew + 1)
+        times, exp, plog, neg = self.multiples(b, reduce), self.exp, self.plog, self.neg
+        while (da := (a.bit_length() - 1) // ew) >= db:
+            a = add(a, times(neg[exp[plog[a >> (da * ew)] + lb]]) << ((da - db) * ew))
+        return a
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd by remainders alone; 0 when a = b = 0."""
+        while b:
+            if b.bit_length() <= self.ew:  # a nonzero constant
+                return 1
+            a, b = b, self.rem(a, b)
+        c = self.inv[self.lead(a)] if a else 1
+        return a if c == 1 else self.scale(c, a)
+
     def mod_xm1(self, v: int, m: int) -> int:
         """v modulo x^m - 1: x^(m j) = 1 adds the upper half of v's m-blocks
         onto the lower half, so each round halves their number."""
@@ -297,10 +328,6 @@ def _load(core, a):
 
 def _array(core, v) -> np.ndarray:
     return np.array(core.coeffs(v), dtype=np.int16) if v else ZERO
-
-
-def _monic(core, v):
-    return core.scale(core.inv[core.lead(v)], v)
 
 
 def _divmod(core, a, b):
@@ -346,12 +373,10 @@ def mod(F: Field, a, b) -> np.ndarray:
 
 def gcd(F: Field, a, b) -> np.ndarray:
     core = _core(F)
-    a, b = _load(core, a), _load(core, b)
-    if not a and not b:
+    g = core.gcd(_load(core, a), _load(core, b))
+    if not g:
         raise BadInput("gcd of two zero polynomials")
-    while b:
-        a, b = b, core.divmod(a, b)[1]
-    return _array(core, _monic(core, a))
+    return _array(core, g)
 
 
 def egcd(F: Field, a, b):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigmalcd import abelian, linalg, oracle
+from sigmalcd import abelian, cyclotomic, linalg, oracle
 from sigmalcd.codes import LinearCode, gram, hull_dim
 from sigmalcd.errors import BadInput, BudgetExceeded
 from sigmalcd.field import field
@@ -287,8 +287,10 @@ def test_walk_matches_orbit_sums_on_semisimple_algebras(monkeypatch, pe, factors
     orbit sums' lattice."""
     F, G = field(*pe), abelian.AbelianGroup(factors)
     want = _lattice(abelian.enumerate_ideals(F, G))
-    monkeypatch.setattr(abelian, "orbit_idempotents", lambda F, G: None)
+    withheld = []
+    monkeypatch.setattr(abelian, "orbit_idempotents", lambda F, G: withheld.append(G))
     assert _lattice(abelian.enumerate_ideals(F, G)) == want
+    assert withheld == [G]
 
 
 def test_enumerate_ideals_pinned():
@@ -591,6 +593,8 @@ def test_orbit_idempotents_peak_memory_within_the_group_table():
     and its products stay within twice the |G| x |G| group table."""
     F, G = F2, abelian.AbelianGroup((3,) * 5)
     abelian.orbit_idempotents(F, G)  # interns the splitting field and its embedding
+    abelian._orbit_idempotents.cache_clear()  # so the trace sees a build, not a cache hit
+    cyclotomic.context.cache_clear()
     tracemalloc.start()
     try:
         V = abelian.orbit_idempotents(F, G)
@@ -599,6 +603,17 @@ def test_orbit_idempotents_peak_memory_within_the_group_table():
         tracemalloc.stop()
     assert V.shape == (122, 243)
     assert peak <= 2 * G.op.nbytes, f"peak {peak / G.op.nbytes:.1f}x the table"
+
+
+def test_orbit_idempotents_are_shared_read_only():
+    """One result per (field, group factors), of a fixed number kept, and
+    it refuses writes."""
+    F = field(2, 2)
+    V = abelian.orbit_idempotents(F, abelian.AbelianGroup((3, 5)))
+    assert abelian.orbit_idempotents(F, abelian.AbelianGroup((3, 5))) is V
+    with pytest.raises(ValueError):
+        V[0, 0] = 1
+    assert abelian._orbit_idempotents.cache_info().maxsize == abelian._CACHED_ALGEBRAS
 
 
 def test_lcd_agrees_with_oracle_intersection():

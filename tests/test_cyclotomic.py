@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sigmalcd import poly
+from sigmalcd import gqc, poly
 from sigmalcd.cyclotomic import (
     CyclotomicContext,
     GammaPartition,
+    context,
     gamma_partition,
     mult_order,
 )
@@ -156,6 +157,26 @@ def test_context_cache_identity():
     a = CyclotomicContext(F2, 7)
     b = CyclotomicContext(F2, 7)
     assert a.leaders == b.leaders and a.xi == b.xi
+
+
+def test_context_is_interned_and_read_only():
+    """One context per (base, m), gqc's included; the shared arrays refuse
+    writes, and minimal polynomials still fill in one leader at a time."""
+    context.cache_clear()
+    ctx = context(F2, 15)
+    assert context(field(2), 15) is ctx
+    assert context(F2, 7) is not ctx and context(field(2, 2), 15) is not ctx
+    assert gqc.context_for(gqc.GqcCode(F2, (15, 5))) is ctx
+    for arr in (ctx.xi_pows, ctx.leader_of):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert ctx._minpolys == {}
+    M = ctx.minimal_poly(14)
+    assert list(ctx._minpolys) == [7] and ctx.minimal_poly(7) is M
+    with pytest.raises(ValueError):
+        M[0] = 0
+    ctx.minimal_poly(1)
+    assert sorted(ctx._minpolys) == [1, 7]
 
 
 def _reference_context(ctx):

@@ -316,6 +316,55 @@ def test_one_gen_eval_rejects_wrong_context():
             gqc.one_gen_self_orthogonal_eval(ctx, (5, 5), cvec)
 
 
+# block lengths coprime to q; every m but 2 has a unit other than -1
+GCD_FORM_BLOCKS = {F2: (3, 5, 7, 9, 15), F3: (2, 4, 5, 8, 10), F4: (3, 5, 7, 9, 15),
+                   field(5): (2, 3, 4, 6, 8), F9: (2, 4, 5, 8, 10)}
+
+
+def _gcd_form_cvecs(F, m, l, rng):
+    """A random generator with blocks up to 2m long, the same with one block
+    zero, and one whose sum of c_j(x) c_j(x^-a) vanishes at every a: p equal
+    blocks, or (c, lambda c) with lambda^2 = -1."""
+    cvec = [rng.integers(0, F.q, size=int(rng.integers(0, 2 * m + 1))) for _ in range(l)]
+    out = [cvec, cvec[: l - 1] + [poly.ZERO]]
+    c = rng.integers(0, F.q, size=m)
+    roots = [x for x in range(F.q) if F.mul(x, x) == F.neg(1)]
+    if l == F.p:
+        out.append([c] * l)
+    elif l == 2 and roots:
+        out.append([c, F.mul(roots[0], c)])
+    return out
+
+
+@pytest.mark.parametrize("F", list(GCD_FORM_BLOCKS), ids=repr)
+def test_gcd_forms_match_eval_route_and_hull(F):
+    """The packed gcd forms give the evaluation route's verdicts and the flat
+    hull's, in characteristic 2 and, through the odd-p reducer, 3 and 5:
+    l = 1..3, zero blocks, blocks longer than m, a = -1 and other units.
+    Maximal means dimension m, and a canonical generator (c, c + 1) spans
+    the same code."""
+    rng = np.random.default_rng(F.q)
+    for m in GCD_FORM_BLOCKS[F]:
+        ctx = CyclotomicContext(F, m)
+        units = [-1] + [u for u in coprime_units(m) if u != m - 1][:3]
+        for l in (1, 2, 3):
+            blocks = (m,) * l
+            for cvec in _gcd_form_cvecs(F, m, l, rng):
+                code = gqc.one_gen_code(F, blocks, cvec)
+                for a in units:
+                    h = hull_dim(code.flat, code.mu_map(a))
+                    assert gqc.one_gen_lcd_gcd(F, blocks, cvec, a) == gqc.one_gen_lcd_eval(ctx, blocks, cvec, a) == (h == 0)
+                    so = gqc.one_gen_self_orthogonal_gcd(F, blocks, cvec, a)
+                    assert so == gqc.one_gen_self_orthogonal_eval(ctx, blocks, cvec, a) == (h == code.k)
+                    chk = gqc.maximal_one_gen_check(F, blocks, cvec, a)
+                    assert chk.lcd == (h == 0) and chk.maximal == (code.k == m)
+                    canonical = F.p == 2 and l == 2 and m % 2 and (a + 1) % m == 0 and chk.maximal and chk.lcd
+                    assert (chk.canonical is not None) == bool(canonical)
+                    if canonical:
+                        c = chk.canonical
+                        assert gqc.one_gen_code(F, blocks, (c, poly.add(F, c, ONE))) == code
+
+
 def test_one_gen_gcd_requires_qc():
     with pytest.raises(BadInput, match="quasi-cyclic form needs equal blocks"):
         gqc.one_gen_lcd_gcd(F2, (3, 5), (ONE, ONE), -1)

@@ -229,6 +229,23 @@ def test_core_matches_array_reference_long(case):
 
 
 @pytest.mark.parametrize("F", CORE_FIELDS, ids=repr)
+def test_gcd_with_xm1_matches_array_reference(F):
+    """gcd(c, x^m - 1) both ways round, the quasi-cyclic forms' gcd, for m up
+    to 127: c zero, random up to 2m coefficients, and a random multiple of
+    x^d - 1 for the largest proper divisor d of m, whose gcd is not 1."""
+    rng = np.random.default_rng(F.q)
+    for m in (1, 2, 3, 12, 45, 64, 105, 127):
+        xm = poly.xm1(F, m)
+        d = max((d for d in range(1, m) if m % d == 0), default=1)
+        r = rng.integers(0, F.q, size=int(rng.integers(1, m + 1)))
+        for c in (poly.ZERO, rng.integers(0, F.q, size=int(rng.integers(m, 2 * m + 1))),
+                  poly.mul(F, r, poly.xm1(F, d))):
+            want = ref_gcd(F, c, xm)
+            assert_same(poly.gcd(F, c, xm), want)
+            assert_same(poly.gcd(F, xm, c), want)
+
+
+@pytest.mark.parametrize("F", CORE_FIELDS, ids=repr)
 def test_core_edge_cases(F):
     zero, one, top = poly.ZERO, poly.from_seq([1]), np.array([0, 0, F.q - 1, 0, 0], dtype=np.int16)
     for a in (zero, one, top, np.array([0, 0, 0], dtype=np.int16)):
