@@ -3,15 +3,20 @@
 Everything here works by explicit enumeration or explicit subspace
 intersection so it can cross-check the rank shortcuts elsewhere in the
 package.  The minimum distance and the weight distribution visit all q^k
-codewords through two span tables built from the generator rows: every
-word is one low-table word plus one high-table word, so its weight takes
-one elementwise pass over two table words (an XOR and a popcount of
-bit-packed words on GF(2)), and the enumeration never calls linalg.  The
-minimum distance is one min over the weights of message indices 1..q^k-1,
-on one thread: the table walk is many short numpy calls, so threads only
-contend for the interpreter lock.  `enumerate_codewords` is the slow
-reference walk.  Every enumeration first checks q^k against a budget of
-codewords and raises BudgetExceeded beyond it.
+codewords through two span tables of the GF(p)-rows y^s g_i (y the class
+of x), every word one low-table word plus one high-table word.  A word is
+a stack of planes: bit planes packed into uint64, the digit bits in
+characteristic 2 and one one-hot plane per residue of each digit for odd
+p <= 13, and past that one int16 lane per digit, since one-hot planes grow
+with p.  A word's weight against another counts the coordinates set in
+the OR over planes of their XOR (a popcount; on lanes, of their
+inequality).  Each table is filled in place by doubling, and the
+enumeration never calls linalg.  The minimum distance is one min over the
+weights of message indices 1..q^k-1, on one thread: the table walk is many
+short numpy calls, so threads only contend for the interpreter lock.
+`enumerate_codewords` is the slow reference walk.  Every enumeration first
+checks q^k against a budget of codewords and raises BudgetExceeded beyond
+it.
 
 The hull and intersection dimensions call no linalg either: they eliminate
 with `_gauss_jordan`, the plain per-column loop, on sigma(C)'s rows from
@@ -26,6 +31,7 @@ are its own: float64 products of residues mod p, never linalg's packed ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -72,64 +78,141 @@ def enumerate_codewords(code: LinearCode, budget: int = DEFAULT_MAX_WORDS):
         yield word.copy()
 
 
-# cells of the low span table: n x q^a int16 entries, or on GF(2)
-# ceil(n/64) x 2^a uint64 words, so the table and the temporaries built from
-# it stay in cache (at most 128 KiB of int16 or 512 KiB of uint64) whatever k is.
-_BLOCK_ENTRIES = 1 << 16
+# uint64 words of the low span table, planes and padding included: at most
+# 128 KiB, glibc's default mmap threshold, so the table and the same-sized
+# temporaries of each weight pass stay reused heap blocks.  At 2^16 words a
+# pass over the enumeration benchmark's codes took 17% longer in-process
+_BLOCK_ENTRIES = 1 << 14
+
+# one-hot digits take p bits a coordinate, past 16 more than an int16 lane,
+# and their tables and weight passes grow as p: a GF(251) [8, 2] code took
+# 25 s and a 637 MB peak one-hot, and 2 ms in lanes
+_ONE_HOT_MAX_P = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation(p: int) -> np.ndarray:
+    """c (u - r) mod p at (u, r, c - 1), c = 1..p-1, read-only.  Block c of a
+    row's doubling adds the multiple row / c, whose one-hot plane u - r is
+    the row's plane c (u - r).  One array per odd p <= 13."""
+    u = np.arange(p)
+    shift = (u[:, None, None] - u[:, None]) * u[1:] % p
+    shift.setflags(write=False)
+    return shift
 
 
 class _Spans:
     """The weights of all q^k codewords, by message index.
 
-    The low table spans the first a generator rows and the high table the
-    rest, so message index low + q^a * high (base-q digits, least
-    significant first) is the word low_table[low] + high_table[high].  Each
-    table is built by doubling: a row appends, for each nonzero multiple of
-    it, the table so far plus that multiple.
+    The GF(q)-span of the k generator rows is the GF(p)-span of the e k
+    prime-field rows y^s g_i, y the class of x and s < e, whose sums add
+    coordinates digit by digit mod p.  A word is a (planes, words) block.
+    Over GF(2^e) it is the e digit planes of bits.  Over odd p <= 13 it is
+    one one-hot plane per residue u of each digit d, residue-major: bit j
+    of plane (u, d) is set where digit d of coordinate j is u.  Over wider p
+    it is one int16 lane per coordinate of each digit.  Bits are packed into
+    uint64 words, and padding coordinates read as digit 0 in every word,
+    the zero word included.
 
-    GF(2) words are bit-packed into uint64, so a sum is an XOR and a weight
-    a popcount.  On other fields a weight counts the coordinates where the
-    two table words differ: the weight of low - high, the word with the
-    same low digits and negated high digits.  Over the whole index range
-    that still visits every codeword once, and index 0 is still the zero
-    word.  The low table holds one word per column, so weights sum over its
-    first axis.  Only field adds and multiples build the tables, never
-    linalg."""
+    The low table spans the first a prime rows and the high table the
+    rest, so message index low + p^a * high (base-p digits, least
+    significant first) is the word low_table[low] + high_table[high].  Each
+    table is allocated once and filled in place by doubling: a row writes,
+    for its p - 1 nonzero multiples at once, the table so far plus that
+    multiple.  Over GF(2^e) that is one XOR.  On one-hot planes, plane u of
+    a sum is the OR over r of (the table's plane r AND the multiple's plane
+    u - r mod p).  The multiples' planes are gathered at (u - r) mod p when
+    the rows are packed, so a row takes one AND and one OR-reduce over r
+    whatever p is.  Lanes add, then subtract p where the sum reaches it.
+
+    A weight counts the coordinates where two table words differ: the
+    popcount of the OR over planes of their XOR, on lanes the count of the
+    OR over planes of their inequality.  Two one-hot digits that differ differ in a plane of residue
+    below p - 1, so only those planes are kept for the weights.  The weight
+    is that of low - high, the word with the same low digits and negated
+    high digits; over the whole index range it still visits every codeword
+    once, and index 0 is still the zero word.  Only field multiples and
+    digits build the tables, never linalg."""
 
     def __init__(self, F, G):
-        q, (k, n) = F.q, G.shape
-        if q == 2:
-            bits = np.zeros((k, -(-n // 64) * 64), dtype=np.uint8)
-            bits[:, :n] = G
-            rows = np.packbits(bits, axis=1).view(np.uint64)
-            add, multiples = np.bitwise_xor, lambda row: [row]
-            self._differ = lambda low, high: np.bitwise_count(low ^ high)
+        p, e, (k, n) = F.p, F.e, G.shape
+        # (row, digit, coordinate): the digits of y^s g_i, rows s-major
+        if e == 1:
+            rows = G[:, None]
         else:
-            rows = G
-            add, multiples = F.add, lambda row: [F.mul(c, row) for c in range(1, q)]
-            self._differ = np.not_equal
-        width = rows.shape[1]
-        a = 0
-        while a < k and q ** (a + 1) * width <= _BLOCK_ENTRIES:
-            a += 1
-        self._size = q**a
-        self._weight_type = np.min_scalar_type(n)  # the narrowest uint holding n
+            rows = F.digits[F.mul(F.digit_weights[:, None, None], G).reshape(e * k, n)].transpose(0, 2, 1)
+        wt = np.min_scalar_type(n)  # the narrowest uint holding n
+        compared = e  # the leading planes that tell two words apart
+        if p > _ONE_HOT_MAX_P:
+            zero = np.zeros((e, n), dtype=np.int16)
+            # (row, digit, coordinate, multiple, 1)
+            adds = (rows[..., None] * np.arange(1, p) % p).astype(np.int16)[..., None]
 
-        def span(rs):  # one word per column
-            table = np.zeros((width, 1), dtype=rows.dtype)
-            for row in rs:
-                table = np.concatenate([table] + [add(table, m[:, None]) for m in multiples(row)], axis=1)
+            def add(table, s, row):
+                out = table[..., s : p * s].reshape(e, n, p - 1, s)
+                np.add(table[:, :, None, :s], row, out=out)
+                np.subtract(out, p, out=out, where=out >= p)
+
+            self._differ, self._count = np.not_equal, lambda x: x.sum(axis=0, dtype=wt)
+        else:
+            words = max(-(-n // 64), 1)  # a code of length 0 still has a word
+            pad = np.zeros((e * k, e, 64 * words), dtype=np.uint8)
+            pad[..., :n] = rows
+
+            def pack(bits):
+                return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+            if p == 2:
+                zero, adds = np.zeros((e, words), dtype=np.uint64), pack(pad)[..., None]
+
+                def add(table, s, row):
+                    np.bitwise_xor(table[..., :s], row, out=table[..., s : 2 * s])
+
+            else:
+                # planes residue-major, so the last e hold residue p - 1
+                zero = np.zeros((p * e, words), dtype=np.uint64)
+                zero[:e] = ~np.uint64(0)
+                planes = pack(pad[:, None] == np.arange(p)[:, None, None])  # (row, residue, digit, word)
+                # the multiples' planes u - r by (row, u, r, digit, word, c, 1)
+                adds = planes[:, _rotation(p)].transpose(0, 1, 2, 4, 5, 3)[..., None]
+                # two digits differ in one of their planes 0..p - 2
+                compared = e * (p - 1)
+
+                # columns a call takes: its AND holds p (p - 1) times their
+                # planes, at most (p - 1) _BLOCK_ENTRIES words
+                step = max(1, _BLOCK_ENTRIES // (e * p * p * words))
+
+                def add(table, s, row):
+                    low = table[..., :s].reshape(1, p, e, words, 1, s)
+                    out = table[..., s : p * s].reshape(p, e, words, p - 1, s)
+                    for j in range(0, s, step):
+                        np.bitwise_or.reduce(low[..., j : j + step] & row, axis=1, out=out[..., j : j + step])
+
+            self._differ = np.bitwise_xor
+            self._count = lambda x: np.bitwise_count(x).sum(axis=0, dtype=wt) if len(x) > 1 else np.bitwise_count(x[0])
+
+        a = 0
+        while a < e * k and p ** (a + 1) * zero.nbytes <= 8 * _BLOCK_ENTRIES:
+            a += 1
+        self._size = p**a
+
+        def span(rs):
+            table = np.empty(zero.shape + (p ** len(rs),), dtype=zero.dtype)
+            table[..., 0] = zero
+            for i, row in enumerate(rs):
+                add(table, p**i, row)
             return table
 
-        self._low, self._high = span(rows[:a]), np.ascontiguousarray(span(rows[a:]).T)
+        self._low, self._high = span(adds[:a])[:compared], span(adds[a:])[:compared]
 
     def weights(self, lo: int, hi: int):
         """The weights of the words of message indices lo..hi-1, one array
         per high index the range meets."""
         L = self._size
         for h in range(lo // L, (hi - 1) // L + 1):
-            low = self._low[:, max(lo - h * L, 0) : min(hi - h * L, L)]
-            yield self._differ(low, self._high[h][:, None]).sum(axis=0, dtype=self._weight_type)
+            low = self._low[..., max(lo - h * L, 0) : min(hi - h * L, L)]
+            x = self._differ(low, self._high[..., h : h + 1])
+            yield self._count(np.bitwise_or.reduce(x, axis=0) if len(x) > 1 else x[0])
 
 
 def brute_min_distance(code: LinearCode, budget: int = DEFAULT_MAX_WORDS) -> int:

@@ -385,16 +385,6 @@ def egcd(F: Field, a, b):
     return tuple(_array(core, v) for v in _egcd(core, _load(core, a), _load(core, b)))
 
 
-def inverse_mod(F: Field, a, m) -> np.ndarray | None:
-    """Inverse of a modulo m, or None when gcd(a, m) != 1."""
-    core = _core(F)
-    m = _load(core, m)
-    g, u, _ = _egcd(core, _load(core, a), m)
-    if core.deg(g) != 0:
-        return None
-    return _array(core, _divmod(core, u, m)[1])
-
-
 def mod_xm1(F: Field, a, m: int) -> np.ndarray:
     """Reduce modulo x^m - 1 by folding exponents; below degree m, a is
     already reduced and packs into no int."""
@@ -404,23 +394,3 @@ def mod_xm1(F: Field, a, m: int) -> np.ndarray:
     if len(coeffs) <= m:
         return np.array(coeffs, dtype=np.int16) if coeffs else ZERO
     return _array(core, core.mod_xm1(core.value(coeffs), m))
-
-
-def subst_power_mod(F: Field, a, k: int, m: int) -> np.ndarray:
-    """a(x^k) reduced modulo x^m - 1, folding exponents into a dict."""
-    _check_m(m)
-    out = {}
-    for i, c in enumerate(_coeffs(_core(F), a)):
-        if c:
-            j = i * k % m
-            out[j] = F.add(out[j], c) if j in out else c
-    arr = [0] * (max(out, default=-1) + 1)
-    for j, c in out.items():
-        arr[j] = c
-    return trim(np.array(arr, dtype=np.int16))
-
-
-def mul_mod_xm1(F: Field, a, b, m: int) -> np.ndarray:
-    _check_m(m)
-    core = _core(F)
-    return _array(core, core.mod_xm1(core.mul(_load(core, a), _load(core, b)), m))

@@ -90,11 +90,17 @@ def test_blocked_enumeration_matches_gray_walk():
     assert oracle.weight_distribution(C(F3, 4)).tolist() == [1, 0, 0, 0, 0]
 
 
-# (field, n): GF(2) on both sides of a 64-bit word boundary, and lengths
-# short enough that k = n stays enumerable on every field
-SPAN_CASES = [(F2, n) for n in (1, 2, 63, 64, 65, 129)] + [
-    (F, n) for F in (F3, F4, field(5), field(3, 2)) for n in (1, 3, 17, 40)
-]
+# (field, n): every branch of the span kernel.  GF(2), GF(4) and GF(8)
+# take one, two and three bit planes a digit; GF(3), GF(5), GF(7), GF(9)
+# and GF(25) the one-hot rotation, with p >= 5 and with e = 2; GF(17) and
+# GF(251) int16 lanes.  GF(2), GF(3) and GF(4) sit on both sides of a
+# 64-bit word boundary, where padding coordinates must read as digit 0
+SPAN_CASES = (
+    [(F2, n) for n in (1, 2, 63, 64, 65, 129)]
+    + [(F, n) for F in (F3, F4) for n in (1, 3, 17, 40, 63, 64, 65)]
+    + [(F, n) for F in (field(5), F9, field(2, 3), field(7), field(5, 2), field(17)) for n in (1, 3, 17, 40)]
+    + [(field(251), n) for n in (1, 3, 17)]
+)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -125,11 +131,46 @@ def test_span_kernel_zero_code_and_full_space(F, n):
     assert oracle.weight_distribution(C(F, n)).tolist() == [1] + [0] * n
 
 
+def test_span_kernel_length_zero():
+    # a code of length 0 has one word, the empty one, of weight 0
+    for F in (F2, F3, F4, field(17)):
+        assert oracle.weight_distribution(C(F, 0)).tolist() == [1]
+
+
+def test_literature_weight_enumerators():
+    """The extended ternary Golay code [12, 6, 6], generator [I_6 | A]: A_6 =
+    264, A_9 = 440, A_12 = 24.  The hexacode [6, 3, 4] over GF(4), omega
+    the encoding 2 and omega-bar 3 under the default modulus x^2 + x + 1:
+    1 + 45 z^4 + 18 z^6."""
+    A = [[int(c) for c in row] for row in ("011111", "101221", "110122", "121012", "122101", "112210")]
+    golay = LinearCode(F3, 12, np.hstack([np.eye(6, dtype=np.int16), np.array(A, dtype=np.int16)]))
+    hexacode = C(F4, 6, (1, 0, 0, 1, 3, 2), (0, 1, 0, 1, 2, 3), (0, 0, 1, 1, 1, 1))
+    assert F4.modulus == (1, 1, 1)
+    for code, spectrum, d in ((golay, {0: 1, 6: 264, 9: 440, 12: 24}, 6), (hexacode, {0: 1, 4: 45, 6: 18}, 4)):
+        assert oracle.weight_distribution(code).tolist() == [spectrum.get(w, 0) for w in range(code.n + 1)]
+        assert oracle.brute_min_distance(code) == d
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, field(5), field(7), field(2, 3), F9, field(17)], ids=str)
+def test_low_table_fits_the_block(F):
+    """At the enumeration benchmark's sizes, q^k up to 2^15 and n up to 40,
+    the low span table holds at most _BLOCK_ENTRIES uint64 words, and the
+    tables' product covers every message index."""
+    k = int(math.log(2**15, F.q) + 1e-9)
+    rng = np.random.default_rng(F.q)
+    for n in (k + 10, 40):
+        spans = oracle._Spans(F, rng.integers(0, F.q, size=(k, n)).astype(np.int16))
+        # the weights read a view of the planes they compare; the whole table is its base
+        assert spans._low.base.nbytes <= 8 * oracle._BLOCK_ENTRIES
+        assert spans._low.shape[-1] * spans._high.shape[-1] == F.q**k
+
+
 def test_enumeration_calls_no_linalg():
     from sigmalcd import linalg
 
     rng = np.random.default_rng(25)
-    codes = [LinearCode(F, 12, rng.integers(0, F.q, size=(4, 12)).astype(np.int16)) for F in (F2, F3, F4)]
+    fields = (F2, F3, F4, field(5), F9, field(17))
+    codes = [LinearCode(F, 12, rng.integers(0, F.q, size=(4, 12)).astype(np.int16)) for F in fields]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the enumeration called linalg")

@@ -121,11 +121,6 @@ def ref_egcd(F, a, b):
     return ref_scale(F, c, r0), ref_scale(F, c, u0), ref_scale(F, c, v0)
 
 
-def ref_inverse_mod(F, a, m):
-    g, u, _ = ref_egcd(F, a, m)
-    return ref_divmod(F, u, m)[1] if g.size == 1 else None
-
-
 def ref_subst_power_mod(F, a, k, m):
     a = ref_trim(a)
     out = np.zeros(m, dtype=np.int16)
@@ -140,10 +135,6 @@ def ref_mod_xm1(F, a, m):
     return ref_subst_power_mod(F, a, 1, m)
 
 
-def ref_mul_mod_xm1(F, a, b, m):
-    return ref_mod_xm1(F, ref_mul(F, a, b), m)
-
-
 REFERENCE = {
     "add": ref_add,
     "sub": ref_sub,
@@ -152,18 +143,13 @@ REFERENCE = {
     "mod": lambda F, a, b: ref_divmod(F, a, b)[1],
     "gcd": ref_gcd,
     "egcd": ref_egcd,
-    "inverse_mod": ref_inverse_mod,
 }
 REFERENCE_XM1 = {
     "mod_xm1": lambda F, a, b, k, m: ref_mod_xm1(F, a, m),
-    "mul_mod_xm1": lambda F, a, b, k, m: ref_mul_mod_xm1(F, a, b, m),
-    "subst_power_mod": lambda F, a, b, k, m: ref_subst_power_mod(F, a, k, m),
 }
 CORE = {name: divmod_ if name == "divmod_" else getattr(poly, name) for name in REFERENCE}
 CORE_XM1 = {
     "mod_xm1": lambda F, a, b, k, m: poly.mod_xm1(F, a, m),
-    "mul_mod_xm1": lambda F, a, b, k, m: poly.mul_mod_xm1(F, a, b, m),
-    "subst_power_mod": lambda F, a, b, k, m: poly.subst_power_mod(F, a, k, m),
 }
 
 
@@ -259,18 +245,12 @@ def test_core_edge_cases(F):
 def test_core_errors_keep_their_messages():
     with pytest.raises(DivisionByZero, match="polynomial division by zero"):
         poly.mod(F4, poly.from_seq([1, 2]), [0, 0])
-    with pytest.raises(DivisionByZero, match="polynomial division by zero"):
-        poly.inverse_mod(F3, poly.from_seq([2]), poly.ZERO)
     for F in (F2, F3):
         with pytest.raises(BadInput, match="gcd of two zero polynomials"):
             poly.egcd(F, [0], poly.ZERO)
-        with pytest.raises(BadInput, match="gcd of two zero polynomials"):
-            poly.inverse_mod(F, poly.ZERO, [0, 0])
         for fn in (
             lambda m: poly.xm1(F, m),
             lambda m: poly.mod_xm1(F, [1, 1], m),
-            lambda m: poly.mul_mod_xm1(F, [1], [1], m),
-            lambda m: poly.subst_power_mod(F, [0, 1], 2, m),
         ):
             for m in (0, -3):
                 with pytest.raises(BadInput, match=f"x\\^m - 1 needs m >= 1, got m = {m}"):
@@ -280,9 +260,8 @@ def test_core_errors_keep_their_messages():
 @pytest.mark.parametrize("F", [F2, F3, F4, field(3, 2)], ids=repr)
 def test_core_rejects_non_encodings(F):
     # a negative coefficient would pack into a negative int
-    calls = [CORE[name] for name in ("mul", "divmod_", "mod", "gcd", "egcd", "inverse_mod")]
-    calls += [lambda F, a, b: poly.mod_xm1(F, a, 3), lambda F, a, b: poly.mul_mod_xm1(F, a, b, 3)]
-    calls += [lambda F, a, b: poly.subst_power_mod(F, a, 2, 3)]
+    calls = [CORE[name] for name in ("mul", "divmod_", "mod", "gcd", "egcd")]
+    calls += [lambda F, a, b: poly.mod_xm1(F, a, 3)]
     for bad in ([-1, 1], [1, F.q]):
         for fn in calls:
             with pytest.raises(BadInput, match=f"coefficients must be encodings in 0..{F.q - 1}"):
@@ -334,24 +313,24 @@ def test_char2_extension_gcds_are_fast():
 
 
 def test_xm1_reductions_of_short_inputs_do_not_grow_with_m():
-    # a product or substitution below degree m is already reduced; building
-    # anything m long made these take seconds
+    # a polynomial below degree m is already reduced; building anything m
+    # long made these take seconds
     one_plus_x = poly.from_seq([1, 1])
     start = time.perf_counter()
-    square = poly.mul_mod_xm1(field(3, 2), one_plus_x, one_plus_x, 10**8)
-    subst = poly.subst_power_mod(F2, one_plus_x, 2, 10**7)
+    square = poly.mod_xm1(field(3, 2), poly.mul(field(3, 2), one_plus_x, one_plus_x), 10**8)
+    short = poly.mod_xm1(F2, one_plus_x, 10**7)
     assert time.perf_counter() - start < 0.1
-    assert square.tolist() == [1, 2, 1] and subst.tolist() == [1, 0, 1]
+    assert square.tolist() == [1, 2, 1] and short.tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("F", [F2, F4, F3, field(3, 2)], ids=repr)
 def test_long_mod_xm1_matches_scalar_fold(F):
-    # mod_xm1 folds the packed int in halves, subst_power_mod with k = 1
-    # one coefficient at a time; odd block counts leave a short upper half
+    # mod_xm1 folds the packed int in halves, the reference one coefficient
+    # at a time; odd block counts leave a short upper half
     rng = np.random.default_rng(F.q)
     for n, m in ((20_000, 1), (20_000, 2), (50_001, 7), (50_001, 1023), (3 * 4096 + 5, 4096)):
         a = rng.integers(0, F.q, n).astype(np.int16)
-        assert np.array_equal(poly.mod_xm1(F, a, m), poly.subst_power_mod(F, a, 1, m))
+        assert np.array_equal(poly.mod_xm1(F, a, m), ref_subst_power_mod(F, a, 1, m))
 
 
 def test_predicates_agree_on_int16_wraparound():
@@ -428,12 +407,6 @@ def test_divmod_reconstructs():
         divmod_(F2, f, poly.ZERO)
 
 
-def test_inverse_mod():
-    # x is invertible mod x^3 - 1 (gcd = 1); inverse is x^2
-    inv = poly.inverse_mod(F2, P(0, 1), poly.xm1(F2, 3))
-    assert inv.tolist() == [0, 0, 1]
-
-
 def test_eval_at_root_of_own_minimal_poly():
     F8 = field(2, 3)
     emb = embedding(F2, F8)
@@ -458,15 +431,6 @@ def test_xm1_and_mod_xm1():
     # x^4 mod x^3 - 1 = x
     r = poly.mod_xm1(F2, P(0, 0, 0, 0, 1), 3)
     assert r.tolist() == [0, 1]
-
-
-def test_subst_power_mod():
-    # f(x) = x, substitute x -> x^2 mod x^3-1: result x^2
-    r = poly.subst_power_mod(F2, P(0, 1), 2, 3)
-    assert r.tolist() == [0, 0, 1]
-    # and x^2 -> x^4 = x
-    r2 = poly.subst_power_mod(F2, P(0, 0, 1), 2, 3)
-    assert r2.tolist() == [0, 1]
 
 
 def test_monic_normalizes_leading():
