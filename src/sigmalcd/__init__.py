@@ -73,72 +73,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroup",
-    "Constituent",
-    "CyclotomicContext",
-    "Embedding",
-    "Field",
-    "GammaPartition",
-    "GqcCode",
-    "GroupAlgebraElement",
-    "LcpPair",
-    "LinearCode",
-    "MaximalCheck",
-    "ProductResult",
-    "SemiLinearMap",
-    "SigmaLcdError",
-    "apply_sigma",
-    "brute_hull_dim",
-    "brute_intersection_dim",
-    "brute_min_distance",
-    "build_lcp",
-    "constituent",
-    "cross_block_lcd",
-    "default_modulus",
-    "disjoint_support_lcd",
-    "divisor_cyclic_codes",
-    "embedding",
-    "enumerate_codewords",
-    "enumerate_ideals",
-    "exhaustive_sigma_search",
-    "field",
-    "find_idempotent_generator",
-    "ga_add",
-    "ga_element",
-    "ga_mul",
-    "ga_one",
-    "gamma_partition",
-    "gram",
-    "hermitian_v_dual",
-    "hull_basis",
-    "hull_dim",
-    "ideal_from_generator",
-    "is_abelian_mu1_lcd",
-    "is_ideal",
-    "is_idempotent",
-    "is_mua_lcd",
-    "is_mua_self_dual",
-    "is_mua_self_orthogonal",
-    "is_sigma_lcd",
-    "is_sigma_self_dual",
-    "is_sigma_self_orthogonal",
-    "make_lcd_sigma",
-    "maximal_one_gen_check",
-    "mu_minus1_ga",
-    "mult_order",
-    "normalize_hull",
-    "one_gen_code",
-    "one_gen_lcd_eval",
-    "one_gen_lcd_gcd",
-    "one_gen_self_orthogonal_eval",
-    "one_gen_self_orthogonal_gcd",
-    "parse_group",
-    "product_lcd_gqc",
-    "reversal_sigma_lcd",
-    "sigma_dual",
-    "trivial_constituent_lcd",
-    "v_dual",
-    "weight_distribution",
-]

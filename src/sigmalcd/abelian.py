@@ -71,9 +71,6 @@ class AbelianGroup:
             i = i * f + (x % f)
         return i
 
-    def tuple_of(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.digits[i])
-
     def __eq__(self, other):
         if not isinstance(other, AbelianGroup):
             return NotImplemented

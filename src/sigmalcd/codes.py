@@ -58,16 +58,6 @@ class LinearCode:
         V = self._rows(V)
         return np.array_equal(linalg.mat_mul(self.field, V[:, self.pivots], self.gen), V)
 
-    def contains(self, v) -> bool:
-        return self.contains_rows(v)
-
-    def contains_code(self, other: "LinearCode") -> bool:
-        if other.field != self.field:
-            raise BadInput("codes over different fields")
-        if other.n != self.n:
-            raise BadInput(f"lengths differ: {self.n} vs {other.n}")
-        return self.contains_rows(other.gen)
-
     def prepend_zero(self) -> "LinearCode":
         z = np.zeros((self.k, 1), dtype=np.int16)
         return LinearCode(self.field, self.n + 1, np.hstack([z, self.gen]))

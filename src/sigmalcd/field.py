@@ -29,7 +29,6 @@ Tables built once per field drive everything:
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -271,17 +270,8 @@ class Field:
             r = (self.digits[arr].sum(axis=ax, dtype=np.int64) % self.p) @ self.digit_weights
         return r.astype(np.int16) if isinstance(r, np.ndarray) else int(r)
 
-    def dot(self, u, v):
-        return self.sum(self.mul(u, v))
-
     def coeffs(self, x: int) -> tuple:
         return tuple(int(d) for d in self.digits[int(x)])
-
-    def element_order(self, a: int) -> int:
-        if int(a) == 0:
-            raise DivisionByZero("order of zero")
-        N = self._order
-        return N // math.gcd(N, self._log_s[int(a)])
 
     # -- identity/equality --------------------------------------------------
 

@@ -189,14 +189,6 @@ def parse_gqc(text: str) -> GqcCode:
     return GqcCode.from_generators(F, blocks, gens)
 
 
-def dump_gqc(code: GqcCode) -> str:
-    lines = [f"{field_str(code.field)} {code.l}"]
-    lines.append(" ".join(str(m) for m in code.block_lengths))
-    for row in code.flat.gen:
-        lines.append(";".join(poly_str(b) for b in code.block_polys(row)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_product_spec(text: str):
     """Product-construction input: line 1 the base field, then per
     component a `m r k` header followed by k rows of r integer-encoded

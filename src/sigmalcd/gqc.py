@@ -98,13 +98,6 @@ class GqcCode:
         code.generators = G
         return code
 
-    def block(self, row: np.ndarray, j: int) -> np.ndarray:
-        off = self.offsets[j]
-        return row[off : off + self.block_lengths[j]]
-
-    def block_polys(self, row: np.ndarray) -> list[np.ndarray]:
-        return [poly.trim(self.block(row, j)) for j in range(self.l)]
-
     def shift_map(self) -> SemiLinearMap:
         return SemiLinearMap.permutation(self.field, _block_map(self.block_lengths, 1, 1))
 
@@ -226,10 +219,9 @@ def hermitian_v_dual(code: GqcCode, ctx: CyclotomicContext, con: Constituent) ->
 
 
 def _norm_a(m: int, a: int) -> int:
-    a = a % m
     if math.gcd(a, m) != 1:
         raise BadInput(f"a = {a} not invertible modulo {m}")
-    return a
+    return a % m
 
 
 def _ranks(ext: Field, S: np.ndarray):
@@ -385,22 +377,22 @@ def _qc_sum(core, m: int, cs, twists) -> int:
     return core.mod_xm1(s, m)
 
 
-def _qc_gcds(core, m: int, cs, twists) -> tuple[int, int, bool]:
-    """x^m - 1, g = gcd(c_1, ..., c_l, x^m - 1), and whether g equals
+def _qc_gcds(core, m: int, cs, twists) -> tuple[int, bool]:
+    """g = gcd(c_1, ..., c_l, x^m - 1) and whether g equals
     h = gcd(sum_j c_j(x) c_j(x^-a), x^m - 1), the criterion.  g divides the
     sum, so g | h | x^m - 1 and g = gcd(h, c_1, ..., c_l): one full-degree
     gcd gives both.  Monic gcds are unique, so they compare as ints."""
     xm = core.value([core.neg[1]] + [0] * (m - 1) + [1])
     h = core.gcd(_qc_sum(core, m, cs, twists), xm)
     g = functools.reduce(core.gcd, cs, h)
-    return xm, g, g == h
+    return g, g == h
 
 
 def one_gen_lcd_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
     """Quasi-cyclic form of the criterion:
     gcd(sum_j c_j(x) c_j(x^{-a}), x^m - 1) = gcd(c_1, ..., c_l, x^m - 1)."""
     core, m, _, cs, twists = _qc_blocks(F, block_lengths, cvec, a)
-    return _qc_gcds(core, m, cs, twists)[2]
+    return _qc_gcds(core, m, cs, twists)[1]
 
 
 def one_gen_self_orthogonal_gcd(F: Field, block_lengths, cvec, a: int = -1) -> bool:
@@ -438,13 +430,13 @@ def maximal_one_gen_check(F: Field, block_lengths, cvec, a: int = -1) -> Maximal
     code.  The canonical form is a theorem about a = -1 only: for any other
     a, c1 + c2 may be a zero divisor, and canonical is None."""
     core, m, a, cs, twists = _qc_blocks(F, block_lengths, cvec, a)
-    xm, g, lcd = _qc_gcds(core, m, cs, twists)
+    g, lcd = _qc_gcds(core, m, cs, twists)
     maximal = core.deg(g) == 0
     canonical = None
     if (a + 1) % m == 0 and F.p == 2 and len(cs) == 2 and m % 2 == 1 and maximal and lcd:
-        u = cs[0] ^ cs[1]  # c1 + c2 in characteristic 2
-        h, inv, _ = poly._egcd(core, u, xm)
-        if core.deg(h) != 0:
+        # c1 + c2 in characteristic 2; p = 2 and m odd let inv_xm1 end
+        inv = core.inv_xm1(cs[0] ^ cs[1], m)
+        if not inv:
             raise SigmaLcdError("c1 + c2 is not invertible modulo x^m - 1")
         canonical = poly._array(core, core.mod_xm1(core.mul(cs[0], inv), m))
     return MaximalCheck(lcd=lcd, maximal=maximal, canonical=canonical)

@@ -4,15 +4,15 @@ At the boundary a polynomial is a 1-D numpy int16 array of encodings,
 little-endian, with no trailing zeros; the zero polynomial is the empty
 array.  Every public function takes and returns that form.
 
-Division, gcds, products and the reductions modulo x^m - 1 convert their
-arguments once on the way in and their results once on the way out, and run
-in between on one packed int per polynomial (`_Core`).  Over GF(p^e) the
-w-bit field [(i e + k) w, (i e + k + 1) w) holds digit k of the coefficient
-of x^i, so a shift by i e w multiplies by x^i.  A multiple c b is the sum
-over k < e of (c y^k) times the digit plane b_k, which holds digit k of
-every coefficient of b in its lowest field; each product writes one packed
-constant into every coefficient without carries.  The characteristic
-decides only how values add:
+Remainders, gcds, products, and the reductions and the inverse modulo
+x^m - 1 convert their arguments once on the way in and their results once
+on the way out, and run in between on one packed int per polynomial
+(`_Core`).  Over GF(p^e) the w-bit field [(i e + k) w, (i e + k + 1) w)
+holds digit k of the coefficient of x^i, so a shift by i e w multiplies by
+x^i.  A multiple c b is the sum over k < e of (c y^k) times the digit plane
+b_k, which holds digit k of every coefficient of b in its lowest field; each
+product writes one packed constant into every coefficient without carries.
+The characteristic decides only how values add:
 
 - p = 2: digits are single bits (w = 1), so the packing of an encoding is
   the encoding itself and addition is XOR;
@@ -20,12 +20,15 @@ decides only how values add:
   so sums are integer sums, and a reducer then takes every digit back
   mod p with a few big-int operations per halving of the digit bound.
 
-gcd runs Euclid on remainders alone (`_Core.rem`): it builds no quotient,
-and each divisor gets one table of the multiples that cancel a leading
-coefficient; over GF(2) a step is one XOR of a shifted divisor.
+The one division is Euclid on remainders alone (`_Core.rem`), behind both
+`mod` and `gcd`: it builds no quotient, and each divisor gets one table of
+the multiples that cancel a leading coefficient; over GF(2) a step is one
+XOR of a shifted divisor.  No extended Euclid is needed: the one inverse the
+package takes, modulo x^m - 1 with p = 2 and m odd, lies in a semisimple
+algebra, where squaring permutes the elements and a power of u inverts it
+(`_Core.inv_xm1`).
 
-The public add, sub, neg and monic stay single vectorised numpy
-operations.
+The public add and sub stay single vectorised numpy operations.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def trim(a: np.ndarray) -> np.ndarray:
     return a[: int(nz[-1]) + 1] if nz.size else ZERO
 
 
-def is_zero(a) -> bool:
-    a = np.asarray(a, dtype=np.int16).reshape(-1)
-    return not (a.size and (a[-1] or a.any()))
-
-
 def degree(a) -> int:
     """Degree with deg 0 = -1."""
     return trim(a).size - 1
@@ -83,19 +81,8 @@ def add(F: Field, a, b) -> np.ndarray:
     return trim(out)
 
 
-def neg(F: Field, a) -> np.ndarray:
-    return F.neg(trim(a))
-
-
 def sub(F: Field, a, b) -> np.ndarray:
-    return add(F, a, neg(F, b))
-
-
-def monic(F: Field, a) -> np.ndarray:
-    a = trim(a)
-    if a.size == 0 or a[-1] == 1:
-        return a
-    return trim(F.mul(F.inv(int(a[-1])), a))
+    return add(F, a, F.neg(trim(b)))
 
 
 def xm1(F: Field, m: int) -> np.ndarray:
@@ -143,8 +130,6 @@ def _ones(n: int, width: int) -> int:
 class _Core:
     """One int per polynomial over GF(p^e): digit k of the coefficient of
     x^i in the w-bit field from bit (i e + k) w up, with w = 1 for p = 2."""
-
-    zero, one = 0, 1
 
     def __init__(self, F: Field):
         p, e = F.p, F.e
@@ -208,13 +193,6 @@ class _Core:
         reduce = self.reducer(n)
         return (lambda u, v: reduce(u + v)), reduce
 
-    def sub(self, u: int, v: int) -> int:
-        if self.p == 2:
-            return u ^ v
-        n = max(self.deg(u), self.deg(v)) + 1
-        # every digit of u + p - v lies in 1..2p - 1
-        return self.reducer(n)(u + _ones(n * self.e, self.w) * self.p - v)
-
     def multiples(self, b: int, reduce):
         """c -> c b for nonzero c, caching a few, with `reduce` a reducer
         for b or more.  c b = sum_k b_k (c y^k) over the digit planes b_k
@@ -257,21 +235,6 @@ class _Core:
                 out = add(out, times(c) << (i * ew))
         return out
 
-    def divmod(self, a: int, b: int):
-        ew, exp, plog, pack, neg = self.ew, self.exp, self.plog, self.pack, self.neg
-        db = (b.bit_length() - 1) // ew
-        lb = self.log[self.inv[self.enc[b >> (db * ew)]]]
-        add, reduce = self.adder((a.bit_length() - 1) // ew + 1)
-        times, q = self.multiples(b, reduce), 0
-        while True:
-            da = (a.bit_length() - 1) // ew
-            if da < db:
-                return q, a
-            c = exp[plog[a >> (da * ew)] + lb]
-            s = (da - db) * ew
-            a = add(a, times(neg[c]) << s)
-            q |= pack[c] << s
-
     def rem(self, a: int, b: int) -> int:
         """a mod b for b != 0, with no quotient: each step adds to a the
         multiple of b that cancels a's leading coefficient, from b's table of
@@ -307,6 +270,17 @@ class _Core:
             v = self.adder(h)[0](v & ((1 << (h * self.ew)) - 1), v >> (h * self.ew))
         return v
 
+    def inv_xm1(self, u: int, m: int) -> int:
+        """u^-1 modulo x^m - 1, or 0 if u is no unit, for p = 2 and m odd
+        only: F_q[x]/(x^m - 1) is then semisimple and squaring permutes it,
+        so u^(2^k) = u for some k >= 1, and u^2 u^4 ... u^(2^(k-1)) =
+        u^(2^k - 2) is u's inverse if u has one."""
+        u = self.mod_xm1(u, m)
+        inv, s = 1, self.mod_xm1(self.mul(u, u), m)
+        while s != u:
+            inv, s = self.mod_xm1(self.mul(inv, s), m), self.mod_xm1(self.mul(s, s), m)
+        return inv if self.mod_xm1(self.mul(u, inv), m) == 1 else 0
+
 
 @functools.lru_cache(maxsize=None)
 def _core(F: Field):
@@ -330,28 +304,6 @@ def _array(core, v) -> np.ndarray:
     return np.array(core.coeffs(v), dtype=np.int16) if v else ZERO
 
 
-def _divmod(core, a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    return core.divmod(a, b)
-
-
-def _egcd(core, a, b):
-    """(g, u, v) monic with u*a + v*b = g, on core values."""
-    r0, r1 = a, b
-    u0, u1 = core.one, core.zero
-    v0, v1 = core.zero, core.one
-    while r1:
-        q, r = core.divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, core.sub(u0, core.mul(q, u1))
-        v0, v1 = v1, core.sub(v0, core.mul(q, v1))
-    if not r0:
-        raise BadInput("gcd of two zero polynomials")
-    c = core.inv[core.lead(r0)]
-    return tuple(core.scale(c, v) for v in (r0, u0, v0))
-
-
 def _check_m(m: int) -> None:
     if m < 1:
         raise BadInput(f"x^m - 1 needs m >= 1, got m = {m}")
@@ -368,7 +320,10 @@ def mul(F: Field, a, b) -> np.ndarray:
 
 def mod(F: Field, a, b) -> np.ndarray:
     core = _core(F)
-    return _array(core, _divmod(core, _load(core, a), _load(core, b))[1])
+    a, b = _load(core, a), _load(core, b)
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    return _array(core, core.rem(a, b))
 
 
 def gcd(F: Field, a, b) -> np.ndarray:
@@ -377,12 +332,6 @@ def gcd(F: Field, a, b) -> np.ndarray:
     if not g:
         raise BadInput("gcd of two zero polynomials")
     return _array(core, g)
-
-
-def egcd(F: Field, a, b):
-    """(g, u, v) monic with u*a + v*b = g."""
-    core = _core(F)
-    return tuple(_array(core, v) for v in _egcd(core, _load(core, a), _load(core, b)))
 
 
 def mod_xm1(F: Field, a, m: int) -> np.ndarray:

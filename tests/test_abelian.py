@@ -30,7 +30,7 @@ def test_group_indexing_roundtrip():
     G = abelian.AbelianGroup((3, 3))
     assert G.order == 9
     for t in range(9):
-        assert G.index(G.tuple_of(t)) == t
+        assert G.index(tuple(G.digits[t].tolist())) == t
     assert G.index((1, 2)) == 5
 
 
@@ -490,7 +490,7 @@ def _q_orbits(q, group):
     for u in range(group.order):
         if u in seen:
             continue
-        orbit, v = [], group.tuple_of(u)
+        orbit, v = [], tuple(group.digits[u].tolist())
         while group.index(v) not in orbit:
             orbit.append(group.index(v))
             v = tuple(q * x for x in v)

@@ -75,7 +75,7 @@ def test_dual_examples():
     rep = C(F2, 3, (1, 1, 1))
     even = rep.dual()
     assert (even.n, even.k) == (3, 2)
-    assert all(F2.dot(v, [1, 1, 1]) == 0 for v in even.gen)
+    assert all(F2.sum(F2.mul(v, [1, 1, 1])) == 0 for v in even.gen)
     full = C(F3, 2, (1, 0), (0, 1))
     assert full.dual().k == 0
 
@@ -92,8 +92,8 @@ def test_dual_involution_random():
 def test_contains_code():
     big = C(F2, 4, (1, 0, 0, 0), (0, 1, 0, 0))
     small = C(F2, 4, (1, 1, 0, 0))
-    assert big.contains_code(small)
-    assert not small.contains_code(big)
+    assert big.contains_rows(small.gen)
+    assert not small.contains_rows(big.gen)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,25 +114,20 @@ def test_contains_rows_matches_elimination(data):
         V[i, j] = (V[i, j] + rng.integers(1, F.q)) % F.q
     want = linalg.sum_dim(F, code.gen, V) == k
     assert code.contains_rows(V) == want
-    assert all(code.contains(v) == (linalg.sum_dim(F, code.gen, v[None]) == k) for v in V)
-    assert code.contains_code(LinearCode(F, n, V)) == want
+    assert all(code.contains_rows(v) == (linalg.sum_dim(F, code.gen, v[None]) == k) for v in V)
 
 
 def test_contains_rejects_bad_input():
-    """Entries outside 0..q-1, a wrong length and a code over another field
-    or of another length are BadInput, never an IndexError or a verdict."""
+    """Entries outside 0..q-1 and a wrong length are BadInput, never an
+    IndexError or a verdict."""
     c2, c3 = C(F2, 3, (1, 0, 1)), C(F3, 3, (1, 0, 1))
     for code, word in ((c2, [2, 0, 0]), (c2, [0, -1, 0]), (c3, [3, 0, 0])):
         with pytest.raises(BadInput, match="encodings"):
-            code.contains(word)
+            code.contains_rows(word)
         with pytest.raises(BadInput, match="encodings"):
             code.contains_rows([word, [0, 0, 0]])
     with pytest.raises(BadInput, match="expected 3 columns"):
-        c2.contains([1, 0])
-    with pytest.raises(BadInput, match="different fields"):
-        C(F2, 3).contains_code(C(F3, 3))
-    with pytest.raises(BadInput, match="lengths differ"):
-        c2.contains_code(C(F2, 4, (1, 0, 0, 1)))
+        c2.contains_rows([1, 0])
 
 
 # ---------------------------------------------------------------- sigma maps
@@ -204,7 +199,7 @@ def test_sigma_dual_hermitian_gf4():
         # every pair (b, c): sum b_i c_i^2 = 0
         for b in d.gen:
             for cw in c.gen:
-                assert F4.dot(b, F4.frob(cw, 1)) == 0
+                assert F4.sum(F4.mul(b, F4.frob(cw, 1))) == 0
 
 
 def test_sigma_dual_dimension():
@@ -312,7 +307,7 @@ def test_normalize_hull_gf5():
     assert h == 1
     assert g.tolist() == [[1, 2]]
     # A' = [2]: A'A'^T = 4 = -1 mod 5
-    assert F5.dot(g[0, 1:], g[0, 1:]) == F5.neg(1)
+    assert F5.sum(F5.mul(g[0, 1:], g[0, 1:])) == F5.neg(1)
 
 
 def test_normalize_hull_binary_self_dual():

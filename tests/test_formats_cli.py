@@ -166,13 +166,6 @@ def test_parse_gqc_two_blocks():
     assert code.block_lengths == (7, 7) and code.flat.n == 14
 
 
-def test_gqc_dump_roundtrip():
-    code = formats.parse_gqc("2 2\n3 3\n1,1;0,1\n")
-    text = formats.dump_gqc(code)
-    assert formats.parse_gqc(text) == code
-    assert formats.dump_gqc(formats.parse_gqc(text)) == text
-
-
 def test_parse_gqc_errors():
     with pytest.raises(BadInput, match="needs header, block lengths, and generators"):
         formats.parse_gqc("2 1\n7\n")  # no generators
@@ -424,6 +417,14 @@ def test_cli_error_exits(files, tmp_path):
     assert rc == 2  # a not invertible mod 7
     rc, _ = run_cli("lcd", "nonsense")
     assert rc == 2
+
+
+def test_cli_non_unit_a_reports_the_a_given(tmp_path):
+    # 3 is 0 modulo 3; the error names the 3 on the command line
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.cmd_dispatch(["gqc", "check", _write(tmp_path, "b3.gqc", "2 1\n3\n1,1\n"), "--a", "3"])
+    assert rc == 2 and err.getvalue() == "error: a = 3 not invertible modulo 3\n"
 
 
 MALFORMED = {

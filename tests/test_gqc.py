@@ -14,6 +14,7 @@ from sigmalcd.errors import BadInput
 from sigmalcd.field import embedding, field
 
 from linalg_reference import solve_right
+from test_poly import ref_add, ref_divmod, ref_egcd, ref_mod_xm1, ref_mul
 
 F2 = field(2)
 F3 = field(3)
@@ -187,7 +188,7 @@ def test_self_orthogonal_and_self_dual():
         ctx = gqc.context_for(code)
         for a in coprime_units(m)[:4]:
             mu_dual = code.mu(a).flat.dual()
-            so = mu_dual.contains_code(code.flat)
+            so = mu_dual.contains_rows(code.flat.gen)
             sd = mu_dual == code.flat
             assert gqc.is_mua_self_orthogonal(code, ctx, a) == so
             assert gqc.is_mua_self_dual(code, ctx, a) == sd
@@ -198,7 +199,7 @@ def test_self_dual_instance():
     code = gqc.GqcCode.from_generators(F3, (2,), [([1, 1],)])
     ctx = gqc.context_for(code)
     assert gqc.is_mua_self_orthogonal(code, ctx, 1) == (
-        code.flat.dual().contains_code(code.flat)
+        code.flat.dual().contains_rows(code.flat.gen)
     )
 
 
@@ -379,6 +380,12 @@ def test_gcd_routes_reject_non_unit_a():
     for route in (gqc.one_gen_lcd_gcd, gqc.one_gen_self_orthogonal_gcd, gqc.maximal_one_gen_check):
         with pytest.raises(BadInput, match="a = 2 not invertible modulo 4"):
             route(F3, (4, 4), cvec, 2)
+    # the error names the a given, not its residue: a = 3 is 0 modulo 3
+    for route in (gqc.one_gen_lcd_gcd, gqc.maximal_one_gen_check):
+        with pytest.raises(BadInput, match="^a = 3 not invertible modulo 3$"):
+            route(F2, (3, 3), (ONE, X), 3)
+    with pytest.raises(BadInput, match="^a = -4 not invertible modulo 6$"):
+        gqc.GqcCode(field(5), (6,)).mu_map(-4)
 
 
 # ------------------------------------------------------------ supports
@@ -447,6 +454,33 @@ def test_maximal_count_q2_m3():
                 found.add(tuple(r.canonical.tolist()))
     assert len(found) == 8  # q^m = 2^3
     assert pairs == 24
+
+
+@pytest.mark.parametrize("F", [F4, field(2, 3)], ids=repr)
+def test_canonical_generator_matches_extended_euclid(F):
+    """Over GF(4) and GF(8), every canonical generator c of a maximal mu_{-1}
+    complementary-dual (c1, c2) is c1 (c1 + c2)^-1 by the reference's extended
+    Euclid, so c (c1 + c2) = c1 modulo x^m - 1, and (c, 1 + c) generates the
+    same code."""
+    rng, found = np.random.default_rng(F.q + 1), 0
+    for m in (1, 3, 5, 7, 9, 15, 21):
+        xm, blocks = poly.xm1(F, m), (m, m)
+        for _ in range(8):
+            c1, c2 = (rng.integers(0, F.q, size=m).astype(np.int16) for _ in "12")
+            chk = gqc.maximal_one_gen_check(F, blocks, (c1, c2), -1)
+            if chk.canonical is None:
+                assert not (chk.maximal and chk.lcd)
+                continue
+            found += 1
+            u = ref_add(F, c1, c2)
+            g, inv, _ = ref_egcd(F, u, xm)
+            assert g.tolist() == [1]
+            c = chk.canonical
+            assert c.tolist() == ref_mod_xm1(F, ref_mul(F, c1, inv), m).tolist()
+            assert ref_mod_xm1(F, ref_mul(F, c, u), m).tolist() == ref_mod_xm1(F, c1, m).tolist()
+            code = gqc.one_gen_code(F, blocks, (c1, c2))
+            assert gqc.one_gen_code(F, blocks, (c, poly.add(F, c, ONE))) == code
+    assert found >= 20
 
 
 def test_maximal_needs_unit_gcd():
@@ -534,11 +568,10 @@ def test_product_random_components():
 
 
 def _quotient(F, a, b):
-    """a / b by the packed core's division, for b dividing a."""
-    core = poly._core(F)
-    q, r = poly._divmod(core, poly._load(core, a), poly._load(core, b))
-    assert not r
-    return poly._array(core, q)
+    """a / b by the array reference's division, for b dividing a."""
+    q, r = ref_divmod(F, a, b)
+    assert r.size == 0
+    return q
 
 
 def _product_reference(base, components):
@@ -747,5 +780,5 @@ def test_unequal_blocks_odd_characteristic_match_flat():
                 mu_dual = code.mu(a).flat.dual()
                 lcd = oracle.brute_hull_dim(code.flat, code.mu_map(a)) == 0
                 assert gqc.cross_block_lcd(code, ctx, a) == gqc.is_mua_lcd(code, ctx, a) == lcd
-                assert gqc.is_mua_self_orthogonal(code, ctx, a) == mu_dual.contains_code(code.flat)
+                assert gqc.is_mua_self_orthogonal(code, ctx, a) == mu_dual.contains_rows(code.flat.gen)
                 assert gqc.is_mua_self_dual(code, ctx, a) == (mu_dual == code.flat)

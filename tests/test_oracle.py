@@ -47,7 +47,7 @@ def test_enumerate_distinct_members():
             c = LinearCode(F, n, g)
             seen = set()
             for w in oracle.enumerate_codewords(c):
-                assert c.contains(w)
+                assert c.contains_rows(w)
                 seen.add(tuple(int(x) for x in w))
             assert len(seen) == F.q**c.k
 

@@ -1,7 +1,9 @@
 """The polynomial core against the array reference below.
 
 The reference keeps a polynomial an int16 array throughout: division
-subtracts one scaled row per shift, a product adds one scaled row per
+subtracts one scaled row per shift and builds the quotient the core never
+needs, extended Euclid carries the Bezout coefficients the core replaces by
+powers of a unit, a product adds one scaled row per
 coefficient, and the reductions modulo x^m - 1 fold one coefficient at a
 time, all with the Field's own vectorised ops.
 """
@@ -29,14 +31,6 @@ CORE_FIELDS = [
     F2, F3, F4, field(2, 3), field(3, 2), field(2, 4), field(5, 3), field(131),
     field(2, 12), field(3, 7), field(4093),
 ]
-
-
-def divmod_(F, a, b):
-    """(quotient, remainder) from the packed core; the package itself needs
-    only the remainder, `poly.mod`."""
-    core = poly._core(F)
-    q, r = poly._divmod(core, poly._load(core, a), poly._load(core, b))
-    return poly._array(core, q), poly._array(core, r)
 
 
 # ---------------------------------------------------------------- reference
@@ -139,15 +133,13 @@ REFERENCE = {
     "add": ref_add,
     "sub": ref_sub,
     "mul": ref_mul,
-    "divmod_": ref_divmod,
     "mod": lambda F, a, b: ref_divmod(F, a, b)[1],
     "gcd": ref_gcd,
-    "egcd": ref_egcd,
 }
 REFERENCE_XM1 = {
     "mod_xm1": lambda F, a, b, k, m: ref_mod_xm1(F, a, m),
 }
-CORE = {name: divmod_ if name == "divmod_" else getattr(poly, name) for name in REFERENCE}
+CORE = {name: getattr(poly, name) for name in REFERENCE}
 CORE_XM1 = {
     "mod_xm1": lambda F, a, b, k, m: poly.mod_xm1(F, a, m),
 }
@@ -196,8 +188,6 @@ def test_core_matches_array_reference(case):
     for name, ref in REFERENCE_XM1.items():
         assert_same(outcome(CORE_XM1[name], F, a, b, k, m), outcome(ref, F, a, b, k, m))
     assert_same(poly.trim(a), ref_trim(a))
-    assert_same(poly.monic(F, a), ref_monic(F, a))
-    assert poly.is_zero(a) == (ref_trim(a).size == 0)
     assert poly.degree(a) == ref_trim(a).size - 1
     assert poly.equal(a, b) == (ref_trim(a).tolist() == ref_trim(b).tolist())
 
@@ -208,7 +198,7 @@ def test_core_matches_array_reference_long(case):
     # past 64 coefficients the slot packing splits in halves
     F, a, b, k, m = case
     m = 1 + m * 37
-    for name in ("mul", "divmod_", "gcd", "egcd"):
+    for name in ("mul", "mod", "gcd"):
         assert_same(outcome(CORE[name], F, a, b), outcome(REFERENCE[name], F, a, b))
     for name, ref in REFERENCE_XM1.items():
         assert_same(outcome(CORE_XM1[name], F, a, b, k, m), outcome(ref, F, a, b, k, m))
@@ -247,7 +237,7 @@ def test_core_errors_keep_their_messages():
         poly.mod(F4, poly.from_seq([1, 2]), [0, 0])
     for F in (F2, F3):
         with pytest.raises(BadInput, match="gcd of two zero polynomials"):
-            poly.egcd(F, [0], poly.ZERO)
+            poly.gcd(F, [0], poly.ZERO)
         for fn in (
             lambda m: poly.xm1(F, m),
             lambda m: poly.mod_xm1(F, [1, 1], m),
@@ -260,7 +250,7 @@ def test_core_errors_keep_their_messages():
 @pytest.mark.parametrize("F", [F2, F3, F4, field(3, 2)], ids=repr)
 def test_core_rejects_non_encodings(F):
     # a negative coefficient would pack into a negative int
-    calls = [CORE[name] for name in ("mul", "divmod_", "mod", "gcd", "egcd")]
+    calls = [CORE[name] for name in ("mul", "mod", "gcd")]
     calls += [lambda F, a, b: poly.mod_xm1(F, a, 3)]
     for bad in ([-1, 1], [1, F.q]):
         for fn in calls:
@@ -268,6 +258,30 @@ def test_core_rejects_non_encodings(F):
                 fn(F, bad, [1, 1])
         with pytest.raises(BadInput, match="coefficients must be encodings"):
             poly.gcd(F, [1, 1], bad)
+
+
+@pytest.mark.parametrize("F", [F2, F4, field(2, 3), field(2, 4)], ids=repr)
+def test_inv_xm1_matches_extended_euclid(F):
+    """The inverse modulo x^m - 1 by powers of u, for p = 2 and odd m, against
+    the reference's Bezout coefficient: u is a unit exactly when
+    gcd(u, x^m - 1) = 1, and a non-unit gives 0.  Random words are units
+    about half the time; a multiple of x + 1, which divides x^m - 1, and 0
+    never are."""
+    rng, core, units, non_units = np.random.default_rng(F.q), poly._core(F), 0, 0
+    for m in (1, 3, 5, 7, 9, 15, 21, 31, 45, 63, 127):
+        xm = poly.xm1(F, m)
+        words = [rng.integers(0, F.q, size=m) for _ in range(6)] + [poly.ZERO, poly.from_seq([1])]
+        words.append(ref_mod_xm1(F, ref_mul(F, words[0], [1, 1]), m))
+        for u in words:
+            g, want, _ = ref_egcd(F, u, xm)
+            got = poly._array(core, core.inv_xm1(poly._load(core, u), m))
+            if g.tolist() == [1]:
+                units += 1
+                assert_same(got, want)
+            else:
+                non_units += 1
+                assert got.size == 0
+    assert units >= 20 and non_units >= 20
 
 
 def test_gf2_gcd_with_x4095_minus_1_is_fast():
@@ -279,7 +293,7 @@ def test_gf2_gcd_with_x4095_minus_1_is_fast():
     gs = [poly.gcd(F2, f, xm) for f in fs]
     assert time.perf_counter() - start < 1.5
     for f, g in zip(fs[:2], gs):
-        assert poly.is_zero(poly.mod(F2, f, g)) and poly.is_zero(poly.mod(F2, xm, g))
+        assert poly.mod(F2, f, g).size == poly.mod(F2, xm, g).size == 0
 
 
 def test_odd_p_gcd_with_x1093_minus_1_is_fast():
@@ -294,7 +308,7 @@ def test_odd_p_gcd_with_x1093_minus_1_is_fast():
     gs = [poly.gcd(F, f, xm) for F, f, xm in cases]
     assert time.perf_counter() - start < 0.75
     for (F, f, xm), g in zip(cases[4:6], gs[4:6]):
-        assert poly.is_zero(poly.mod(F, f, g)) and poly.is_zero(poly.mod(F, xm, g))
+        assert poly.mod(F, f, g).size == poly.mod(F, xm, g).size == 0
 
 
 def test_char2_extension_gcds_are_fast():
@@ -309,7 +323,7 @@ def test_char2_extension_gcds_are_fast():
     gs = [poly.gcd(F, f, xm) for F, f, xm in cases]
     assert time.perf_counter() - start < 0.15
     for (F, f, xm), g in zip(cases[4:6], gs[4:6]):
-        assert poly.is_zero(poly.mod(F, f, g)) and poly.is_zero(poly.mod(F, xm, g))
+        assert poly.mod(F, f, g).size == poly.mod(F, xm, g).size == 0
 
 
 def test_xm1_reductions_of_short_inputs_do_not_grow_with_m():
@@ -337,7 +351,7 @@ def test_predicates_agree_on_int16_wraparound():
     # every predicate reads its argument as int16, as trim does
     for a in ([65536], [0, 65536], [1, 65536]):
         a = np.array(a, dtype=np.int64)
-        assert poly.is_zero(a) == (poly.degree(a) == -1) == poly.equal(a, poly.ZERO)
+        assert (poly.degree(a) == -1) == poly.equal(a, poly.ZERO)
 
 
 def P(*coeffs):
@@ -347,7 +361,7 @@ def P(*coeffs):
 def test_trim_and_degree():
     assert poly.degree(P(1, 1, 0)) == 1
     assert poly.degree(poly.ZERO) == -1
-    assert poly.is_zero(poly.from_seq([0, 0]))
+    assert poly.from_seq([0, 0]).size == 0
 
 
 def test_gcd_known_values_gf2():
@@ -377,34 +391,12 @@ def test_gcd_divides_both_random():
         for _ in range(40):
             f = poly.trim(rng.integers(0, F.q, size=rng.integers(1, 7)).astype(np.int16))
             g = poly.trim(rng.integers(0, F.q, size=rng.integers(1, 7)).astype(np.int16))
-            if poly.is_zero(f) and poly.is_zero(g):
+            if f.size == g.size == 0:
                 continue
             d = poly.gcd(F, f, g)
             for h in (f, g):
-                if poly.is_zero(h):
-                    continue
-                assert poly.is_zero(poly.mod(F, h, d))
-
-
-def test_egcd_bezout():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        f = poly.trim(rng.integers(0, 3, size=5).astype(np.int16))
-        g = poly.trim(rng.integers(0, 3, size=4).astype(np.int16))
-        if poly.is_zero(f) and poly.is_zero(g):
-            continue
-        d, u, v = poly.egcd(F3, f, g)
-        lhs = poly.add(F3, poly.mul(F3, u, f), poly.mul(F3, v, g))
-        assert poly.equal(lhs, d)
-
-
-def test_divmod_reconstructs():
-    f = P(1, 0, 1, 1)
-    g = P(1, 1)
-    q, r = divmod_(F2, f, g)
-    assert poly.equal(poly.add(F2, poly.mul(F2, q, g), r), f)
-    with pytest.raises(DivisionByZero):
-        divmod_(F2, f, poly.ZERO)
+                if h.size:
+                    assert poly.mod(F, h, d).size == 0
 
 
 def test_eval_at_root_of_own_minimal_poly():
@@ -432,7 +424,3 @@ def test_xm1_and_mod_xm1():
     r = poly.mod_xm1(F2, P(0, 0, 0, 0, 1), 3)
     assert r.tolist() == [0, 1]
 
-
-def test_monic_normalizes_leading():
-    m = poly.monic(F3, P(1, 2))
-    assert m.tolist() == [2, 1]  # 2^-1 = 2 mod 3; (1+2x)*2 = 2+4x = 2+x
