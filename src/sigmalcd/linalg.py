@@ -20,6 +20,19 @@ gathers from a cached q x q product table, else one log/exp product.  The
 RREF is unique, so the pivot row chosen does not show.  `oracle` keeps the
 plain per-column loop as its own kernel.
 
+The forward pass over GF(2), GF(3) and GF(4) is bitsliced (Boothby and
+Bradshaw, arXiv:0901.1413): plane j, one Python int, holds bit j of every
+entry, row i in the W-bit field at bit i W, W the multiple of 8 above n.
+GF(2) has one plane, GF(4) two digit planes, GF(3) the one-hot [x = 1] and
+[x = 2].  The pivot row r, the lowest field with bit c set, is scaled by
+planes read off F.div (a plane swap negates in GF(3), a plane shuffle
+divides by y in GF(4)).  A product s r writes r into each field s selects,
+carry-free as fields do not overlap; a row with plane i set adds -(2^i) r.
+The pivot row is swapped into the lowest field and shifted out.  A product
+costs O(m n^2) bit operations, the int16 update O(m n), so larger shapes
+stay on the loop, as do larger fields (more planes and products) and
+Gauss-Jordan, whose finished rows cannot be shifted out.
+
 mat_mul is Kronecker substitution on float64 words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
 ceil(e / g) groups of g, each packed into one word as sum d_s 2^(w s).  The
@@ -176,13 +189,80 @@ def _lazy_dtype(p: int, m: int, n: int):
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
+# the forward pass runs on bit planes up to this many columns and below this
+# many cells; past either the int16 loop was faster (GF(3) 256 x 128, 16 x 512)
+PACKED_COLUMNS = 256
+PACKED_CELLS = 2**15
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_maps(F: Field):
+    """(scale, terms), q = 3, 4: scale[v][2 j + k] = -(bit j of 2^k / v), and
+    terms[j] weighs X = s0 r0, Y = s1 r1 and T = (s0 ^ s1) (r0 ^ r1) in plane j
+    of the update, the XOR of s_i r_k over bit j of -(2^i 2^k), symmetric in i, k."""
+    scale = {v: [-(F.div(1 << k, v) >> j & 1) for j in (0, 1) for k in (0, 1)] for v in range(1, F.q)}
+    d = [[F.neg(F.mul(1 << i, 1 << k)) >> j & 1 for i, k in ((0, 0), (1, 1), (0, 1))] for j in (0, 1)]
+    return scale, [(x ^ t, y ^ t, t) for x, y, t in d]
+
+
+def _forward_planes(F: Field, M: np.ndarray):
+    """rref(F, M, reduced=False) for q <= 4 on bit planes A, B; see the module docstring."""
+    m, n = M.shape
+    e, W = 1 + (F.q > 2), 8 * (n // 8 + 1)
+    field = (1 << W) - 1
+    on = ((1 << m * W) - 1) // field  # bit c of every field, here c = 0
+    bits = np.zeros((e, m, W), dtype=np.uint8)
+    bits[:, :, :n] = M >> np.arange(e).reshape(-1, 1, 1) & 1
+    A, B = [int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little") for b in bits] + [0] * (2 - e)
+    rows, pivots = [], []
+    if e == 2:
+        scale, ((ux, uy, ut), (wx, wy, wt)) = _plane_maps(F)
+    for c in range(n):
+        s0, s1 = A & on, B & on
+        sel = s0 | s1 if e == 2 else s0
+        if not sel:
+            on <<= 1
+            continue
+        # the pivot row: the lowest field with a set bit, left out of s0, s1
+        i = 0 if sel & 1 << c else (sel & -sel).bit_length() - 1 - c
+        low = 1 << i + c
+        r0, r1 = a, b = A >> i & field, B >> i & field
+        if e == 1:
+            A ^= (sel ^ low) * (a >> c)
+        else:
+            v = (1 if s0 & low else 0) | (2 if s1 & low else 0)
+            s0, s1 = (s0 ^ low if v & 1 else s0), (s1 ^ low if v & 2 else s1)
+            t00, t01, t10, t11 = scale[v]
+            r0, r1 = t00 & a ^ t01 & b, t10 & a ^ t11 & b
+            X, Y, T = s0 * (r0 >> c), s1 * (r1 >> c), (s0 ^ s1) * ((r0 ^ r1) >> c)
+            u, w = (ux and X) ^ (uy and Y) ^ (ut and T), (wx and X) ^ (wy and Y) ^ (wt and T)
+            if F.p == 3:  # the one-hot sum
+                x = (A | w) ^ (B | u)
+                A, B = (B | w) ^ x, (A | u) ^ x
+            else:
+                A, B = A ^ u, B ^ w
+        # swap the pivot row into the lowest field and shift it out
+        A = A >> W ^ ((A & field) ^ a) << i - W if i else A >> W
+        B = B >> W ^ ((B & field) ^ b) << i - W if i else B >> W
+        on >>= W - 1
+        rows.append((r0, r1))
+        pivots.append(c)
+    E, r = np.zeros((m, n), dtype=np.int16), len(pivots)
+    for j in range(e):
+        packed = np.frombuffer(b"".join([row[j].to_bytes(W // 8, "little") for row in rows]), dtype=np.uint8)
+        E[:r] |= np.unpackbits(packed, bitorder="little").reshape(r, W)[:, :n].astype(np.int16) << j
+    return E, pivots
+
+
 def rref(F: Field, M: np.ndarray, reduced: bool = True):
     """Reduced row echelon form; returns (R, pivot_columns).  With reduced
     False, R is the row echelon form of forward elimination: each pivot
     clears only the rows below it, the pivot rows' entries above are kept."""
+    m, n = np.shape(M)
+    if not reduced and F.q <= 4 and n <= PACKED_COLUMNS and m * n < PACKED_CELLS:
+        return _forward_planes(F, np.asarray(M))
     p, q = F.p, F.q
     lazy = F.e == 1 and p > 2
-    m, n = np.shape(M)
     table = _products(F) if p == 2 and 2 < q <= min(m, SMALL_TABLE) else None
     R = np.array(M, dtype=_lazy_dtype(p, m, n) if lazy else np.uint8 if q == 2 else np.int16)
     pivots: list[int] = []
@@ -204,11 +284,11 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
         row = R[r, c:] % p if lazy else R[r, c:]
         # multiples[a] = a * row; the update for factor x is multiples[x / pv]
         # and the pivot row is multiples[1 / pv]
-        multiples = None if table is None else table[:, row]
+        multiples = None if table is None else table.take(row, axis=1)
         if pv != 1:
             inv = F.inv(pv)
             if table is not None:
-                row, f = multiples[inv], table[inv][f]
+                row, f = multiples[inv], table[inv].take(f)
             else:
                 row = row * inv % p if lazy else F.mul(inv, row)
             R[r, c:] = row
@@ -226,7 +306,7 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
         elif q == 2:
             R[first:, c:] ^= np.bitwise_and.outer(f, row)
         elif table is not None:
-            R[first:, c:] ^= multiples[f]
+            R[first:, c:] ^= multiples.take(f, axis=0)
         elif p == 2:
             R[first:, c:] ^= F.mul(f[:, None], row)
         else:

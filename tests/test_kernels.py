@@ -344,13 +344,10 @@ def test_rref_matches_gauss_jordan(case):
     assert_rref_is_gauss_jordan(*case)
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(elimination_case())
-def test_rank_is_forward_elimination(case):
+def assert_forward_elimination(F, M):
     """rank counts the pivots of the oracle's Gauss-Jordan.  The forward
     pass behind it leaves an echelon form of M's row space: a 1 at each
     pivot with zeros left of it, and zero rows below the rank."""
-    F, M = case
     want_R, want_piv = _gauss_jordan(F, M)
     assert linalg.rank(F, M) == len(want_piv)
     E, piv = linalg.rref(F, M, reduced=False)
@@ -361,10 +358,78 @@ def test_rank_is_forward_elimination(case):
     assert _gauss_jordan(F, E)[0].tobytes() == want_R.tobytes()
 
 
-@pytest.mark.parametrize("F", [field(2), field(3), field(2, 2)], ids=repr)
+@settings(max_examples=300, deadline=None, database=None)
+@given(elimination_case())
+def test_rank_is_forward_elimination(case):
+    """The bit-plane kernel on GF(2), GF(3) and GF(4), the int16 loop on
+    the rest, against the oracle's Gauss-Jordan."""
+    assert_forward_elimination(*case)
+
+
+# the fields whose forward pass runs on bit planes: one plane, two digit
+# planes and the one-hot planes [x = 1], [x = 2]
+PLANE_FIELDS = [field(2), field(2, 2), field(3)]
+
+
+@pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_packed_forward_pass_edges(F, n):
+    """Row fields of W = 8, 16, 64 and 72 bits, with n next to W, for 0, 1
+    and n + 3 rows: random, all zero, a first column nonzero only in the
+    last row (its pivot row is swapped with the lowest field), zero columns
+    between pivots, and combinations of the first n // 2 rows."""
+    rng = np.random.default_rng(n)
+    for m in (0, 1, n + 3):
+        assert n <= linalg.PACKED_COLUMNS and m * n < linalg.PACKED_CELLS
+        M = rng.integers(0, F.q, size=(m, n)).astype(np.int16)
+        last = M.copy()
+        last[:, :1] = 0
+        last[-1:, :1] = F.q - 1
+        gaps = M.copy()
+        gaps[:, 1::3] = 0
+        k = min(m, n // 2)
+        coeffs = rng.integers(0, F.q, size=(m, k))
+        low_rank = linalg.mat_mul(F, coeffs, M[:k]) if k else np.zeros_like(M)
+        for case in (M, np.zeros_like(M), last, gaps, low_rank):
+            assert_forward_elimination(F, case)
+
+
+@pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
+@pytest.mark.parametrize("r", [0, 1, 68, 136])
+def test_packed_forward_pass_rank_deficient_products(F, r):
+    """137 x 137 products through r dimensions, so 137 - r rows end zero."""
+    rng = np.random.default_rng(r)
+    A, B = rng.integers(0, F.q, size=(137, r)), rng.integers(0, F.q, size=(r, 137))
+    M = linalg.mat_mul(F, A, B) if r else np.zeros((137, 137), dtype=np.int16)
+    assert linalg.rank(F, M) <= r
+    assert_forward_elimination(F, M)
+
+
+@pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
+@pytest.mark.parametrize("shape", [(16, 300), (256, 128), (200, 200)])
+def test_forward_pass_past_the_packed_sizes(F, shape):
+    """Past PACKED_COLUMNS or PACKED_CELLS the int16 loop takes the forward
+    pass; with the limits raised the bit planes find the same pivots."""
+    m, n = shape
+    M = np.random.default_rng(m + n).integers(0, F.q, size=shape).astype(np.int16)
+    M[: m // 2] = M[m // 2 : 2 * (m // 2)]  # rank at most m - m // 2
+    assert n > linalg.PACKED_COLUMNS or m * n >= linalg.PACKED_CELLS
+    E, piv = linalg.rref(F, M, reduced=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PACKED_COLUMNS", n)
+        mp.setattr(linalg, "PACKED_CELLS", m * n + 1)
+        P, packed_piv = linalg.rref(F, M, reduced=False)
+    assert packed_piv == piv and len(piv) <= m - m // 2
+    for R in (E, P):
+        assert R.dtype == np.int16 and not R[len(piv) :].any()
+        assert all(R[i, c] == 1 and not R[i, :c].any() for i, c in enumerate(piv))
+    assert linalg.row_space(F, E).tobytes() == linalg.row_space(F, P).tobytes() == linalg.row_space(F, M).tobytes()
+
+
+@pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
 def test_rank_of_the_transpose(F):
-    """Row rank is column rank on 137 x 137 matrices, the uint8, lazy and
-    table paths: one random, one a product through 100 dimensions."""
+    """Row rank is column rank on 137 x 137 matrices, on each of the three
+    plane layouts: one random, one a product through 100 dimensions."""
     rng = np.random.default_rng(137)
     thin = [rng.integers(0, F.q, size=shape).astype(np.int16) for shape in ((137, 100), (100, 137))]
     for M in (rng.integers(0, F.q, size=(137, 137)).astype(np.int16), linalg.mat_mul(F, *thin)):
