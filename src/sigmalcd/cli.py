@@ -363,7 +363,7 @@ def _repro_theorem1_binary(report: RunReport) -> int:
     g = poly.from_seq([1, 1, 0, 1])
     ham = gqc.one_gen_code(F2, (7,), (g,)).flat
     report.result["input_params"] = f"[{ham.n},{ham.k}]"
-    report.result["input_hull"] = codes.hull_dim(ham, None)
+    report.result["input_hull"] = _hull(report, ham, None)
     sigma, out = codes.make_lcd_sigma(ham)
     ok = _hull(report, out, sigma) == 0
     report.result["out_params"] = f"[{out.n},{out.k}]"

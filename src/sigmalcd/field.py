@@ -2,8 +2,10 @@
 
 An element of GF(p^e) is its integer encoding sum(c_i * p^i) where
 sum(c_i * x^i) is the canonical representative modulo the field's monic
-irreducible modulus.  Operations accept plain ints or numpy integer arrays
-and vectorize elementwise.
+irreducible modulus.  Each op is one int16 `take` gather from the tables
+below, whatever its arguments: numpy integer arrays give an int16 array,
+plain ints and numpy integer scalars a Python int.  The tables are numpy
+arrays only; `poly` keeps its own list copies for its scalar loops.
 
 The default modulus is the least monic irreducible in constant-major order,
 found by Ben-Or's test, which needs a gcd and is this module's one use of
@@ -39,7 +41,11 @@ MAX_EXTENSION_DEGREE = 16
 # has (2p - 1)^e < 2^e q entries
 MAX_FIELD_SIZE = 4096
 
-_INT = (int, np.integer)
+
+def _out(r):
+    """A Field op's result: an int16 array from array arguments, a Python
+    int from scalar ones, which linalg ANDs into Python big ints."""
+    return r.astype(np.int16, copy=False) if isinstance(r, np.ndarray) else int(r)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -162,22 +168,17 @@ class Field:
 
         # zero-aware tables: log[0] points past the doubled exp table into a
         # zero tail, so exp[log[a] + log[b]] is a*b for every a, b (zero
-        # included) and every index stays below 4N + 1, inside int16.
-        # Plain-int arguments index the lists, arrays the int16 copies.
+        # included) and every index stays below 4N + 1, inside int16
         log = [2 * N] * q
         for i, x in enumerate(exp):
             log[x] = i
         assert log.count(2 * N) == 1, "generator must have order q - 1"
-        self._exp_s = exp + exp + [0] * (2 * N + 1)
-        self._log_s = log
-        self._inv_s = [0] + [exp[-log[a] % N] for a in range(1, q)]
-        self._exp = np.array(self._exp_s, dtype=np.int16)
+        self._exp = np.array(exp + exp + [0] * (2 * N + 1), dtype=np.int16)
         self._log = np.array(log, dtype=np.int16)
-        self._inv = np.array(self._inv_s, dtype=np.int16)
+        self._inv = np.array([0] + [exp[-log[a] % N] for a in range(1, q)], dtype=np.int16)
         self._ilog = self._log[self._inv]  # log of 1/b; b = 0 is rejected before use
 
         self._neg = (((p - self.digits) % p) @ self.digit_weights).astype(np.int16)
-        self._neg_s = self._neg.tolist()
         # odd-p extension fields add carry-free: spread[a] holds a's digits in base
         # r = 2p - 1, so no digit of a sum of two passes 2p - 2, and unspread takes
         # each back mod p; the narrowest dtype that holds r^e gathers fastest
@@ -189,70 +190,44 @@ class Field:
                 self._unspread = (base[:, None] * np.int16(p**k) + self._unspread).reshape(-1)
 
     # -- elementwise ops ----------------------------------------------------
-    # Plain ints and numpy integer scalars give a Python int; anything else
-    # is gathered from the tables as an array and gives an int16 array.
+    # one int16 gather per op, whatever the arguments; `_out` casts the result
 
     def add(self, a, b):
         p = self.p
-        if isinstance(a, _INT) and isinstance(b, _INT):
-            if p == 2:
-                return int(a) ^ int(b)
-            if self.e == 1:
-                return (int(a) + int(b)) % p
-            return int(self._unspread[self._spread[a] + self._spread[b]])
         if p == 2:
-            return np.bitwise_xor(a, b, dtype=np.int16)
+            return _out(np.bitwise_xor(a, b, dtype=np.int16))
         if self.e == 1:
-            return np.add(a, b, dtype=np.int16) % np.int16(p)
-        return self._unspread.take(self._spread.take(a) + self._spread.take(b))
+            return _out(np.add(a, b, dtype=np.int16) % np.int16(p))
+        return _out(self._unspread.take(self._spread.take(a) + self._spread.take(b)))
 
     def neg(self, a):
-        if isinstance(a, _INT):
-            return self._neg_s[a]
-        return self._neg.take(a)
+        return _out(self._neg.take(a))
 
     def sub(self, a, b):
         return self.add(a, b if self.p == 2 else self.neg(b))
 
     def mul(self, a, b):
-        if isinstance(a, _INT) and isinstance(b, _INT):
-            return self._exp_s[self._log_s[a] + self._log_s[b]]
-        return self._exp.take(self._log.take(a) + self._log.take(b))
+        return _out(self._exp.take(self._log.take(a) + self._log.take(b)))
 
     def inv(self, a):
-        if isinstance(a, _INT):
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return self._inv_s[a]
-        if not np.all(a):
+        if not np.asarray(a).all():
             raise DivisionByZero("inverse of zero")
-        return self._inv.take(a)
+        return _out(self._inv.take(a))
 
     def div(self, a, b):
-        if isinstance(a, _INT) and isinstance(b, _INT):
-            if b == 0:
-                raise DivisionByZero("inverse of zero")
-            return self._exp_s[self._log_s[a] + self._log_s[self._inv_s[b]]]
-        if not np.all(b):
+        if not np.asarray(b).all():
             raise DivisionByZero("inverse of zero")
-        return self._exp.take(self._log.take(a) + self._ilog.take(b))
+        return _out(self._exp.take(self._log.take(a) + self._ilog.take(b)))
 
     def pow(self, a, k: int):
         """a**k with 0**0 = 1; negative k inverts (errors on zero base)."""
-        N = self._order
-        if isinstance(a, _INT):
-            if a == 0:
-                if k < 0:
-                    raise DivisionByZero("negative power of zero")
-                return 1 if k == 0 else 0
-            return self._exp_s[self._log_s[a] * (k % N) % N]
-        if k < 0 and not np.all(a):
+        if k < 0 and not np.asarray(a).all():
             raise DivisionByZero("negative power of zero")
-        # the table of x -> x**k over the whole field, then one gather
-        table = np.empty(self.q, dtype=np.int16)
-        table[0] = 1 if k == 0 else 0
-        table[1:] = self._exp[self._log[1:].astype(np.int64) * (k % N) % N]
-        return table[a]
+        # log[a] k mod N, but zero, whose log 2N alone has log // N = 2,
+        # stays in the zero tail unless k = 0
+        N = self._order
+        log = self._log.take(a).astype(np.int64)
+        return _out(self._exp.take(log * (k % N) % N + log // N * (N if k else 0)))
 
     def frob(self, a, s: int = 1):
         """Entrywise Frobenius a -> a**(p**s)."""
@@ -267,11 +242,8 @@ class Field:
         else:
             ax = range(arr.ndim) if axis is None else np.atleast_1d(axis) % arr.ndim
             ax = tuple(int(i) for i in ax)  # the digit axis comes last
-            r = (self.digits[arr].sum(axis=ax, dtype=np.int64) % self.p) @ self.digit_weights
-        return r.astype(np.int16) if isinstance(r, np.ndarray) else int(r)
-
-    def coeffs(self, x: int) -> tuple:
-        return tuple(int(d) for d in self.digits[int(x)])
+            r = (self.digits.take(arr, axis=0).sum(axis=ax, dtype=np.int64) % self.p) @ self.digit_weights
+        return _out(r)
 
     # -- identity/equality --------------------------------------------------
 
@@ -339,22 +311,23 @@ class Embedding:
         self._inverse = inverse
 
     def __call__(self, x):
-        r = self.table[np.asarray(x)]
-        return int(r) if isinstance(x, (int, np.integer)) else r.astype(np.int16)
+        return _out(self.table.take(x))
 
     def lift(self, y):
-        r = self._inverse[np.asarray(y)]
-        if np.any(np.asarray(r) < 0):
+        r = self._inverse.take(y)
+        if np.any(r < 0):
             raise BadInput("value outside the embedded subfield")
-        return int(r) if isinstance(y, (int, np.integer)) else r.astype(np.int16)
+        return _out(r)
 
     def eval_poly(self, coeffs, alpha: int) -> int:
         """Evaluate a small-field polynomial (little-endian encodings) at a
-        big-field point."""
-        acc = 0
-        for c in reversed(np.asarray(coeffs, dtype=np.int64)):
-            acc = self.big.add(self.big.mul(acc, int(alpha)), self.table[int(c)])
-        return int(acc)
+        big-field point: sum table[c_i] alpha^i, the powers read off the
+        log table."""
+        big, c = self.big, self.table.take(np.asarray(coeffs, dtype=np.int64))
+        if alpha == 0:
+            return int(c[0]) if c.size else 0
+        powers = big._exp.take(np.arange(c.size) * int(big._log[alpha]) % big._order)
+        return big.sum(big.mul(c, powers))
 
 
 @functools.lru_cache(maxsize=None)

@@ -74,11 +74,6 @@ def poly_str(c: np.ndarray) -> str:
     return ",".join(str(int(v)) for v in c)
 
 
-def _check_entries(F: Field, rows: np.ndarray):
-    if rows.size and (rows.min() < 0 or rows.max() >= F.q):
-        raise BadInput(f"entry out of range for GF({F.q})")
-
-
 def parse_code(text: str) -> LinearCode:
     lines = _lines(text)
     if not lines:
@@ -178,9 +173,6 @@ def parse_gqc_raw(text: str):
         if len(parts) != l:
             raise BadInput(f"generator {line!r} has {len(parts)} blocks, expected {l}")
         gens.append(tuple(parse_poly(p) for p in parts))
-    for g in gens:
-        for c in g:
-            _check_entries(F, np.asarray(c))
     return F, blocks, gens
 
 

@@ -142,7 +142,8 @@ class _Core:
             self.plus, self.top = operator.add, (e * (p - 1) ** 2 // p).bit_length()
             w = ((p << self.top) - 1).bit_length()
         self.w, self.ew = w, e * w
-        self.exp, self.log, self.inv, self.neg = F._exp_s, F._log_s, F._inv_s, F._neg_s
+        # list copies of the tables, which the scalar loops below index
+        self.exp, self.log, self.inv, self.neg = (t.tolist() for t in (F._exp, F._log, F._inv, F._neg))
         self.ylogs = [self.log[p**k] for k in range(e)]  # logs of y^k, y the class of x
         # packing is the identity for one-bit digits or one digit, and pack
         # and enc are then one list; plog takes a packed coefficient to its log

@@ -98,7 +98,7 @@ def test_extension_field_modulus_generator_and_exp_pinned(p, e):
     F = field(p, e)
     assert (F.modulus, F.generator) == (modulus, g)
     # exp walks the powers of g under that modulus through every unit
-    exp = np.array(F._exp_s[: F.q - 1])
+    exp = np.array(F._exp.tolist()[: F.q - 1])
     assert exp[0] == 1 and sorted(exp.tolist()) == list(range(1, F.q))
     assert np.array_equal(_times_generator(F, exp), np.roll(exp, -1))
 
@@ -227,10 +227,67 @@ def test_array_ops_match_scalar():
         assert F.sub(a, b)[i] == F.sub(int(a[i]), int(b[i]))
 
 
+SCALAR_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 12), (61, 2)]
+
+
 def test_scalar_ops_return_python_int():
-    F = field(2, 2)
-    assert isinstance(F.mul(2, 2), int)
-    assert isinstance(F.add(1, 3), int)
+    """Int and numpy-integer arguments give a Python int, equal to the
+    int16 array op's entry; a zero inverse, divisor or negative power
+    raises DivisionByZero."""
+    for p, e in SCALAR_FIELDS:
+        _check_scalar_ops(field(p, e))
+
+
+def _check_scalar_ops(F):
+    rng = np.random.default_rng(q := F.q)
+    xs = np.unique(np.concatenate([[0, 1, q - 1], rng.integers(0, q, 6)])).astype(np.int16)
+    ys = np.roll(xs, 1)
+    ops = [
+        ("add", F.add, 2, set()), ("sub", F.sub, 2, set()), ("mul", F.mul, 2, set()),
+        ("neg", F.neg, 1, set()), ("inv", F.inv, 1, {0}), ("div", F.div, 2, {0}),
+        *[(f"pow {k}", lambda a, k=k: F.pow(a, k), 1, {0} if k < 0 else set()) for k in (-2, 0, 1, q - 1, q + 2)],
+    ]
+    for name, op, arity, refused in ops:
+        args = (xs, ys)[:arity]
+        for i in range(xs.size):
+            for cast in (int, np.int16, np.int64):
+                scalars = [cast(a[i]) for a in args]
+                if int(args[-1][i]) in refused:
+                    with pytest.raises(DivisionByZero):
+                        op(*scalars)
+                    continue
+                r = op(*scalars)
+                assert type(r) is int and r == int(op(*[a[i : i + 1] for a in args])[0]), (name, scalars)
+        if refused:
+            with pytest.raises(DivisionByZero):
+                op(*args)
+    assert type(F.sum(xs)) is int and type(F.sum(xs[:0])) is int
+    assert F.sum(xs) == F.sum(xs.reshape(-1, 1), axis=0)[0]
+    assert type(F.sum(xs.reshape(-1, 1), axis=0)) is np.ndarray
+
+
+def _horner(emb, coeffs, alpha):
+    acc = 0
+    for c in reversed(list(coeffs)):
+        acc = emb.big.add(emb.big.mul(acc, alpha), emb(int(c)))
+    return acc
+
+
+def test_eval_poly_matches_horner():
+    F2, F4, F4096 = field(2), field(2, 2), field(2, 12)
+    for small, big in [(F2, F4), (F4, F4), (F2, F4096), (field(3), field(3, 2))]:
+        emb = embedding(small, big)
+        for alpha in (0, 1, big.generator, big.q - 1):
+            for coeffs in ([], [0], [1], [small.q - 1], [0, 1], [1, 0, small.q - 1, 1]):
+                got = emb.eval_poly(coeffs, alpha)
+                assert type(got) is int and got == _horner(emb, coeffs, alpha)
+    emb = embedding(F2, F4096)
+    rng = np.random.default_rng(12)
+    for deg in range(128):
+        coeffs = rng.integers(0, 2, deg + 1)
+        coeffs[-1] = 1
+        alpha = int(rng.integers(0, F4096.q))
+        assert emb.eval_poly(coeffs, alpha) == _horner(emb, coeffs, alpha)
 
 
 def test_generator_has_full_order():
@@ -264,9 +321,10 @@ def test_doubled_tables_match_stepwise_build(p, e):
     log = [2 * N] * F.q
     for i, x in enumerate(exp):
         log[x] = i
-    assert F._exp_s[:N] == exp and F._exp_s[N : 2 * N] == exp
-    assert F._log_s == log
-    assert F._inv_s == [0] + [exp[-log[a] % N] for a in range(1, F.q)]
+    table = F._exp.tolist()
+    assert table[:N] == exp and table[N : 2 * N] == exp
+    assert F._log.tolist() == log
+    assert F._inv.tolist() == [0] + [exp[-log[a] % N] for a in range(1, F.q)]
 
 
 def test_extension_fields_build_without_polynomial_products(monkeypatch):
@@ -290,7 +348,8 @@ def test_tables_of_every_field_pinned():
     h = hashlib.sha256()
     for p, e in orders:
         F = Field(p, e)
-        h.update(repr((p, e, F.generator, F.modulus, F._exp_s, F._log_s, F._inv_s, F._neg_s)).encode())
+        lists = [t.tolist() for t in (F._exp, F._log, F._inv, F._neg)]
+        h.update(repr((p, e, F.generator, F.modulus, *lists)).encode())
         for table in (F._exp, F._log, F._inv, F._neg):
             h.update(table.tobytes())
     assert h.hexdigest() == "b347e9c4b305da650079c71087ddb203f0a71bda669c4f07f6cc687daae4951b"
@@ -366,7 +425,6 @@ def test_encode_digits_roundtrip():
     F = field(3, 2)
     for a in range(F.q):
         assert encode(F, F.digits[a]) == a == F.digits[a] @ F.digit_weights
-        assert encode(F, F.coeffs(a)) == a
 
 
 def test_field_identity_cached():

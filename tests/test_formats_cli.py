@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmalcd import abelian, cli, codes, formats, linalg, poly
+from sigmalcd import abelian, cli, codes, formats, linalg, oracle, poly
 from sigmalcd.codes import LinearCode, SemiLinearMap, hull_dim
 from sigmalcd.errors import BadInput
 from sigmalcd.field import field
@@ -449,6 +449,10 @@ MALFORMED = {
                                        "--sigma", _write(d, "line.sigma", "nonsense\n")],
     ".code entry beyond int16": lambda d: ["lcd", "check", "--code", _write(d, "wide.code", "2 2 1\n1 40000\n")],
     ".gqc coefficient beyond int16": lambda d: ["gqc", "check", _write(d, "wide.gqc", "2 1\n7\n1,40000\n")],
+    ".gqc coefficient 2 over GF(2), check": lambda d: ["gqc", "check", _write(d, "two.gqc", "2 1\n7\n1,2,0,1\n")],
+    ".gqc coefficient -1, onegen": lambda d: ["gqc", "onegen", _write(d, "neg.gqc", "2 2\n7 7\n1,1;1,-1\n")],
+    ".gqc coefficient 4 over GF(4), constituents": lambda d: ["gqc", "constituents",
+                                                              _write(d, "four.gqc", "4 1\n5\n1,4\n")],
     "product spec, entry beyond int16": lambda d: ["gqc", "product", _write(d, "wide.spec", "2\n3 1 1\n40000\n")],
     "perm: entry beyond int32": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
                                            "--sigma", _write(d, "wide.sigma", "perm: 0 99999999999 2 3 4 5 6\n")],
@@ -663,3 +667,14 @@ def test_cli_repro_suites():
     assert rc == 0 and "out_params: [8,4]" in out and "pure_permutation: true" in out
     rc, out = run_cli("repro", "maximal-qc-count")
     assert rc == 0 and "count: 8" in out and "distinct_canonicals: 8" in out
+
+
+def test_repro_theorem1_binary_certifies_both_hulls(monkeypatch):
+    """The input Hamming code's hull and the output's hull are each checked
+    against their certificate."""
+    checked = []
+    check = oracle.check_hull_certificate
+    monkeypatch.setattr(oracle, "check_hull_certificate", lambda *hull: checked.append(hull[2]) or check(*hull))
+    rc, out = run_cli("repro", "theorem1-binary")
+    assert rc == 0 and "input_hull: 3" in out and "verification: agree" in out
+    assert checked == [3, 0]
