@@ -87,10 +87,10 @@ class SemiLinearMap:
         if perm is None and diag is None and n is None:
             raise BadInput("need perm, diag or n to fix the length")
         if perm is not None:
-            perm = linalg.narrow(perm, np.int32)
+            perm = linalg.narrow(perm, np.int32).copy()  # copies: no later edit outdates is_permutation
             n = perm.shape[0]
         if diag is not None:
-            diag = linalg.narrow(diag)
+            diag = linalg.narrow(diag).copy()
             n = diag.shape[0] if n is None else n
         self.n = int(n)
         self.perm = np.arange(self.n, dtype=np.int32) if perm is None else perm
@@ -102,6 +102,7 @@ class SemiLinearMap:
         if np.any(self.diag == 0) or np.any(self.diag >= field.q):
             raise BadInput("diag entries must be nonzero field encodings")
         self.frob = int(frob) % field.e
+        self.is_permutation = self.frob == 0 and bool(np.all(self.diag == 1))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "SemiLinearMap":
@@ -124,19 +125,18 @@ class SemiLinearMap:
         return cls(field, n=n, frob=s)
 
     @property
-    def is_permutation(self) -> bool:
-        return self.frob == 0 and bool(np.all(self.diag == 1))
-
-    @property
     def is_monomial(self) -> bool:
         return self.frob == 0
 
     def apply(self, v) -> np.ndarray:
+        """sigma(v) on a word or on rows: Frobenius, the diagonal gather, the
+        column scatter; a pure permutation, fixed at construction, scatters."""
         v = np.asarray(v, dtype=np.int16)
         if v.shape[-1] != self.n:
             raise BadInput(f"vector length {v.shape[-1]}, map length {self.n}")
-        w = self.field.frob(v, self.frob) if self.frob else v
-        w = np.asarray(self.field.mul(self.diag, w), dtype=np.int16)
+        w = v
+        if not self.is_permutation:
+            w = self.field.mul(self.diag, self.field.frob(v, self.frob) if self.frob else v)
         out = np.empty_like(w)
         out[..., self.perm] = w
         return out

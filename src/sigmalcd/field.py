@@ -22,8 +22,9 @@ Tables built once per field drive everything:
 - the digits: digits[a] holds the e base-p digits of a.  linalg.mat_mul
   packs g of them into one float64 word and multiplies words (Kronecker
   substitution), so a matrix product costs ceil(e / g)^2 times a GF(p)
-  one, not e^2.  One word (g = e) serves every GF(p) and GF(p^2), p <= 13,
-  and GF(8); GF(2^4) takes two, GF(2^12) and GF(3^7) four;
+  one, not e^2.  One word (g = e) serves GF(p^2), p <= 13, and GF(8);
+  GF(2^4) takes two, GF(2^12) and GF(3^7) four.  Over GF(p) the word is
+  the encoding itself, a float32 one for p <= 251;
 - negation, and for odd p with e > 1 a carry-free addition: a's digits
   spread in base 2p - 1, and an unspread table of (2p - 1)^e < 2^e q entries.
 """
@@ -235,6 +236,8 @@ class Field:
 
     def sum(self, arr, axis=None):
         arr = np.asarray(arr)
+        if not arr.size:  # an empty list is a float64 array, which no op takes
+            arr = arr.astype(np.int16)
         if self.p == 2:
             r = np.bitwise_xor.reduce(arr, axis=axis)
         elif self.e == 1:

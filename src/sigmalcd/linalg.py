@@ -33,20 +33,27 @@ costs O(m n^2) bit operations, the int16 update O(m n), so larger shapes
 stay on the loop, as do larger fields (more planes and products) and
 Gauss-Jordan, whose finished rows cannot be shifted out.
 
-mat_mul is Kronecker substitution on float64 words (Dumas, Fousse and
+mat_mul is Kronecker substitution on float words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
 ceil(e / g) groups of g, each packed into one word as sum d_s 2^(w s).  The
 product of two words is a polynomial in 2^w whose 2g - 1 fields are digit
 convolutions; a field sums at most g (p - 1)^2 per term, so with the inner
 dimension cut into chunks of at most (2^w - p) / (g (p - 1)^2) terms every
-field stays below 2^w, and (2g - 1) w <= 53 keeps the word exact.  Each
-chunk is one float64 matrix product holding every pair of digit groups.
-The fields are peeled off with floor and multiply, x^t for t >= e is folded
-by the modulus, and the digits are taken mod p.  g is fixed per field, the
-fewest groups whose chunk holds at least MIN_CHUNK terms.  Every GF(p) takes
-g = 1, one word whose field is the whole word, so each chunk's sum is
-reduced mod p before the next is added.  GF(p^2) for p <= 13 and GF(8) take
-one word, GF(2^4) and GF(p^3) for 3 <= p <= 13 two, GF(2^12) and GF(3^7) four.
+field stays below 2^w, and (2g - 1) w within the mantissa, 24 bits in
+float32 and 53 in float64, keeps every partial sum exact (Dumas, Giorgi and
+Pernet, ACM TOMS 2008).  A chunk is one matrix product of every pair of
+digit groups.  Per field, g gives the fewest groups whose chunk holds
+MIN_CHUNK terms, in float32 where that chunk does too.  A GF(p) word is the
+entry itself, cast: float32 up to p = 251 (GF(131) chunks of 992 terms),
+float64 past it.  Each chunk's sum is reduced mod p before the next adds to
+it, for p = 2 by XOR on int32 and a final & 1.  GF(p^e) words are one
+gather from a table.  For odd p the fields are peeled off the int64 word by
+shift and mask, x^t for t >= e folded by the modulus and the digits taken
+mod p.  Over GF(2^e) a field counts by its parity, bit w u of the word: one
+multiply packs those bits into c(x), the product mod 2 (XORed over digit
+group blocks), and c mod the modulus is c's low e bits XOR a table of
+x^e h(x) at h = c >> e.  GF(p^2) for p <= 13 and GF(8) take one word,
+GF(2^4) and GF(p^3) for 3 <= p <= 13 two, GF(2^12) and GF(3^7) four.
 
 No subspace intersection lives here: `codes` reads every meet of a code
 with a dual off the kernel of a small Gram product.
@@ -85,49 +92,48 @@ def as_matrix(rows, n: int | None = None) -> np.ndarray:
     return M
 
 
-# a float64 sum of integer products is exact below this
-EXACT_BITS = 53
-EXACT_LIMIT = 2**EXACT_BITS
-# g > 1 digits per word only if a chunk of the inner dimension then sums
-# at least this many terms
+# a float sum of integer products is exact below 2^24 in float32, 2^53 in float64
+MANTISSA = {np.float32: 24, np.float64: 53}
+EXACT_LIMIT = 2**53
+# g > 1 digits per word, or float32 words, only if a chunk of the inner
+# dimension then sums at least this many terms
 MIN_CHUNK = 256
 
 
 @functools.lru_cache(maxsize=None)
 def _packing(F: Field):
-    """How mat_mul packs F: (g, w, tables, scales, fold, weights).
+    """How mat_mul packs F: (g, w, dtype, tables, fold).
 
-    The e digits of an entry split into groups = ceil(e / g) groups of g,
-    and tables[c, a] packs group a of c into one word, sum d_s 2^(w s).  g
-    is chosen for the fewest groups, then the widest fields.  scales[u] is
-    2^(-w u).  Column (u, a, b) of fold holds the digits of x^(g (a + b) +
-    u), the power that field u of the product of group a by group b
-    multiplies, and weights are the digit weights p^i as floats."""
+    The e digits of an entry split into ceil(e / g) groups of g, and group a
+    of c packs into one word, sum d_s 2^(w s), of the float dtype: the
+    fewest groups, then the narrowest float, then the widest fields.  Over
+    GF(p) the word is the entry and tables is None; else tables[c, a] is
+    group a's word.  For odd p, column (u, a, b) of fold holds the digits of
+    x^(g (a + b) + u), the power that field u of the product of group a by
+    group b multiplies.  For p = 2, fold[h] is x^e h(x), so c(x) mod the
+    modulus is the low e bits of c XOR fold[c >> e]."""
     p, e = F.p, F.e
-    best = None
-    for g in range(1, e + 1):
-        w = EXACT_BITS // (2 * g - 1)
-        groups = -(-e // g)
-        if (g == 1 or (2**w - p) // (g * (p - 1) ** 2) >= MIN_CHUNK) and (best is None or groups < best[0]):
-            best = groups, g, w
-    groups, g, w = best
+    groups, _, g, w, dtype = min(
+        (-(-e // g), bits, g, bits // (2 * g - 1), dtype) for g in range(1, e + 1) for dtype, bits in MANTISSA.items()
+        if (2 ** (bits // (2 * g - 1)) - p) // (g * (p - 1) ** 2) >= MIN_CHUNK or (g, bits) == (1, 53))
     spread = np.zeros((F.q, groups * g))
     spread[:, :e] = F.digits
-    tables = spread.reshape(F.q, groups, g) @ (2.0 ** (w * np.arange(g)))
+    tables = (spread.reshape(F.q, groups, g) @ (2.0 ** (w * np.arange(g)))).astype(dtype) if e > 1 else None
     x = F.p % F.q  # the class of x; 0 in GF(p), whose modulus is x
+    if p == 2:
+        return g, w, dtype, tables, F.mul(np.arange(2 ** (e - 1)), F.pow(x, e))
     powers = F.digits[[F.pow(x, t) for t in range(2 * g * groups - 1)]]
     a = g * np.arange(groups)
     fold = powers[np.arange(2 * g - 1)[:, None, None] + np.add.outer(a, a)]
-    scales = 2.0 ** (-w * np.arange(2 * g - 1)).reshape(-1, 1, 1, 1, 1)
-    fold = fold.reshape(-1, e).T.astype(np.float64)
-    return g, w, tables, scales, fold, F.digit_weights.astype(np.float64)
+    return g, w, dtype, tables, fold.reshape(-1, e).T.astype(np.float64)
 
 
 def _reduce(acc: np.ndarray, p: int) -> np.ndarray:
-    """acc mod p in place, for float64 integers 0 <= acc < 2^53: acc / p is
-    at least 1/p below the next integer, more than its rounding error
-    acc / (p 2^53), so its floor is the exact quotient.  One scratch array:
-    each fresh one costs page faults on the first touch."""
+    """acc mod p in place, for float integers 0 <= acc < 2^b, b = 24 in
+    float32 and 53 in float64: acc / p is at least 1/p below the next
+    integer, more than its rounding error acc / (p 2^b), so its floor is the
+    exact quotient.  One scratch array: each fresh one costs page faults on
+    the first touch."""
     quot = acc / p
     np.floor(quot, out=quot)
     quot *= p
@@ -140,31 +146,50 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=np.int16)
     if A.shape[1] != B.shape[0]:
         raise BadInput(f"cannot multiply {A.shape} by {B.shape}")
-    (k, n), m, p = A.shape, B.shape[1], F.p
-    g, w, tables, scales, fold, weights = _packing(F)
-    groups, fields = tables.shape[1], len(scales)
-    left = tables.T[:, A].reshape(groups * k, n)
-    right = tables[B].reshape(n, m * groups)
-    # a field sums at most g (p - 1)^2 per term and must stay below 2^w,
-    # which is EXACT_LIMIT when g = 1; a lower EXACT_LIMIT cuts every chunk
+    (k, n), m, p, e = A.shape, B.shape[1], F.p, F.e
+    g, w, dtype, tables, fold = _packing(F)
+    fields, groups = 2 * g - 1, -(-e // g)
+    if tables is None:  # the word is the entry
+        left, right = A.astype(dtype), B.astype(dtype)
+    else:  # rows (i, a) by columns (j, b): group a of A[i] by group b of B[:, j]
+        left = tables.take(A.T, axis=0).reshape(n, k * groups).T
+        right = tables.take(B, axis=0).reshape(n, m * groups)
+    # a field sums at most g (p - 1)^2 per term and must stay below 2^w;
+    # a lower EXACT_LIMIT cuts every chunk
     step = (min(2**w, EXACT_LIMIT) - p) // (g * (p - 1) ** 2)
     for lo in range(0, n or 1, step):
-        # one product holds every block (a, b): group a of A by group b of B
         word = left[:, lo : lo + step] @ right[lo : lo + step]
-        word = word.reshape(groups, k, m, groups).transpose(0, 3, 1, 2)
-        if fields > 1:  # top[u] = floor(word / 2^(w u)); field u = top[u] - 2^w top[u + 1]
-            word = np.multiply(word, scales)
-            np.floor(word, out=word)
-            word[:-1] -= word[1:] * 2.0**w
-        if lo:
-            word += acc
-        # a g = 1 field is the whole word: it is reduced before the next
-        # chunk adds to it.  Narrower fields stay below 2^w per chunk.
-        acc = _reduce(word, p) if g == 1 else word
-    acc = acc.reshape(fields * groups * groups, k * m)
-    if F.e > 1:  # fold x^t, t >= e, by the modulus, then pack the digits
-        acc = weights @ _reduce(fold @ acc, p)
-    return acc.reshape(k, m).astype(np.int16)
+        if p == 2 or e > 1:
+            word = word.astype(np.int32 if e == 1 else np.int64)
+        if p > 2 and e > 1:  # field u is bits w u.. of the word
+            word = word >> np.arange(0, w * fields, w).reshape(-1, 1, 1)
+            word[:-1] &= 2**w - 1
+        acc = word if not lo else acc ^ word if p == 2 else acc + word  # p = 2: bit w u, field u's parity
+        if p > 2 and e == 1:  # the field is the word, reduced before the next chunk adds to it
+            acc = _reduce(acc, p)
+    del left, right, word  # the rest reuses their pages rather than faulting in fresh ones
+    if e == 1:
+        return (np.bitwise_and(acc, 1, out=acc) if p == 2 else acc).astype(np.int16)
+    if p > 2:  # x^t, t >= e, folded by the modulus, then the digits packed
+        if groups > 1:  # column (u, a, b) of fold
+            acc = acc.reshape(fields, k, groups, m, groups).transpose(0, 2, 4, 1, 3)
+        # a field sums to n g (p - 1)^2 at most, so the fold's sums are exact
+        acc = _reduce(fold @ acc.astype(np.float64, order="C").reshape(fields * groups**2, k * m), p)
+        return (F.digit_weights @ acc).reshape(k, m).astype(np.int16)
+    # field u's parity to bit u of c: the multiplier takes bit w u to bit K + u, K = (fields - 1) w,
+    # no two of its products share a bit, and those past bit 63 wrap away
+    K = (fields - 1) * w
+    acc &= (2 ** (w * fields) - 1) // (2**w - 1)
+    acc *= 2 ** (fields - 1) * (2 ** ((w - 1) * fields) - 1) // (2 ** (w - 1) - 1)
+    acc >>= K
+    acc &= 2**fields - 1
+    if groups > 1:  # block (a, b) multiplies x^(g (a + b)); the blocks laid out first XOR fast
+        a, blocks = g * np.arange(groups), acc.reshape(k, groups, m, groups).transpose(1, 3, 0, 2)
+        acc = np.bitwise_xor.reduce(np.left_shift(blocks, np.add.outer(a, a)[..., None, None], order="C"), axis=(0, 1))
+    out = fold.take(np.right_shift(acc, e, dtype=np.int32))  # c < 2^(2 e - 1)
+    acc &= F.q - 1
+    out ^= acc
+    return out
 
 
 def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:

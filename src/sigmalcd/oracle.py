@@ -101,6 +101,12 @@ def _rotation(p: int) -> np.ndarray:
     return shift
 
 
+@functools.lru_cache(maxsize=None)
+def _x_powers(F) -> np.ndarray:
+    """The digits of x^s, s < 2e - 1, by which _product folds."""
+    return F.digits[[F.pow(F.p, s) for s in range(2 * F.e - 1)]]
+
+
 class _Spans:
     """The weights of all q^k codewords, by message index.
 
@@ -328,8 +334,7 @@ def _product(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     right = F.digits[B][:, :, ::-1].transpose(2, 0, 1).reshape(e * n, m).astype(np.float64)
     windows = [(max(u, 0) * n, max(-u, 0) * n, (e - abs(u)) * n) for u in range(1 - e, e)]
     coeffs = np.stack([_dot(left[:, a : a + w], right[b : b + w], p) for a, b, w in windows], axis=-1)
-    powers = F.digits[[F.pow(p, s) for s in range(2 * e - 1)]]
-    return (coeffs @ powers % p @ F.digit_weights).astype(np.int16)
+    return (coeffs @ _x_powers(F) % p @ F.digit_weights).astype(np.int16)
 
 
 def _is_matrix(X: np.ndarray, shape, q: int) -> bool:

@@ -167,6 +167,29 @@ def test_is_permutation_is_monomial():
     assert not f.is_monomial
 
 
+@pytest.mark.parametrize("F", [F3, F4, field(3, 2)], ids=repr)
+@pytest.mark.parametrize("frob, scaled", [(0, False), (1, False), (0, True), (1, True)])
+def test_apply_equals_frobenius_scaling_and_scatter(F, frob, scaled):
+    """apply skips the diagonal gather exactly for a pure permutation: an
+    all-ones diagonal with frob 0, or frob 1 over GF(3), where it is 0.  One
+    diagonal entry other than 1 takes the general path.  Either way the
+    result is the three steps done in full, on a word and on rows, and
+    stays so when the caller edits the arrays the map was built from."""
+    rng = np.random.default_rng(F.q * 4 + frob * 2 + scaled)
+    n = 9
+    perm, diag = rng.permutation(n).astype(np.int32), np.ones(n, dtype=np.int16)
+    if scaled:
+        diag[4] = F.q - 1
+    sg = SemiLinearMap(F, perm=perm, diag=diag, frob=frob)
+    assert sg.is_permutation == (not scaled and sg.frob == 0)
+    V = rng.integers(0, F.q, size=(5, n)).astype(np.int16)
+    want = np.empty_like(V)
+    want[:, perm] = F.mul(diag, F.frob(V, frob))
+    assert np.array_equal(sg.apply(V), want) and np.array_equal(sg(V[2]), want[2])
+    perm[:], diag[:] = np.arange(n), 2  # the map keeps its own copies
+    assert np.array_equal(sg.apply(V), want)
+
+
 def test_apply_sigma_examples():
     c = C(F2, 2, (1, 0))
     swap = SemiLinearMap.permutation(F2, np.array([1, 0], dtype=np.int32))
@@ -289,6 +312,26 @@ def test_hull_equals_oracle_randomized():
             c = rand_code(F, n, int(rng.integers(1, n + 1)), rng)
             sg = rand_sigma(F, n, rng)
             assert hull_dim(c, sg) == oracle.brute_hull_dim(c, sg)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=repr)
+def test_hull_dim_equals_oracle_at_size(F):
+    """hull_dim, a packed Gram product and a bit-plane rank, against the
+    oracle's explicit intersection on random [n, n/2] codes up to n = 96
+    and on [A | ... | A], p copies, whose Euclidean hull is all of it: under
+    the identity, the reversal, a monomial map and a semilinear one."""
+    rng = np.random.default_rng(96 + F.q)
+    for n in (12, 24, 48, 96):
+        A = rng.integers(0, F.q, size=(n // (2 * F.p), n // F.p))
+        for code in (LinearCode(F, n, rng.integers(0, F.q, size=(n // 2, n))), LinearCode(F, n, np.hstack([A] * F.p))):
+            diag = rng.integers(1, F.q, size=n)
+            maps = [SemiLinearMap.identity(F, n), SemiLinearMap.reversal(F, n),
+                    SemiLinearMap(F, perm=rng.permutation(n), diag=diag),
+                    SemiLinearMap(F, perm=rng.permutation(n), diag=diag, frob=1)]
+            for sg in maps:
+                assert hull_dim(code, sg) == oracle.brute_hull_dim(code, sg)
+        # the last code, p copies of A, is Euclidean self-orthogonal
+        assert hull_dim(code, maps[0]) == code.k > 0
 
 
 # ---------------------------------------------------------------- hull normal form

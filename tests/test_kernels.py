@@ -8,6 +8,9 @@ Larger eliminations are checked against the oracle's own per-column
 Gauss-Jordan.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +209,16 @@ def test_array_ops_match_scalar_ops(case):
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_sum_of_nothing_is_zero(F):
+    """An empty list sums to 0 like an empty int16 array, with and without
+    an axis; an empty column of a matrix sums to 0 too."""
+    for empty in ([], np.zeros(0, dtype=np.int16)):
+        assert F.sum(empty) == 0 and type(F.sum(empty)) is int
+        assert F.sum(empty, axis=0) == 0
+    assert F.sum(np.zeros((0, 3), dtype=np.int16), axis=0).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_regular_representation(F):
     """Multiplication by a is the e x e GF(p) matrix whose row j holds the
     digits of a x^j, built here from the schoolbook product.  mat_mul's
@@ -237,26 +250,34 @@ def chunk(F):
     return (2**w - F.p) // (g * (F.p - 1) ** 2)
 
 
+# a float sum of integer products is exact below 2^mantissa
+MANTISSA = {np.float32: 24, np.float64: 53}
+
+
 @pytest.mark.parametrize("p", [2, 3, 131, 4093])
 def test_exactness_bound(p):
     """The packing invariant on every field of characteristic p: a product
-    word holds 2g - 1 fields of w bits within float64's 53, a field sums
-    at most g (p - 1)^2 per term, and a chunk is the longest whose field
-    stays below 2^w with p to spare (the reduced sum it is added to when
-    g = 1).  g > 1 only with a chunk of MIN_CHUNK terms or more, and g
-    gives the fewest digit groups that allow."""
+    word holds 2g - 1 fields of w bits within its float's mantissa, a field
+    sums at most g (p - 1)^2 per term, and a chunk is the longest whose
+    field stays below 2^w with p to spare (the reduced sum it is added to
+    when g = 1).  g > 1, or a float32 word, only with a chunk of MIN_CHUNK
+    terms or more; g gives the fewest digit groups that allow, and the word
+    is float64 only where a float32 one is not allowed."""
     e = 1
     while p**e <= 4096:
         F = field(p, e)
-        g, w, tables, _, fold, _ = linalg._packing(F)
-        t, bound = chunk(F), g * (p - 1) ** 2
-        assert (2 * g - 1) * w <= 53
+        g, w, dtype, tables, fold = linalg._packing(F)
+        t, bound, groups = chunk(F), g * (p - 1) ** 2, -(-e // g)
+        assert (2 * g - 1) * w <= MANTISSA[dtype]
         assert t * bound + p <= 2**w < (t + 1) * bound + p
-        assert g == 1 or t >= linalg.MIN_CHUNK
-        assert tables.shape == (F.q, -(-e // g)) and fold.shape == (e, (2 * g - 1) * tables.shape[1] ** 2)
+        assert (g == 1 and dtype is np.float64) or t >= linalg.MIN_CHUNK
+        if dtype is np.float64:
+            assert (2 ** (24 // (2 * g - 1)) - p) // bound < linalg.MIN_CHUNK
+        assert tables is None if e == 1 else (tables.shape == (F.q, groups) and tables.dtype == dtype)
+        assert fold.shape == ((2 ** (e - 1),) if p == 2 else (e, (2 * g - 1) * groups**2))
         for h in range(1, e + 1):
             v = 53 // (2 * h - 1)
-            if -(-e // h) < tables.shape[1]:
+            if -(-e // h) < groups:
                 assert h > 1 and (2**v - p) // (h * (p - 1) ** 2) < linalg.MIN_CHUNK
         e += 1
 
@@ -264,8 +285,18 @@ def test_exactness_bound(p):
 @pytest.mark.parametrize("F, g", [(field(2), 1), (field(3), 1), (field(2, 2), 2), (field(2, 3), 3), (field(3, 2), 2)], ids=repr)
 def test_small_fields_pack_one_word(F, g):
     """GF(2), GF(3), GF(4), GF(8) and GF(9) take one word per entry, so one
-    product per chunk."""
-    assert linalg._packing(F)[0] == g and linalg._packing(F)[2].shape == (F.q, 1)
+    product per chunk: over GF(2) and GF(3) the entry itself."""
+    plan = linalg._packing(F)
+    assert plan[0] == g and -(-F.e // g) == 1
+    assert plan[3] is None if F.e == 1 else plan[3].shape == (F.q, 1)
+
+
+@pytest.mark.parametrize("p, dtype", [(2, np.float32), (3, np.float32), (131, np.float32), (251, np.float32), (257, np.float64), (4093, np.float64)])
+def test_prime_fields_take_float32_while_a_chunk_holds_min_chunk(p, dtype):
+    """(2^24 - p) / (p - 1)^2 terms fit a float32 chunk: 268 at p = 251,
+    255 at p = 257, so GF(257) on takes float64."""
+    assert linalg._packing(field(p))[2] is dtype
+    assert ((2**24 - p) // (p - 1) ** 2 >= linalg.MIN_CHUNK) == (dtype is np.float32)
 
 
 @pytest.mark.parametrize("F", PRODUCT_FIELDS, ids=repr)
@@ -281,17 +312,61 @@ def test_mat_mul_top_entries_at_the_longest_chunk(F):
         assert linalg.mat_mul(F, A, B).tolist() == [[ref_mul(F, n % F.p, square)] * 3] * 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 131])
+def test_mat_mul_top_entries_at_the_float32_chunk(p):
+    """A float32 chunk of t terms sums to t (p - 1)^2 < 2^24 - p, reduced
+    before the next adds to it.  GF(131)'s chunk is 992 terms at real size;
+    GF(2)'s and GF(3)'s pass 2^22, so they run under a limit of 7 terms.
+    All-(p - 1) operands of one chunk, one past it and two past it, all-
+    (p - 2) ones, whose odd products make odd partial sums, and large random
+    entries against an int64 product: float32 would round an odd sum past
+    2^24 in an overlong chunk."""
+    F = field(p)
+    assert linalg._packing(F)[2] is np.float32
+    with pytest.MonkeyPatch.context() as mp:
+        if p < 131:
+            mp.setattr(linalg, "EXACT_LIMIT", 7 * (p - 1) ** 2 + p)
+        t = (min(2**24, linalg.EXACT_LIMIT) - p) // (p - 1) ** 2
+        assert t == (992 if p == 131 else 7)
+        for n, v in itertools.product((t, t + 1, 2 * t + 1), {p - 1, max(p - 2, 1)}):
+            A = np.full((2, n), v, dtype=np.int16)
+            B = np.full((3, n), v, dtype=np.int16).T
+            assert linalg.mat_mul(F, A, B).tolist() == [[n * v * v % p] * 3] * 2
+        # large random entries: sums of an overlong chunk would pass 2^24
+        rng = np.random.default_rng(p)
+        A, B = rng.integers(p * 3 // 4, p, size=(4, 3 * t + 2)), rng.integers(p * 3 // 4, p, size=(3 * t + 2, 5))
+        assert np.array_equal(linalg.mat_mul(F, A, B), A @ B % p)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(product_operands(max_dim=7))
 def test_mat_mul_split_inner_dimension(case):
     """With the exactness limit lowered, the inner dimension is summed in
-    chunks of three terms; the result must not change."""
+    chunks of three terms, float32 words (GF(2), GF(3), GF(131)) included;
+    the result must not change."""
     F, A, B = case
     g = linalg._packing(F)[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "EXACT_LIMIT", 3 * g * (F.p - 1) ** 2 + F.p)
         got = linalg.mat_mul(F, A, B)
     assert got.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(product_operands(max_dim=7), st.sampled_from(["transpose", "columns", "rows"]))
+def test_mat_mul_strided_right_operand(case, layout):
+    """gram multiplies by sigma(G).T, a transposed view; the product must
+    not depend on the right operand's strides: a transposed copy, every
+    other column of a wider matrix, or every other row of a taller one."""
+    F, A, B = case
+    if layout == "transpose":
+        right = np.ascontiguousarray(B.T).T
+    elif layout == "columns":
+        right = np.repeat(B, 2, axis=1)[:, ::2]
+    else:
+        right = np.repeat(B, 2, axis=0)[::2]
+    assert np.array_equal(right, B)
+    assert linalg.mat_mul(F, A, right).tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -487,6 +562,20 @@ def test_oracle_product_split_inner_dimension(case):
         mp.setattr(oracle, "_EXACT", 3 * (F.p - 1) ** 2 + F.p)
         got = oracle._product(F, A, B)
     assert got.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), B.shape[1])
+
+
+def test_oracle_product_reads_the_powers_of_x_once():
+    """_product folds by the digits of x^s, s < 2e - 1, cached per field:
+    the scalar F.pow calls come with the first product over a field only."""
+    F = field(3, 2)
+    rng = np.random.default_rng(9)
+    A, B = rng.integers(0, F.q, size=(3, 4)), rng.integers(0, F.q, size=(4, 2))
+    oracle._x_powers.cache_clear()
+    with mock.patch.object(F, "pow", wraps=F.pow) as spy:
+        first = oracle._product(F, A, B)
+        assert spy.call_count == 2 * F.e - 1
+        assert np.array_equal(oracle._product(F, A, B), first) and spy.call_count == 2 * F.e - 1
+    assert first.tolist() == ref_mat_mul(F, A.tolist(), B.tolist(), 2)
 
 
 class InnerDims(np.ndarray):
