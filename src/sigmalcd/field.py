@@ -20,7 +20,8 @@ Tables built once per field drive everything:
   a * b is the single gather exp[log[a] + log[b]] for every a and b.
   Division, inversion and powering are single gathers too;
 - the digits: digits[a] holds the e base-p digits of a.  linalg.mat_mul
-  packs g of them into one float64 word and multiplies words (Kronecker
+  packs g of them into one float word, float32 where its chunks stay long
+  (GF(p^2) for 17 <= p <= 61), and multiplies words (Kronecker
   substitution), so a matrix product costs ceil(e / g)^2 times a GF(p)
   one, not e^2.  One word (g = e) serves GF(p^2), p <= 13, and GF(8);
   GF(2^4) takes two, GF(2^12) and GF(3^7) four.  Over GF(p) the word is

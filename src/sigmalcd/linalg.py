@@ -52,7 +52,9 @@ shift and mask, x^t for t >= e folded by the modulus and the digits taken
 mod p.  Over GF(2^e) a field counts by its parity, bit w u of the word: one
 multiply packs those bits into c(x), the product mod 2 (XORed over digit
 group blocks), and c mod the modulus is c's low e bits XOR a table of
-x^e h(x) at h = c >> e.  GF(p^2) for p <= 13 and GF(8) take one word,
+x^e h(x) at h = c >> e.  The odd-p tails are exact for p = 2 too, but
+cost structured-criteria about 1% (GF(2)) and 2% (GF(2^e)) of its
+verdicts/s on a 2-core host.  GF(p^2) for p <= 13 and GF(8) take one word,
 GF(2^4) and GF(p^3) for 3 <= p <= 13 two, GF(2^12) and GF(3^7) four.
 
 No subspace intersection lives here: `codes` reads every meet of a code
@@ -107,7 +109,7 @@ def _packing(F: Field):
     The e digits of an entry split into ceil(e / g) groups of g, and group a
     of c packs into one word, sum d_s 2^(w s), of the float dtype: the
     fewest groups, then the narrowest float, then the widest fields.  Over
-    GF(p) the word is the entry and tables is None; else tables[c, a] is
+    GF(p) the word is the entry, tables and fold None; else tables[c, a] is
     group a's word.  For odd p, column (u, a, b) of fold holds the digits of
     x^(g (a + b) + u), the power that field u of the product of group a by
     group b multiplies.  For p = 2, fold[h] is x^e h(x), so c(x) mod the
@@ -116,13 +118,14 @@ def _packing(F: Field):
     groups, _, g, w, dtype = min(
         (-(-e // g), bits, g, bits // (2 * g - 1), dtype) for g in range(1, e + 1) for dtype, bits in MANTISSA.items()
         if (2 ** (bits // (2 * g - 1)) - p) // (g * (p - 1) ** 2) >= MIN_CHUNK or (g, bits) == (1, 53))
+    if e == 1:
+        return g, w, dtype, None, None
     spread = np.zeros((F.q, groups * g))
     spread[:, :e] = F.digits
-    tables = (spread.reshape(F.q, groups, g) @ (2.0 ** (w * np.arange(g)))).astype(dtype) if e > 1 else None
-    x = F.p % F.q  # the class of x; 0 in GF(p), whose modulus is x
+    tables = (spread.reshape(F.q, groups, g) @ (2.0 ** (w * np.arange(g)))).astype(dtype)
     if p == 2:
-        return g, w, dtype, tables, F.mul(np.arange(2 ** (e - 1)), F.pow(x, e))
-    powers = F.digits[[F.pow(x, t) for t in range(2 * g * groups - 1)]]
+        return g, w, dtype, tables, F.mul(np.arange(2 ** (e - 1)), F.pow(p, e))
+    powers = F.digits[[F.pow(p, t) for t in range(2 * g * groups - 1)]]  # p encodes x
     a = g * np.arange(groups)
     fold = powers[np.arange(2 * g - 1)[:, None, None] + np.add.outer(a, a)]
     return g, w, dtype, tables, fold.reshape(-1, e).T.astype(np.float64)
@@ -159,14 +162,14 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     step = (min(2**w, EXACT_LIMIT) - p) // (g * (p - 1) ** 2)
     for lo in range(0, n or 1, step):
         word = left[:, lo : lo + step] @ right[lo : lo + step]
-        if p == 2 or e > 1:
+        if p == 2:  # bit w u of the word is field u's parity, so chunks XOR
             word = word.astype(np.int32 if e == 1 else np.int64)
-        if p > 2 and e > 1:  # field u is bits w u.. of the word
-            word = word >> np.arange(0, w * fields, w).reshape(-1, 1, 1)
+        elif e > 1:  # field u is bits w u.. of the word
+            word = word.astype(np.int64) >> np.arange(0, w * fields, w).reshape(-1, 1, 1)
             word[:-1] &= 2**w - 1
-        acc = word if not lo else acc ^ word if p == 2 else acc + word  # p = 2: bit w u, field u's parity
-        if p > 2 and e == 1:  # the field is the word, reduced before the next chunk adds to it
-            acc = _reduce(acc, p)
+        if lo:
+            (np.bitwise_xor if p == 2 else np.add)(word, acc, out=word)
+        acc = _reduce(word, p) if p > 2 and e == 1 else word  # odd p: the field is the word, reduced per chunk
     del left, right, word  # the rest reuses their pages rather than faulting in fresh ones
     if e == 1:
         return (np.bitwise_and(acc, 1, out=acc) if p == 2 else acc).astype(np.int16)
@@ -178,10 +181,9 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return (F.digit_weights @ acc).reshape(k, m).astype(np.int16)
     # field u's parity to bit u of c: the multiplier takes bit w u to bit K + u, K = (fields - 1) w,
     # no two of its products share a bit, and those past bit 63 wrap away
-    K = (fields - 1) * w
     acc &= (2 ** (w * fields) - 1) // (2**w - 1)
     acc *= 2 ** (fields - 1) * (2 ** ((w - 1) * fields) - 1) // (2 ** (w - 1) - 1)
-    acc >>= K
+    acc >>= (fields - 1) * w
     acc &= 2**fields - 1
     if groups > 1:  # block (a, b) multiplies x^(g (a + b)); the blocks laid out first XOR fast
         a, blocks = g * np.arange(groups), acc.reshape(k, groups, m, groups).transpose(1, 3, 0, 2)

@@ -274,7 +274,7 @@ def test_exactness_bound(p):
         if dtype is np.float64:
             assert (2 ** (24 // (2 * g - 1)) - p) // bound < linalg.MIN_CHUNK
         assert tables is None if e == 1 else (tables.shape == (F.q, groups) and tables.dtype == dtype)
-        assert fold.shape == ((2 ** (e - 1),) if p == 2 else (e, (2 * g - 1) * groups**2))
+        assert fold is None if e == 1 else fold.shape == ((2 ** (e - 1),) if p == 2 else (e, (2 * g - 1) * groups**2))
         for h in range(1, e + 1):
             v = 53 // (2 * h - 1)
             if -(-e // h) < groups:
