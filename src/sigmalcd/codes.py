@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadInput
+from .errors import BadInput, SigmaLcdError
 from .field import Field
 
 # the most codewords an exact enumeration may visit: the oracle's default
@@ -276,7 +276,7 @@ def make_lcd_sigma(code: LinearCode):
         (sigma,) = _lcp_candidates_binary(F, code, code)
         out = code.prepend_zero()
     if hull_dim(out, sigma) != 0:
-        raise RuntimeError("constructed map failed the complementary-dual check")
+        raise SigmaLcdError("constructed map failed the complementary-dual check")
     return sigma, out
 
 
@@ -379,7 +379,7 @@ def build_lcp(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_MAX_WORDS) -
         (sigma,) = _lcp_candidates_binary(F, c1, c2)
     second = sigma_dual(b, sigma)
     if linalg.sum_dim(F, a.gen, second.gen) != a.n:
-        raise RuntimeError("constructed map failed the complementary-pair check")
+        raise SigmaLcdError("constructed map failed the complementary-pair check")
     k = a.k
     d1 = brute_min_distance(a, budget) if 0 < k else None
     d2 = brute_min_distance(b, budget) if 0 < k else None

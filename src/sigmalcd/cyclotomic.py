@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .errors import BadInput
+from .errors import BadInput, SigmaLcdError
 from .field import MAX_FIELD_SIZE, Field, embedding, field
 
 
@@ -161,5 +161,6 @@ def gamma_partition(ctx: CyclotomicContext) -> GammaPartition:
     for i in part.g1:
         prod = poly.mul(F, prod, ctx.minimal_poly(i))
         prod = poly.mul(F, prod, ctx.minimal_poly(-i))
-    assert poly.equal(prod, poly.xm1(F, m)), "partition must tile x^m - 1"
+    if not poly.equal(prod, poly.xm1(F, m)):
+        raise SigmaLcdError("partition must tile x^m - 1")
     return part

@@ -519,9 +519,9 @@ def product_lcd_gqc(base: Field, components) -> ProductResult:
 
     code = GqcCode(base, tuple(block_lengths), rows)
     if code.k != sum(comp_dims):
-        raise RuntimeError(f"embedded dimension {code.k} != expected {sum(comp_dims)}")
+        raise SigmaLcdError(f"embedded dimension {code.k} != expected {sum(comp_dims)}")
     if not is_mua_lcd(code, ctx, -1):
-        raise RuntimeError("product code failed the mu_-1 complementary-dual check")
+        raise SigmaLcdError("product code failed the mu_-1 complementary-dual check")
     return ProductResult(
         code=code,
         ctx=ctx,

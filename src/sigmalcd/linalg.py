@@ -5,9 +5,9 @@ the Field first.
 
 rref is one elimination loop with one whole-slice update per pivot,
 R[first:, c:] -= f (x) R[r, c:], f the pivot column.  The RREF is
-Gauss-Jordan: first = 0 and f[r] = 0.  rank takes rref's reduced=False,
-forward elimination, the echelon form without back-substitution: first =
-r + 1.  Row r stays the pivot row when its entry is nonzero, and is written
+Gauss-Jordan: first = 0 and f[r] = 0.  With reduced=False it is forward
+elimination, the echelon form without back-substitution: first = r + 1.
+Row r stays the pivot row when its entry is nonzero, and is written
 back only if scaled.  Over GF(p), p odd, the update is a plain integer
 subtract, and only what is read (the pivot column, the pivot row, f) is
 reduced mod p, the rest once at the end; the pivot row is reduced before
@@ -20,7 +20,8 @@ gathers from a cached q x q product table, else one log/exp product.  The
 RREF is unique, so the pivot row chosen does not show.  `oracle` keeps the
 plain per-column loop as its own kernel.
 
-The forward pass over GF(2), GF(3) and GF(4) is bitsliced (Boothby and
+rank is a count of pivots: it runs the bit planes inside the limits, else
+rref's forward loop.  The planes cover GF(2), GF(3) and GF(4) (Boothby and
 Bradshaw, arXiv:0901.1413): plane j, one Python int, holds bit j of every
 entry, row i in the W-bit field at bit i W, W the multiple of 8 above n.
 GF(2) has one plane, GF(4) two digit planes, GF(3) the one-hot [x = 1] and
@@ -28,10 +29,10 @@ GF(2) has one plane, GF(4) two digit planes, GF(3) the one-hot [x = 1] and
 planes read off F.div (a plane swap negates in GF(3), a plane shuffle
 divides by y in GF(4)).  A product s r writes r into each field s selects,
 carry-free as fields do not overlap; a row with plane i set adds -(2^i) r.
-The pivot row is swapped into the lowest field and shifted out.  A product
-costs O(m n^2) bit operations, the int16 update O(m n), so larger shapes
-stay on the loop, as do larger fields (more planes and products) and
-Gauss-Jordan, whose finished rows cannot be shifted out.
+The pivot row is swapped into the lowest field and shifted out: only the
+pivot columns are kept.  A product costs O(m n^2) bit operations, the
+int16 update O(m n), so larger shapes stay on the loop, as do larger
+fields (more planes and products).
 
 mat_mul is Kronecker substitution on float words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
@@ -216,8 +217,8 @@ def _lazy_dtype(p: int, m: int, n: int):
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-# the forward pass runs on bit planes up to this many columns and below this
-# many cells; past either the int16 loop was faster (GF(3) 256 x 128, 16 x 512)
+# rank runs on bit planes up to this many columns and below this many
+# cells; past either the int16 loop was faster (GF(3) 256 x 128, 16 x 512)
 PACKED_COLUMNS = 256
 PACKED_CELLS = 2**15
 
@@ -232,8 +233,8 @@ def _plane_maps(F: Field):
     return scale, [(x ^ t, y ^ t, t) for x, y, t in d]
 
 
-def _forward_planes(F: Field, M: np.ndarray):
-    """rref(F, M, reduced=False) for q <= 4 on bit planes A, B; see the module docstring."""
+def _forward_planes(F: Field, M: np.ndarray) -> list[int]:
+    """M's pivot columns for q <= 4, forward on bit planes A, B; see the module docstring."""
     m, n = M.shape
     e, W = 1 + (F.q > 2), 8 * (n // 8 + 1)
     field = (1 << W) - 1
@@ -241,7 +242,7 @@ def _forward_planes(F: Field, M: np.ndarray):
     bits = np.zeros((e, m, W), dtype=np.uint8)
     bits[:, :, :n] = M >> np.arange(e).reshape(-1, 1, 1) & 1
     A, B = [int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little") for b in bits] + [0] * (2 - e)
-    rows, pivots = [], []
+    pivots = []
     if e == 2:
         scale, ((ux, uy, ut), (wx, wy, wt)) = _plane_maps(F)
     for c in range(n):
@@ -253,7 +254,7 @@ def _forward_planes(F: Field, M: np.ndarray):
         # the pivot row: the lowest field with a set bit, left out of s0, s1
         i = 0 if sel & 1 << c else (sel & -sel).bit_length() - 1 - c
         low = 1 << i + c
-        r0, r1 = a, b = A >> i & field, B >> i & field
+        a, b = A >> i & field, B >> i & field
         if e == 1:
             A ^= (sel ^ low) * (a >> c)
         else:
@@ -272,22 +273,15 @@ def _forward_planes(F: Field, M: np.ndarray):
         A = A >> W ^ ((A & field) ^ a) << i - W if i else A >> W
         B = B >> W ^ ((B & field) ^ b) << i - W if i else B >> W
         on >>= W - 1
-        rows.append((r0, r1))
         pivots.append(c)
-    E, r = np.zeros((m, n), dtype=np.int16), len(pivots)
-    for j in range(e):
-        packed = np.frombuffer(b"".join([row[j].to_bytes(W // 8, "little") for row in rows]), dtype=np.uint8)
-        E[:r] |= np.unpackbits(packed, bitorder="little").reshape(r, W)[:, :n].astype(np.int16) << j
-    return E, pivots
+    return pivots
 
 
 def rref(F: Field, M: np.ndarray, reduced: bool = True):
-    """Reduced row echelon form; returns (R, pivot_columns).  With reduced
-    False, R is the row echelon form of forward elimination: each pivot
-    clears only the rows below it, the pivot rows' entries above are kept."""
+    """Reduced row echelon form, one loop for every field; returns (R,
+    pivot_columns).  With reduced False, R is the row echelon form of
+    forward elimination: each pivot clears only the rows below it."""
     m, n = np.shape(M)
-    if not reduced and F.q <= 4 and n <= PACKED_COLUMNS and m * n < PACKED_CELLS:
-        return _forward_planes(F, np.asarray(M))
     p, q = F.p, F.q
     lazy = F.e == 1 and p > 2
     table = _products(F) if p == 2 and 2 < q <= min(m, SMALL_TABLE) else None
@@ -334,8 +328,6 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
             R[first:, c:] ^= np.bitwise_and.outer(f, row)
         elif table is not None:
             R[first:, c:] ^= multiples.take(f, axis=0)
-        elif p == 2:
-            R[first:, c:] ^= F.mul(f[:, None], row)
         else:
             R[first:, c:] = F.sub(R[first:, c:], F.mul(f[:, None], row))
     if lazy:
@@ -344,6 +336,9 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
 
 
 def rank(F: Field, M: np.ndarray) -> int:
+    m, n = np.shape(M)
+    if F.q <= 4 and n <= PACKED_COLUMNS and m * n < PACKED_CELLS:
+        return len(_forward_planes(F, np.asarray(M)))
     return len(rref(F, M, reduced=False)[1])
 
 

@@ -480,6 +480,46 @@ def test_cli_malformed_input_exits_2(files, case):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# the error each case must reach, and its command line
+HEADERS_AND_COUNTS = {
+    "field size 6000 exceeds table-backed limit 4096":
+        lambda d: ["lcd", "check", "--code", _write(d, "big.code", "6000 3 1\n1 1 1\n")],
+    "diag needs 7 entries": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                       "--sigma", _write(d, "short.sigma", "diag: 1 1\n")],
+    "frob needs one entry": lambda d: ["lcd", "check", "--code", str(d / "ham.code"),
+                                       "--sigma", _write(d, "frob.sigma", "frob: 1 2\n")],
+    "header must be 'q l', got '2'": lambda d: ["gqc", "check", _write(d, "head.gqc", "2\n7\n1,1,0,1\n")],
+    "empty product spec": lambda d: ["gqc", "product", _write(d, "empty.spec", "")],
+    "component header must be 'm r k', got '3 1'": lambda d: ["gqc", "product", _write(d, "head.spec", "2\n3 1\n1\n")],
+    "component row needs 2 entries, got 1": lambda d: ["gqc", "product", _write(d, "width.spec", "2\n3 2 1\n1\n")],
+    "component m=3 expected 2 rows": lambda d: ["gqc", "product", _write(d, "count.spec", "2\n3 1 2\n1\n")],
+}
+
+
+@pytest.mark.parametrize("message", sorted(HEADERS_AND_COUNTS))
+def test_cli_malformed_headers_and_counts_exit_2(files, message):
+    """Field sizes, sigma counts, GQC and product-spec headers, row widths
+    and row counts: each exits 2 with its one `error:` line, no traceback
+    and no report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.cmd_dispatch(HEADERS_AND_COUNTS[message](files))
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().splitlines() == [f"error: {message}"]
+
+
+def test_cli_failed_self_check_exits_2(files, monkeypatch):
+    """A construction that fails its own complementary-dual check is an
+    internal fault: exit 2 with one `error:` line, never 1 (a false
+    verdict) and never a traceback."""
+    monkeypatch.setattr(codes, "hull_dim", lambda code, sigma=None: 1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.cmd_dispatch(["lcd", "make", "--code", str(files / "ham.code")])
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().splitlines() == ["error: constructed map failed the complementary-dual check"]
+
+
 def _cli_error_at_once(argv: str) -> str:
     """Run the CLI in a fresh interpreter; assert exit 2 with one `error:`
     line within 2 s and return that line."""

@@ -255,6 +255,20 @@ def test_cross_block_lcd():
     assert hits == 40
 
 
+def test_cross_block_lcd_stops_at_a_block_projection():
+    """Blocks 7 and 3 under mu_1: block 7 projects onto the Hamming code
+    <1 + x + x^3>, which is not complementary-dual, so the answer is False
+    after that one block's check, as is_mua_lcd's."""
+    code = gqc.GqcCode.from_generators(F2, (7, 3), [((1, 1, 0, 1), (1, 1))])
+    ctx = gqc.context_for(code)
+    hamming = gqc.GqcCode.from_generators(F2, (7,), [((1, 1, 0, 1),)])
+    assert not gqc.is_mua_lcd(hamming, gqc.context_for(hamming), 1)
+    with mock.patch.object(gqc, "_lcd", wraps=gqc._lcd) as lcd:
+        assert gqc.cross_block_lcd(code, ctx, 1) is False
+    assert lcd.call_count == 1
+    assert gqc.is_mua_lcd(code, ctx, 1) is False
+
+
 def test_cross_block_requires_coprime():
     code = rand_gqc(F2, (3, 3), np.random.default_rng(14))
     ctx = gqc.context_for(code)

@@ -419,12 +419,21 @@ def test_rref_matches_gauss_jordan(case):
     assert_rref_is_gauss_jordan(*case)
 
 
+def inside_the_limits(F, M):
+    """Whether rank counts M's pivots on bit planes."""
+    m, n = M.shape
+    return F.q <= 4 and n <= linalg.PACKED_COLUMNS and m * n < linalg.PACKED_CELLS
+
+
 def assert_forward_elimination(F, M):
-    """rank counts the pivots of the oracle's Gauss-Jordan.  The forward
-    pass behind it leaves an echelon form of M's row space: a 1 at each
-    pivot with zeros left of it, and zero rows below the rank."""
+    """rank counts the pivots of the oracle's Gauss-Jordan, and inside the
+    limits the bit planes find those pivot columns.  rref's forward loop
+    leaves an echelon form of M's row space: a 1 at each pivot with zeros
+    left of it, and zero rows below the rank."""
     want_R, want_piv = _gauss_jordan(F, M)
     assert linalg.rank(F, M) == len(want_piv)
+    if inside_the_limits(F, M):
+        assert linalg._forward_planes(F, M) == want_piv
     E, piv = linalg.rref(F, M, reduced=False)
     assert E.dtype == np.int16 and E.shape == M.shape and ((0 <= E) & (E < F.q)).all()
     assert piv == want_piv and not E[len(piv) :].any()
@@ -436,8 +445,8 @@ def assert_forward_elimination(F, M):
 @settings(max_examples=300, deadline=None, database=None)
 @given(elimination_case())
 def test_rank_is_forward_elimination(case):
-    """The bit-plane kernel on GF(2), GF(3) and GF(4), the int16 loop on
-    the rest, against the oracle's Gauss-Jordan."""
+    """rank's bit planes on GF(2), GF(3) and GF(4) and rref's forward loop
+    on every field, against the oracle's Gauss-Jordan."""
     assert_forward_elimination(*case)
 
 
@@ -483,22 +492,44 @@ def test_packed_forward_pass_rank_deficient_products(F, r):
 @pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
 @pytest.mark.parametrize("shape", [(16, 300), (256, 128), (200, 200)])
 def test_forward_pass_past_the_packed_sizes(F, shape):
-    """Past PACKED_COLUMNS or PACKED_CELLS the int16 loop takes the forward
-    pass; with the limits raised the bit planes find the same pivots."""
+    """Past PACKED_COLUMNS or PACKED_CELLS rank takes rref's forward loop;
+    with the limits raised it counts the bit planes' pivots, which are
+    the loop's."""
     m, n = shape
     M = np.random.default_rng(m + n).integers(0, F.q, size=shape).astype(np.int16)
     M[: m // 2] = M[m // 2 : 2 * (m // 2)]  # rank at most m - m // 2
-    assert n > linalg.PACKED_COLUMNS or m * n >= linalg.PACKED_CELLS
+    assert not inside_the_limits(F, M)
     E, piv = linalg.rref(F, M, reduced=False)
+    assert linalg.rank(F, M) == len(piv) <= m - m // 2
+    assert E.dtype == np.int16 and not E[len(piv) :].any()
+    assert all(E[i, c] == 1 and not E[i, :c].any() for i, c in enumerate(piv))
+    assert linalg.row_space(F, E).tobytes() == linalg.row_space(F, M).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "PACKED_COLUMNS", n)
         mp.setattr(linalg, "PACKED_CELLS", m * n + 1)
-        P, packed_piv = linalg.rref(F, M, reduced=False)
-    assert packed_piv == piv and len(piv) <= m - m // 2
-    for R in (E, P):
-        assert R.dtype == np.int16 and not R[len(piv) :].any()
-        assert all(R[i, c] == 1 and not R[i, :c].any() for i, c in enumerate(piv))
-    assert linalg.row_space(F, E).tobytes() == linalg.row_space(F, P).tobytes() == linalg.row_space(F, M).tobytes()
+        mp.setattr(linalg, "rref", mock.Mock(side_effect=AssertionError("rref called")))
+        assert linalg.rank(F, M) == len(piv)
+        assert linalg._forward_planes(F, M) == piv
+
+
+@pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
+def test_rank_inside_the_limits_calls_no_rref(F, monkeypatch):
+    """Inside the limits rank counts bit-plane pivots and calls no rref;
+    past them it calls rref once.  rref(..., reduced=False) is the int16
+    loop's echelon form: [[1, 1], [0, 1]] keeps its 1 above the pivot."""
+    rng = np.random.default_rng(F.q)
+    M = rng.integers(0, F.q, size=(40, 60)).astype(np.int16)
+    M[20:] = M[:20]
+    wide = rng.integers(0, F.q, size=(2, linalg.PACKED_COLUMNS + 1)).astype(np.int16)
+    counted = mock.Mock(side_effect=linalg.rref)
+    monkeypatch.setattr(linalg, "rref", counted)
+    assert linalg.rank(F, M) == len(_gauss_jordan(F, M)[1]) == 20
+    assert linalg.rank(F, np.eye(3, dtype=np.int16)) == 3 and linalg.rank(F, M[:0]) == 0
+    assert counted.call_count == 0
+    assert linalg.rank(F, wide) == 2 and counted.call_count == 1
+    E, piv = linalg.rref(F, np.array([[1, 1], [0, 1]]), reduced=False)
+    assert E.dtype == np.int16 and E.tolist() == [[1, 1], [0, 1]] and piv == [0, 1]
+    assert_forward_elimination(F, M)
 
 
 @pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)

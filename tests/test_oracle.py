@@ -382,6 +382,21 @@ def test_search_permutation_family_obstruction():
     assert oracle.exhaustive_sigma_search(c, "permutation-sample") is None
 
 
+def test_search_permutation_family_past_exhaustion():
+    """Past n = 7 the family is the reversal, then seeded permutations:
+    on n = 9 the identity fails and the reversal is found; on n = 8 both
+    fail and the same sampled permutation is found on every call."""
+    odd = C(F2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0))
+    assert oracle.brute_hull_dim(odd, SemiLinearMap.identity(F2, 9)) == 1
+    assert oracle.exhaustive_sigma_search(odd).perm.tolist() == list(range(8, -1, -1))
+    even = C(F2, 8, (1, 1, 0, 0, 0, 0, 0, 0))
+    for named in (SemiLinearMap.identity(F2, 8), SemiLinearMap.reversal(F2, 8)):
+        assert oracle.brute_hull_dim(even, named) == 1
+    first, again = oracle.exhaustive_sigma_search(even), oracle.exhaustive_sigma_search(even)
+    assert oracle.brute_hull_dim(even, first) == 0
+    assert first.perm.tolist() == again.perm.tolist() and sorted(first.perm.tolist()) == list(range(8))
+
+
 def test_search_unknown_family():
     with pytest.raises(BadInput, match="unknown family 'nope'"):
         oracle.exhaustive_sigma_search(C(F2, 2, (1, 0)), "nope")
