@@ -3,7 +3,10 @@
 Matrices are 2-D numpy int16 arrays of field encodings; every function takes
 the Field first.
 
-rref is one elimination loop with one whole-slice update per pivot,
+rref is Gauss-Jordan and returns R with its pivot rows in pivot order.
+Over GF(2), GF(3) and GF(4) inside the limits below it walks bit planes;
+else, and for the forward elimination of reduced=False, it runs one
+elimination loop with one whole-slice update per pivot,
 R[first:, c:] -= f (x) R[r, c:], f the pivot column.  The RREF is
 Gauss-Jordan: first = 0 and f[r] = 0.  With reduced=False it is forward
 elimination, the echelon form without back-substitution: first = r + 1.
@@ -20,19 +23,25 @@ gathers from a cached q x q product table, else one log/exp product.  The
 RREF is unique, so the pivot row chosen does not show.  `oracle` keeps the
 plain per-column loop as its own kernel.
 
-rank is a count of pivots: it runs the bit planes inside the limits, else
-rref's forward loop.  The planes cover GF(2), GF(3) and GF(4) (Boothby and
-Bradshaw, arXiv:0901.1413): plane j, one Python int, holds bit j of every
-entry, row i in the W-bit field at bit i W, W the multiple of 8 above n.
+The bit planes cover GF(2), GF(3) and GF(4) (Boothby and Bradshaw,
+arXiv:0901.1413): plane j, one Python int, holds bit j of every entry, row
+i in the W-bit field at bit i W, W the least multiple of 8 from max(n, 1).
 GF(2) has one plane, GF(4) two digit planes, GF(3) the one-hot [x = 1] and
-[x = 2].  The pivot row r, the lowest field with bit c set, is scaled by
-planes read off F.div (a plane swap negates in GF(3), a plane shuffle
-divides by y in GF(4)).  A product s r writes r into each field s selects,
-carry-free as fields do not overlap; a row with plane i set adds -(2^i) r.
-The pivot row is swapped into the lowest field and shifted out: only the
-pivot columns are kept.  A product costs O(m n^2) bit operations, the
-int16 update O(m n), so larger shapes stay on the loop, as do larger
-fields (more planes and products).
+[x = 2].  The pivot row r for column c, the lowest candidate field with
+bit c set, is scaled by planes read off F.div (a plane swap negates in
+GF(3), a plane shuffle divides by y in GF(4)).  A product s r writes r
+into each field s selects, carry-free as fields do not overlap; a row with
+plane i set adds -(2^i) r.  rank is a count of pivots, by a forward
+pass: every row is a candidate, and the pivot row is swapped into the
+lowest field and shifted out, so only the pivot columns are kept.  rref's
+walk keeps every row in its field: the candidates are the rows not yet
+pivots (a `free` mask), the pivot row clears column c from every other
+row, with no product when it is the column's only nonzero entry, and is
+written back scaled.  One unpackbits gives R, the pivot rows first and the
+rest, all zero, after them.  A product costs O(m n^2) bit operations, the int16 update O(m n),
+so larger shapes stay on the loop, as do larger fields (more planes and
+products); so do matrices of fewer than PACKED_ROWS rows, whose packing
+costs more than the loop's whole run.
 
 mat_mul is Kronecker substitution on float words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
@@ -217,10 +226,22 @@ def _lazy_dtype(p: int, m: int, n: int):
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-# rank runs on bit planes up to this many columns and below this many
-# cells; past either the int16 loop was faster (GF(3) 256 x 128, 16 x 512)
+# rank and rref run on bit planes from PACKED_ROWS rows and up to
+# PACKED_COLUMNS columns, rank below PACKED_CELLS cells.  Past them the int16
+# loop was faster: rank at GF(3) 256 x 128 and 16 x 512, rref at GF(2)
+# 4 x 1024, and both on one row over GF(2), where packing costs more than
+# the loop's whole run (1 x 8: rank 4.5, rref 7.8 against 3.6 us)
 PACKED_COLUMNS = 256
 PACKED_CELLS = 2**15
+PACKED_ROWS = 2
+# rref walks the bit planes up to this many cells, per q; past them the
+# loop is faster on an input already in RREF (GF(2) 64 x 96: 92 against
+# 78 us, GF(4) 56 x 112: 134 against 115)
+WALK_CELLS = {2: 4096, 3: 8192, 4: 4096}
+
+
+# bit j of an entry is in plane j
+_PLANE_BITS = np.array([1, 2], dtype=np.uint8).reshape(-1, 1, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,15 +254,22 @@ def _plane_maps(F: Field):
     return scale, [(x ^ t, y ^ t, t) for x, y, t in d]
 
 
+def _pack_planes(F: Field, M: np.ndarray):
+    """(e, W, A, B): M's e bit planes for q <= 4, row i in bits i W.. of
+    each, and B = 0 over GF(2)."""
+    m, n = M.shape
+    e, W = 1 + (F.q > 2), 8 * max(1, -(-n // 8))
+    raw = np.packbits(M.astype(np.uint8) & _PLANE_BITS[:e], axis=-1, bitorder="little").tobytes()
+    size = len(raw) // e
+    return e, W, int.from_bytes(raw[:size], "little"), int.from_bytes(raw[size:], "little")
+
+
 def _forward_planes(F: Field, M: np.ndarray) -> list[int]:
     """M's pivot columns for q <= 4, forward on bit planes A, B; see the module docstring."""
     m, n = M.shape
-    e, W = 1 + (F.q > 2), 8 * (n // 8 + 1)
+    e, W, A, B = _pack_planes(F, M)
     field = (1 << W) - 1
     on = ((1 << m * W) - 1) // field  # bit c of every field, here c = 0
-    bits = np.zeros((e, m, W), dtype=np.uint8)
-    bits[:, :, :n] = M >> np.arange(e).reshape(-1, 1, 1) & 1
-    A, B = [int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little") for b in bits] + [0] * (2 - e)
     pivots = []
     if e == 2:
         scale, ((ux, uy, ut), (wx, wy, wt)) = _plane_maps(F)
@@ -277,10 +305,72 @@ def _forward_planes(F: Field, M: np.ndarray) -> list[int]:
     return pivots
 
 
+def _walk_planes(F: Field, M: np.ndarray):
+    """rref(F, M) for q <= 4, Gauss-Jordan on bit planes A, B; see the module docstring."""
+    m, n = M.shape
+    e, W, A, B = _pack_planes(F, M)
+    field = (1 << W) - 1
+    on = ((1 << m * W) - 1) // field  # bit c of every field, here c = 0
+    free = on  # bit c of the fields that are not pivot rows yet
+    rows, pivots = [], []
+    if e == 2:
+        scale, ((ux, uy, ut), (wx, wy, wt)) = _plane_maps(F)
+    for c in range(n):
+        s0, s1 = A & on, B & on
+        sel = s0 | s1 if e == 2 else s0
+        low = sel & free
+        if low:
+            low &= -low  # the pivot row: the lowest free field with bit c set
+            i = low.bit_length() - 1 - c
+            rows.append(i // W)
+            pivots.append(c)
+            free ^= low
+            sel ^= low  # the other rows with bit c set
+            if e == 1:
+                if sel:
+                    A ^= sel * ((A >> i & field) >> c)
+            else:
+                a, b = A >> i & field, B >> i & field
+                v = (1 if s0 & low else 0) | (2 if s1 & low else 0)
+                t00, t01, t10, t11 = scale[v]
+                r0, r1 = t00 & a ^ t01 & b, t10 & a ^ t11 & b
+                if v != 1:  # the scaled pivot row, in place
+                    A ^= (a ^ r0) << i
+                    B ^= (b ^ r1) << i
+                if sel:
+                    s0, s1 = (s0 ^ low if v & 1 else s0), (s1 ^ low if v & 2 else s1)
+                    X, Y, T = s0 * (r0 >> c), s1 * (r1 >> c), (s0 ^ s1) * ((r0 ^ r1) >> c)
+                    u, w = (ux and X) ^ (uy and Y) ^ (ut and T), (wx and X) ^ (wy and Y) ^ (wt and T)
+                    if F.p == 3:  # the one-hot sum
+                        x = (A | w) ^ (B | u)
+                        A, B = (B | w) ^ x, (A | u) ^ x
+                    else:
+                        A, B = A ^ u, B ^ w
+            if not free:
+                break
+        on <<= 1
+        free <<= 1
+    # the pivot rows in pivot order, then the rest, all zero
+    taken = set(rows)
+    rows += [i for i in range(m) if i not in taken]
+    size = m * W // 8
+    raw = np.frombuffer(A.to_bytes(size, "little") + B.to_bytes(size * (e - 1), "little"), dtype=np.uint8)
+    planes = np.unpackbits(raw.reshape(e, m, W // 8).take(rows, axis=1), axis=-1, count=n, bitorder="little")
+    return (planes[0] if e == 1 else planes[1] << 1 | planes[0]).astype(np.int16), pivots
+
+
 def rref(F: Field, M: np.ndarray, reduced: bool = True):
-    """Reduced row echelon form, one loop for every field; returns (R,
-    pivot_columns).  With reduced False, R is the row echelon form of
-    forward elimination: each pivot clears only the rows below it."""
+    """Reduced row echelon form; returns (R, pivot_columns).  With reduced
+    False, R is the row echelon form of forward elimination: each pivot
+    clears only the rows below it."""
+    m, n = np.shape(M)
+    if reduced and m >= PACKED_ROWS and n <= PACKED_COLUMNS and m * n <= WALK_CELLS.get(F.q, 0):
+        return _walk_planes(F, np.asarray(M))
+    return _eliminate(F, M, reduced)
+
+
+def _eliminate(F: Field, M: np.ndarray, reduced: bool):
+    """rref's int16 loop, for every field; see the module docstring."""
     m, n = np.shape(M)
     p, q = F.p, F.q
     lazy = F.e == 1 and p > 2
@@ -337,7 +427,7 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
 
 def rank(F: Field, M: np.ndarray) -> int:
     m, n = np.shape(M)
-    if F.q <= 4 and n <= PACKED_COLUMNS and m * n < PACKED_CELLS:
+    if F.q <= 4 and m >= PACKED_ROWS and n <= PACKED_COLUMNS and m * n < PACKED_CELLS:
         return len(_forward_planes(F, np.asarray(M)))
     return len(rref(F, M, reduced=False)[1])
 

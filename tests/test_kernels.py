@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalcd import linalg, oracle
+from sigmalcd import codes, linalg, oracle
 from sigmalcd.errors import DivisionByZero
 from sigmalcd.field import field
 from sigmalcd.oracle import _gauss_jordan
@@ -515,18 +515,22 @@ def test_forward_pass_past_the_packed_sizes(F, shape):
 @pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
 def test_rank_inside_the_limits_calls_no_rref(F, monkeypatch):
     """Inside the limits rank counts bit-plane pivots and calls no rref;
-    past them it calls rref once.  rref(..., reduced=False) is the int16
-    loop's echelon form: [[1, 1], [0, 1]] keeps its 1 above the pivot."""
+    past them, wider or with fewer than PACKED_ROWS rows, it calls rref
+    once.  rref(..., reduced=False) is the int16 loop's echelon form:
+    [[1, 1], [0, 1]] keeps its 1 above the pivot."""
     rng = np.random.default_rng(F.q)
     M = rng.integers(0, F.q, size=(40, 60)).astype(np.int16)
     M[20:] = M[:20]
-    wide = rng.integers(0, F.q, size=(2, linalg.PACKED_COLUMNS + 1)).astype(np.int16)
+    rows = linalg.PACKED_ROWS
+    wide = rng.integers(0, F.q, size=(rows, linalg.PACKED_COLUMNS + 1)).astype(np.int16)
     counted = mock.Mock(side_effect=linalg.rref)
     monkeypatch.setattr(linalg, "rref", counted)
     assert linalg.rank(F, M) == len(_gauss_jordan(F, M)[1]) == 20
-    assert linalg.rank(F, np.eye(3, dtype=np.int16)) == 3 and linalg.rank(F, M[:0]) == 0
+    assert linalg.rank(F, np.eye(rows, dtype=np.int16)) == rows
     assert counted.call_count == 0
-    assert linalg.rank(F, wide) == 2 and counted.call_count == 1
+    assert linalg.rank(F, wide) == len(_gauss_jordan(F, wide)[1]) and counted.call_count == 1
+    assert linalg.rank(F, np.eye(rows - 1, dtype=np.int16)) == rows - 1 and linalg.rank(F, M[:0]) == 0
+    assert counted.call_count == 3
     E, piv = linalg.rref(F, np.array([[1, 1], [0, 1]]), reduced=False)
     assert E.dtype == np.int16 and E.tolist() == [[1, 1], [0, 1]] and piv == [0, 1]
     assert_forward_elimination(F, M)
@@ -542,6 +546,100 @@ def test_rank_of_the_transpose(F):
         r = linalg.rank(F, M)
         assert r == linalg.rank(F, M.T) == len(_gauss_jordan(F, M)[1])
     assert r <= 100
+
+
+def walks(F, M):
+    """Whether rref(F, M) runs Gauss-Jordan on M's bit planes."""
+    m, n = M.shape
+    return m >= linalg.PACKED_ROWS and n <= linalg.PACKED_COLUMNS and m * n <= linalg.WALK_CELLS.get(F.q, 0)
+
+
+@st.composite
+def walk_case(draw):
+    """A plane field and a matrix inside its walk limits: rows that combine
+    the first r, some zeroed, some columns zero, rows drawn again with
+    repeats, or the RREF itself as the input."""
+    F = draw(st.sampled_from(PLANE_FIELDS))
+    m = draw(st.integers(linalg.PACKED_ROWS, 64))
+    n = draw(st.integers(0, min(linalg.PACKED_COLUMNS, linalg.WALK_CELLS[F.q] // m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.integers(0, F.q, size=(m, n)).astype(np.int16)
+    M[:, rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    r = draw(st.integers(0, m))
+    if r < m:
+        M = linalg.mat_mul(F, rng.integers(0, F.q, size=(m, r)), M[:r]) if r else np.zeros_like(M)
+    M[rng.random(m) < draw(st.sampled_from([0.0, 0.2]))] = 0
+    if draw(st.booleans()):
+        M = M[rng.integers(0, m, size=m)]
+    return F, _gauss_jordan(F, M)[0] if draw(st.booleans()) else M
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(walk_case())
+def test_walk_is_the_int16_loop(case):
+    """Gauss-Jordan on bit planes, rref's int16 loop and the oracle's
+    per-column loop give byte-identical RREFs and the same pivots, up to
+    each field's cell limit."""
+    F, M = case
+    assert walks(F, M)
+    want_R, want_piv = _gauss_jordan(F, M)
+    for R, piv in (linalg._walk_planes(F, M), linalg._eliminate(F, M, True), linalg.rref(F, M)):
+        assert piv == want_piv
+        assert R.dtype == np.int16 and R.shape == M.shape and R.tobytes() == want_R.tobytes()
+
+
+def assert_rref_path(F, M, walk):
+    """rref(F, M) walks the bit planes if walk, else runs the int16 loop,
+    and gives the oracle's RREF; rref(F, M, reduced=False) never walks."""
+    walker, loop = mock.Mock(side_effect=linalg._walk_planes), mock.Mock(side_effect=linalg._eliminate)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_walk_planes", walker)
+        mp.setattr(linalg, "_eliminate", loop)
+        R, piv = linalg.rref(F, M)
+        assert (walker.call_count, loop.call_count) == ((1, 0) if walk else (0, 1))
+        assert linalg.rref(F, M, reduced=False)[1] == piv and (walker.call_count, loop.call_count) == (walk, 2 - walk)
+    want_R, want_piv = _gauss_jordan(F, M)
+    assert piv == want_piv and R.tobytes() == want_R.tobytes()
+
+
+@pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
+def test_walk_limits(F):
+    """rref walks the bit planes from PACKED_ROWS rows, up to PACKED_COLUMNS
+    columns and WALK_CELLS[q] cells: each side of each limit, at the
+    constants and with each constant moved onto a 6 x 10 shape."""
+    rows, cols, cells = linalg.PACKED_ROWS, linalg.PACKED_COLUMNS, linalg.WALK_CELLS[F.q]
+    assert rows * cols <= cells
+    rng = np.random.default_rng(F.q)
+    shapes = {(rows, 8): True, (rows - 1, 8): False, (rows, cols): True, (rows, cols + 1): False,
+              (cells // cols, cols): True, (cells // cols + 1, cols): False}
+    for (m, n), walk in shapes.items():
+        M = rng.integers(0, F.q, size=(m, n)).astype(np.int16)
+        M[m // 2 :] = M[: m - m // 2].copy()
+        assert walks(F, M) == walk
+        assert_rref_path(F, M, walk)
+    M = rng.integers(0, F.q, size=(6, 10)).astype(np.int16)
+    for name, inside, outside in (("PACKED_ROWS", 6, 7), ("PACKED_COLUMNS", 10, 9), ("WALK_CELLS", {F.q: 60}, {F.q: 59})):
+        for value, walk in ((inside, True), (outside, False)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, name, value)
+                assert walks(F, M) == walk
+                assert_rref_path(F, M, walk)
+
+
+def test_codes_over_plane_fields_never_enter_the_int16_loop(monkeypatch):
+    """A [20, 9] LinearCode over GF(2), GF(3) or GF(4), its dual and its
+    hull certificate's [M | I_9] take the bit-plane walk; a GF(5) code and a
+    64 x 128 GF(2) matrix take the int16 loop."""
+    loop = mock.Mock(side_effect=linalg._eliminate)
+    monkeypatch.setattr(linalg, "_eliminate", loop)
+    rng = np.random.default_rng(20)
+    for F in PLANE_FIELDS:
+        code = codes.LinearCode(F, 20, rng.integers(0, F.q, size=(9, 20)))
+        h, (c, Y, N) = codes.hull_certificate(code, codes.SemiLinearMap.reversal(F, 20))
+        assert code.k == 9 and code.dual().k == 11 and h == 9 - len(c)
+    assert loop.call_count == 0
+    assert codes.LinearCode(field(5), 20, rng.integers(0, 5, size=(9, 20))).k == 9 and loop.call_count == 1
+    assert len(linalg.rref(field(2), rng.integers(0, 2, size=(64, 128)))[1]) == 64 and loop.call_count == 2
 
 
 def test_rref_dense_gf4093():
