@@ -25,7 +25,7 @@ plain per-column loop as its own kernel.
 
 The bit planes cover GF(2), GF(3) and GF(4) (Boothby and Bradshaw,
 arXiv:0901.1413): plane j, one Python int, holds bit j of every entry, row
-i in the W-bit field at bit i W, W the least multiple of 8 from max(n, 1).
+i in the W-bit field at bit i W, W the multiple of 8 above n.
 GF(2) has one plane, GF(4) two digit planes, GF(3) the one-hot [x = 1] and
 [x = 2].  The pivot row r for column c, the lowest candidate field with
 bit c set, is scaled by planes read off F.div (a plane swap negates in
@@ -38,10 +38,11 @@ walk keeps every row in its field: the candidates are the rows not yet
 pivots (a `free` mask), the pivot row clears column c from every other
 row, with no product when it is the column's only nonzero entry, and is
 written back scaled.  One unpackbits gives R, the pivot rows first and the
-rest, all zero, after them.  A product costs O(m n^2) bit operations, the int16 update O(m n),
-so larger shapes stay on the loop, as do larger fields (more planes and
-products); so do matrices of fewer than PACKED_ROWS rows, whose packing
-costs more than the loop's whole run.
+rest, all zero, after them.  Over GF(3) and GF(4) both kernels clear a
+column by `_clear(F)`.  A product costs O(m n^2) bit operations, the int16
+update O(m n), so larger shapes stay on the loop, as do larger fields
+(more planes and products); so do matrices of fewer than PACKED_ROWS
+rows, whose packing costs more than the loop's whole run.
 
 mat_mul is Kronecker substitution on float words (Dumas, Fousse and
 Salvy, J. Symb. Comput. 2011).  An entry's e base-p digits split into
@@ -230,38 +231,69 @@ def _lazy_dtype(p: int, m: int, n: int):
 # PACKED_COLUMNS columns, rank below PACKED_CELLS cells.  Past them the int16
 # loop was faster: rank at GF(3) 256 x 128 and 16 x 512, rref at GF(2)
 # 4 x 1024, and both on one row over GF(2), where packing costs more than
-# the loop's whole run (1 x 8: rank 4.5, rref 7.8 against 3.6 us)
+# the loop's whole run (1 x 8: rank 5.0, rref 8.3 against 2.5 us)
 PACKED_COLUMNS = 256
 PACKED_CELLS = 2**15
 PACKED_ROWS = 2
-# rref walks the bit planes up to this many cells, per q; past them the
-# loop is faster on an input already in RREF (GF(2) 64 x 96: 92 against
-# 78 us, GF(4) 56 x 112: 134 against 115)
-WALK_CELLS = {2: 4096, 3: 8192, 4: 4096}
+# rref walks the bit planes up to this many cells, in every plane field.
+# At 64 x 64 the walk took random inputs in 117 / 304 / 317 us against the
+# loop's 416 / 684 / 537 (GF(2) / GF(3) / GF(4)), and inputs already in
+# RREF in 87 / 155 / 138 against 73 / 179 / 119.  At 100 x 200 the loop
+# was faster on random GF(3) and GF(4) inputs (1,702 against 1,874 us,
+# 1,274 against 1,756) and on every input already in RREF.
+WALK_CELLS = 2**12
 
 
 # bit j of an entry is in plane j
 _PLANE_BITS = np.array([1, 2], dtype=np.uint8).reshape(-1, 1, 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _plane_maps(F: Field):
-    """(scale, terms), q = 3, 4: scale[v][2 j + k] = -(bit j of 2^k / v), and
-    terms[j] weighs X = s0 r0, Y = s1 r1 and T = (s0 ^ s1) (r0 ^ r1) in plane j
-    of the update, the XOR of s_i r_k over bit j of -(2^i 2^k), symmetric in i, k."""
-    scale = {v: [-(F.div(1 << k, v) >> j & 1) for j in (0, 1) for k in (0, 1)] for v in range(1, F.q)}
-    d = [[F.neg(F.mul(1 << i, 1 << k)) >> j & 1 for i, k in ((0, 0), (1, 1), (0, 1))] for j in (0, 1)]
-    return scale, [(x ^ t, y ^ t, t) for x, y, t in d]
-
-
 def _pack_planes(F: Field, M: np.ndarray):
     """(e, W, A, B): M's e bit planes for q <= 4, row i in bits i W.. of
     each, and B = 0 over GF(2)."""
     m, n = M.shape
-    e, W = 1 + (F.q > 2), 8 * max(1, -(-n // 8))
-    raw = np.packbits(M.astype(np.uint8) & _PLANE_BITS[:e], axis=-1, bitorder="little").tobytes()
+    e, W = 1 + (F.q > 2), 8 * (n // 8 + 1)
+    bits = np.zeros((e, m, W), dtype=np.uint8)
+    bits[:, :, :n] = M.astype(np.uint8) & _PLANE_BITS[:e]
+    raw = np.packbits(bits, axis=-1, bitorder="little").tobytes()
     size = len(raw) // e
     return e, W, int.from_bytes(raw[:size], "little"), int.from_bytes(raw[size:], "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _clear(F: Field):
+    """The step both plane kernels take per pivot over GF(3) or GF(4):
+    clear(A, B, s0, s1, a, b, low, c), where s0, s1 select the rows with
+    plane 0, 1 set at column c, low is the pivot row's bit and a, b are its
+    planes, shifted to field 0.  It returns (A, B, r0, r1): every other
+    selected row less its entry times r, r0, r1 the planes of r, the pivot
+    row scaled to 1 at column c.  The pivot row itself is left as it is.
+
+    scale[v][2 j + k] = -(bit j of 2^k / v), and (ux, uy, ut), (wx, wy, wt)
+    weigh X = s0 r0, Y = s1 r1 and T = (s0 ^ s1) (r0 ^ r1) in planes 0 and 1
+    of the update, the XOR of s_i r_k over bit j of -(2^i 2^k), symmetric
+    in i, k."""
+    scale = {v: [-(F.div(1 << k, v) >> j & 1) for j in (0, 1) for k in (0, 1)] for v in range(1, F.q)}
+    d = [[F.neg(F.mul(1 << i, 1 << k)) >> j & 1 for i, k in ((0, 0), (1, 1), (0, 1))] for j in (0, 1)]
+    (ux, uy, ut), (wx, wy, wt) = [(x ^ t, y ^ t, t) for x, y, t in d]
+    one_hot = F.p == 3
+
+    def clear(A: int, B: int, s0: int, s1: int, a: int, b: int, low: int, c: int):
+        v = (1 if s0 & low else 0) | (2 if s1 & low else 0)
+        t00, t01, t10, t11 = scale[v]
+        r0, r1 = t00 & a ^ t01 & b, t10 & a ^ t11 & b
+        s0, s1 = (s0 ^ low if v & 1 else s0), (s1 ^ low if v & 2 else s1)
+        if s0 | s1:
+            X, Y, T = s0 * (r0 >> c), s1 * (r1 >> c), (s0 ^ s1) * ((r0 ^ r1) >> c)
+            u, w = (ux and X) ^ (uy and Y) ^ (ut and T), (wx and X) ^ (wy and Y) ^ (wt and T)
+            if one_hot:  # the one-hot sum
+                x = (A | w) ^ (B | u)
+                A, B = (B | w) ^ x, (A | u) ^ x
+            else:
+                A, B = A ^ u, B ^ w
+        return A, B, r0, r1
+
+    return clear
 
 
 def _forward_planes(F: Field, M: np.ndarray) -> list[int]:
@@ -271,32 +303,21 @@ def _forward_planes(F: Field, M: np.ndarray) -> list[int]:
     field = (1 << W) - 1
     on = ((1 << m * W) - 1) // field  # bit c of every field, here c = 0
     pivots = []
-    if e == 2:
-        scale, ((ux, uy, ut), (wx, wy, wt)) = _plane_maps(F)
+    clear = _clear(F) if e == 2 else None
     for c in range(n):
         s0, s1 = A & on, B & on
         sel = s0 | s1 if e == 2 else s0
         if not sel:
             on <<= 1
             continue
-        # the pivot row: the lowest field with a set bit, left out of s0, s1
+        # the pivot row: the lowest field with a set bit
         i = 0 if sel & 1 << c else (sel & -sel).bit_length() - 1 - c
         low = 1 << i + c
         a, b = A >> i & field, B >> i & field
         if e == 1:
             A ^= (sel ^ low) * (a >> c)
         else:
-            v = (1 if s0 & low else 0) | (2 if s1 & low else 0)
-            s0, s1 = (s0 ^ low if v & 1 else s0), (s1 ^ low if v & 2 else s1)
-            t00, t01, t10, t11 = scale[v]
-            r0, r1 = t00 & a ^ t01 & b, t10 & a ^ t11 & b
-            X, Y, T = s0 * (r0 >> c), s1 * (r1 >> c), (s0 ^ s1) * ((r0 ^ r1) >> c)
-            u, w = (ux and X) ^ (uy and Y) ^ (ut and T), (wx and X) ^ (wy and Y) ^ (wt and T)
-            if F.p == 3:  # the one-hot sum
-                x = (A | w) ^ (B | u)
-                A, B = (B | w) ^ x, (A | u) ^ x
-            else:
-                A, B = A ^ u, B ^ w
+            A, B, _, _ = clear(A, B, s0, s1, a, b, low, c)
         # swap the pivot row into the lowest field and shift it out
         A = A >> W ^ ((A & field) ^ a) << i - W if i else A >> W
         B = B >> W ^ ((B & field) ^ b) << i - W if i else B >> W
@@ -313,8 +334,7 @@ def _walk_planes(F: Field, M: np.ndarray):
     on = ((1 << m * W) - 1) // field  # bit c of every field, here c = 0
     free = on  # bit c of the fields that are not pivot rows yet
     rows, pivots = [], []
-    if e == 2:
-        scale, ((ux, uy, ut), (wx, wy, wt)) = _plane_maps(F)
+    clear = _clear(F) if e == 2 else None
     for c in range(n):
         s0, s1 = A & on, B & on
         sel = s0 | s1 if e == 2 else s0
@@ -325,27 +345,14 @@ def _walk_planes(F: Field, M: np.ndarray):
             rows.append(i // W)
             pivots.append(c)
             free ^= low
-            sel ^= low  # the other rows with bit c set
+            a, b = A >> i & field, B >> i & field
             if e == 1:
-                if sel:
-                    A ^= sel * ((A >> i & field) >> c)
+                if sel ^ low:
+                    A ^= (sel ^ low) * (a >> c)
             else:
-                a, b = A >> i & field, B >> i & field
-                v = (1 if s0 & low else 0) | (2 if s1 & low else 0)
-                t00, t01, t10, t11 = scale[v]
-                r0, r1 = t00 & a ^ t01 & b, t10 & a ^ t11 & b
-                if v != 1:  # the scaled pivot row, in place
-                    A ^= (a ^ r0) << i
-                    B ^= (b ^ r1) << i
-                if sel:
-                    s0, s1 = (s0 ^ low if v & 1 else s0), (s1 ^ low if v & 2 else s1)
-                    X, Y, T = s0 * (r0 >> c), s1 * (r1 >> c), (s0 ^ s1) * ((r0 ^ r1) >> c)
-                    u, w = (ux and X) ^ (uy and Y) ^ (ut and T), (wx and X) ^ (wy and Y) ^ (wt and T)
-                    if F.p == 3:  # the one-hot sum
-                        x = (A | w) ^ (B | u)
-                        A, B = (B | w) ^ x, (A | u) ^ x
-                    else:
-                        A, B = A ^ u, B ^ w
+                A, B, r0, r1 = clear(A, B, s0, s1, a, b, low, c)
+                A ^= (a ^ r0) << i  # the scaled pivot row, in place
+                B ^= (b ^ r1) << i
             if not free:
                 break
         on <<= 1
@@ -364,7 +371,7 @@ def rref(F: Field, M: np.ndarray, reduced: bool = True):
     False, R is the row echelon form of forward elimination: each pivot
     clears only the rows below it."""
     m, n = np.shape(M)
-    if reduced and m >= PACKED_ROWS and n <= PACKED_COLUMNS and m * n <= WALK_CELLS.get(F.q, 0):
+    if reduced and F.q <= 4 and m >= PACKED_ROWS and n <= PACKED_COLUMNS and m * n <= WALK_CELLS:
         return _walk_planes(F, np.asarray(M))
     return _eliminate(F, M, reduced)
 

@@ -551,17 +551,17 @@ def test_rank_of_the_transpose(F):
 def walks(F, M):
     """Whether rref(F, M) runs Gauss-Jordan on M's bit planes."""
     m, n = M.shape
-    return m >= linalg.PACKED_ROWS and n <= linalg.PACKED_COLUMNS and m * n <= linalg.WALK_CELLS.get(F.q, 0)
+    return F.q <= 4 and m >= linalg.PACKED_ROWS and n <= linalg.PACKED_COLUMNS and m * n <= linalg.WALK_CELLS
 
 
 @st.composite
 def walk_case(draw):
-    """A plane field and a matrix inside its walk limits: rows that combine
+    """A plane field and a matrix inside the walk limits: rows that combine
     the first r, some zeroed, some columns zero, rows drawn again with
     repeats, or the RREF itself as the input."""
     F = draw(st.sampled_from(PLANE_FIELDS))
     m = draw(st.integers(linalg.PACKED_ROWS, 64))
-    n = draw(st.integers(0, min(linalg.PACKED_COLUMNS, linalg.WALK_CELLS[F.q] // m)))
+    n = draw(st.integers(0, min(linalg.PACKED_COLUMNS, linalg.WALK_CELLS // m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = rng.integers(0, F.q, size=(m, n)).astype(np.int16)
     M[:, rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0
@@ -579,7 +579,7 @@ def walk_case(draw):
 def test_walk_is_the_int16_loop(case):
     """Gauss-Jordan on bit planes, rref's int16 loop and the oracle's
     per-column loop give byte-identical RREFs and the same pivots, up to
-    each field's cell limit."""
+    the cell limit."""
     F, M = case
     assert walks(F, M)
     want_R, want_piv = _gauss_jordan(F, M)
@@ -605,9 +605,9 @@ def assert_rref_path(F, M, walk):
 @pytest.mark.parametrize("F", PLANE_FIELDS, ids=repr)
 def test_walk_limits(F):
     """rref walks the bit planes from PACKED_ROWS rows, up to PACKED_COLUMNS
-    columns and WALK_CELLS[q] cells: each side of each limit, at the
+    columns and WALK_CELLS cells: each side of each limit, at the
     constants and with each constant moved onto a 6 x 10 shape."""
-    rows, cols, cells = linalg.PACKED_ROWS, linalg.PACKED_COLUMNS, linalg.WALK_CELLS[F.q]
+    rows, cols, cells = linalg.PACKED_ROWS, linalg.PACKED_COLUMNS, linalg.WALK_CELLS
     assert rows * cols <= cells
     rng = np.random.default_rng(F.q)
     shapes = {(rows, 8): True, (rows - 1, 8): False, (rows, cols): True, (rows, cols + 1): False,
@@ -618,7 +618,7 @@ def test_walk_limits(F):
         assert walks(F, M) == walk
         assert_rref_path(F, M, walk)
     M = rng.integers(0, F.q, size=(6, 10)).astype(np.int16)
-    for name, inside, outside in (("PACKED_ROWS", 6, 7), ("PACKED_COLUMNS", 10, 9), ("WALK_CELLS", {F.q: 60}, {F.q: 59})):
+    for name, inside, outside in (("PACKED_ROWS", 6, 7), ("PACKED_COLUMNS", 10, 9), ("WALK_CELLS", 60, 59)):
         for value, walk in ((inside, True), (outside, False)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(linalg, name, value)

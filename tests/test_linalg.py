@@ -34,6 +34,7 @@ def test_rref_identity():
     R, piv = linalg.rref(F2, np.eye(3))
     assert piv == [0, 1, 2]
     assert np.array_equal(R, np.eye(3))
+    assert linalg.rank(F2, np.eye(3)) == 3
 
 
 def test_rref_idempotent_and_rank_transpose():
